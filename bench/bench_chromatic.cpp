@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "exp/chromatic.hpp"
 #include "graph/generators.hpp"
 
@@ -22,10 +22,9 @@ int main() {
     ClusterConfig cfg;
     cfg.num_nodes = 8;
     cfg.redundancy = 1.25;
-    Cluster cluster(cfg);
     RunReport report;
-    const double t_cam =
-        benchutil::time_call([&] { report = cluster.run(problem); });
+    const double t_cam = benchutil::time_call(
+        [&] { report = ProofSession(problem, cfg).run(); });
     bool agree = report.success;
     for (std::size_t t = 1; agree && t <= n + 1; ++t) {
       agree = report.answers[t - 1] == baseline[t - 1];

@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "exp/cnfsat.hpp"
 #include "exp/hamilton.hpp"
 #include "exp/permanent.hpp"
@@ -30,7 +30,6 @@ int main() {
   ClusterConfig cfg;
   cfg.num_nodes = 8;
   cfg.redundancy = 1.25;
-  Cluster cluster(cfg);
 
   // Permanent (Theorem 8(2)) vs Ryser.
   for (std::size_t n : {8u, 10u, 12u}) {
@@ -40,8 +39,8 @@ int main() {
         benchutil::time_call([&] { seq = permanent_ryser(m); });
     PermanentProblem problem(m);
     RunReport report;
-    const double t_cam =
-        benchutil::time_call([&] { report = cluster.run(problem); });
+    const double t_cam = benchutil::time_call(
+        [&] { report = ProofSession(problem, cfg).run(); });
     report_row("permanent", n, t_seq, t_cam, report.proof_symbols,
                report.success && report.answers[0] == seq);
   }
@@ -54,8 +53,8 @@ int main() {
         benchutil::time_call([&] { seq = count_sat_brute(formula); });
     auto problem = make_cnfsat_problem(formula);
     RunReport report;
-    const double t_cam =
-        benchutil::time_call([&] { report = cluster.run(*problem); });
+    const double t_cam = benchutil::time_call(
+        [&] { report = ProofSession(*problem, cfg).run(); });
     BigInt total(0);
     if (report.success) {
       for (const BigInt& c : report.answers) total += c;
@@ -72,8 +71,8 @@ int main() {
         benchutil::time_call([&] { seq = count_hamilton_cycles_brute(g); });
     HamiltonCycleProblem problem(g);
     RunReport report;
-    const double t_cam =
-        benchutil::time_call([&] { report = cluster.run(problem); });
+    const double t_cam = benchutil::time_call(
+        [&] { report = ProofSession(problem, cfg).run(); });
     const bool ok =
         report.success &&
         HamiltonCycleProblem::undirected_from_answer(report.answers[0])

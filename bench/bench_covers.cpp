@@ -5,7 +5,7 @@
 #include <random>
 
 #include "bench_util.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "exp/setcover.hpp"
 #include "exp/setpartition.hpp"
 
@@ -31,7 +31,6 @@ int main() {
   ClusterConfig cfg;
   cfg.num_nodes = 8;
   cfg.redundancy = 1.25;
-  Cluster cluster(cfg);
 
   benchutil::header("E8a: t-element set covers (Theorem 9)");
   std::printf("%4s %4s %4s %12s %10s %8s\n", "n", "|F|", "t", "camelot(s)",
@@ -41,8 +40,8 @@ int main() {
     const u64 t = 3;
     SetCoverProblem problem(n, fam, t);
     RunReport report;
-    const double t_cam =
-        benchutil::time_call([&] { report = cluster.run(problem); });
+    const double t_cam = benchutil::time_call(
+        [&] { report = ProofSession(problem, cfg).run(); });
     const bool ok = report.success &&
                     report.answers[0] == count_set_covers_brute(n, fam, t);
     std::printf("%4zu %4zu %4llu %12.4f %10zu %8s\n", n, fam.size(),
@@ -59,8 +58,8 @@ int main() {
     const u64 t = 4;
     ExactCoverProblem problem(n, fam, t);
     RunReport report;
-    const double t_cam =
-        benchutil::time_call([&] { report = cluster.run(problem); });
+    const double t_cam = benchutil::time_call(
+        [&] { report = ProofSession(problem, cfg).run(); });
     const bool ok =
         report.success &&
         ExactCoverProblem::partitions_from_answer(report.answers[0], t)

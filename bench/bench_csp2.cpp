@@ -4,7 +4,7 @@
 
 #include "apps/csp2.hpp"
 #include "bench_util.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 
 using namespace camelot;
 
@@ -13,7 +13,6 @@ int main() {
   ClusterConfig cfg;
   cfg.num_nodes = 6;
   cfg.redundancy = 1.25;
-  Cluster cluster(cfg);
 
   benchutil::header("E10: 2-CSP enumeration by #satisfied (Theorem 12)");
   std::printf("%4s %6s %4s %10s %10s %12s %10s %8s\n", "n", "sigma", "m",
@@ -30,8 +29,8 @@ int main() {
         [&] { seq = csp2_histogram_form62(inst, dec); });
     Csp2Problem problem(inst, dec);
     RunReport report;
-    const double t_cam =
-        benchutil::time_call([&] { report = cluster.run(problem); });
+    const double t_cam = benchutil::time_call(
+        [&] { report = ProofSession(problem, cfg).run(); });
     bool ok = report.success;
     for (std::size_t k = 0; ok && k <= m; ++k) {
       ok = report.answers[k].to_u64() == expect[k] &&

@@ -8,7 +8,7 @@
 #include "apps/hamming.hpp"
 #include "apps/ov.hpp"
 #include "bench_util.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 
 using namespace camelot;
 
@@ -16,7 +16,6 @@ int main() {
   ClusterConfig cfg;
   cfg.num_nodes = 8;
   cfg.redundancy = 1.25;
-  Cluster cluster(cfg);
 
   benchutil::header("E9a: orthogonal vectors (Theorem 11(1), proof ~ nt)");
   std::printf("%5s %4s %8s %8s %12s %8s\n", "n", "t", "proof", "n*t",
@@ -27,8 +26,8 @@ int main() {
     BoolMatrix b = BoolMatrix::random(n, t, 0.3, n + 1);
     OrthogonalVectorsProblem problem(a, b);
     RunReport report;
-    const double secs =
-        benchutil::time_call([&] { report = cluster.run(problem); });
+    const double secs = benchutil::time_call(
+        [&] { report = ProofSession(problem, cfg).run(); });
     auto expect = count_orthogonal_brute(a, b);
     bool ok = report.success;
     for (std::size_t i = 0; ok && i < n; ++i) {
@@ -47,8 +46,8 @@ int main() {
     BoolMatrix b = BoolMatrix::random(n, t, 0.5, 2 * n + 1);
     HammingDistributionProblem problem(a, b);
     RunReport report;
-    const double secs =
-        benchutil::time_call([&] { report = cluster.run(problem); });
+    const double secs = benchutil::time_call(
+        [&] { report = ProofSession(problem, cfg).run(); });
     auto expect = hamming_distribution_brute(a, b);
     bool ok = report.success;
     for (std::size_t i = 0; ok && i < expect.size(); ++i) {
@@ -68,8 +67,8 @@ int main() {
     for (u64& v : values) v = rng() % 32;
     Conv3SumProblem problem(values, bits);
     RunReport report;
-    const double secs =
-        benchutil::time_call([&] { report = cluster.run(problem); });
+    const double secs = benchutil::time_call(
+        [&] { report = ProofSession(problem, cfg).run(); });
     auto expect = conv3sum_brute(values);
     bool ok = report.success;
     for (std::size_t i = 0; ok && i < expect.size(); ++i) {

@@ -207,7 +207,9 @@ int main(int argc, char** argv) {
     { ProofSession warm(*problem, cfg); warm.run(); }
     const double barrier = ns_per_op([&] {
       ProofSession s(*problem, cfg);
-      g_sink = s.run_barrier().success ? 1 : 0;
+      const RunReport r =
+          s.prepare().transport().decode().verify().recover().report();
+      g_sink = r.success ? 1 : 0;
       return 1.0;
     });
     const double streaming = ns_per_op([&] {

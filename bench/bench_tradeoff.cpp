@@ -5,7 +5,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "count/clique_camelot.hpp"
 #include "graph/brute.hpp"
 #include "graph/generators.hpp"
@@ -24,8 +24,7 @@ int main() {
     ClusterConfig cfg;
     cfg.num_nodes = k;
     cfg.redundancy = 1.3;
-    Cluster cluster(cfg);
-    RunReport report = cluster.run(problem);
+    RunReport report = ProofSession(problem, cfg).run();
     double node_max = 0, node_sum = 0;
     std::size_t sym_max = 0, sym_min = SIZE_MAX;
     for (const auto& ns : report.node_stats) {

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "exp/tutte.hpp"
 #include "graph/brute.hpp"
 #include "graph/generators.hpp"
@@ -24,10 +24,9 @@ int main() {
     ClusterConfig cfg;
     cfg.num_nodes = 6;
     cfg.redundancy = 1.2;
-    Cluster cluster(cfg);
     RunReport report;
-    const double t_cam =
-        benchutil::time_call([&] { report = cluster.run(problem); });
+    const double t_cam = benchutil::time_call(
+        [&] { report = ProofSession(problem, cfg).run(); });
     bool agree = report.success && report.answers.size() == grid.size();
     for (std::size_t i = 0; agree && i < grid.size(); ++i) {
       agree = report.answers[i] == grid[i];

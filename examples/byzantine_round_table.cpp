@@ -91,10 +91,10 @@ int run_classic(double loss_rate) {
 
   std::puts("\n-- staged recovery: re-broadcast on a clean channel --");
   // The Knights' prepared symbols are still in the session; only the
-  // failed stages run again, prime by prime, over the barrier-staged
-  // SymbolChannel (the per-prime re-run surface keeps using it).
+  // failed stages run again, prime by prime, each re-broadcast as a
+  // one-chunk stream.
   for (std::size_t pi = 0; pi < siege.num_primes(); ++pi) {
-    siege.transport_prime(pi, LosslessChannel());
+    siege.transport_prime(pi, LosslessStreamingChannel());
     siege.decode_prime(pi);
     siege.verify_prime(pi);
     siege.recover_prime(pi);

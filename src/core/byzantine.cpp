@@ -39,21 +39,6 @@ void CorruptionPlan::apply(std::span<u64> chunk, std::size_t offset,
   }
 }
 
-void ByzantineAdversary::corrupt(std::span<u64> codeword,
-                                 std::span<const std::size_t> owners,
-                                 std::span<const u64> points,
-                                 const PrimeField& f) const {
-  plan_with_rng_seed(owners, points, f, seed_).apply(codeword, 0, f);
-}
-
-void ByzantineAdversary::corrupt(std::span<u64> codeword,
-                                 std::span<const std::size_t> owners,
-                                 std::span<const u64> points,
-                                 const PrimeField& f, u64 stream) const {
-  plan_with_rng_seed(owners, points, f, splitmix64(seed_ ^ stream))
-      .apply(codeword, 0, f);
-}
-
 CorruptionPlan ByzantineAdversary::make_plan(
     std::span<const std::size_t> owners, std::span<const u64> points,
     const PrimeField& f) const {
@@ -79,9 +64,9 @@ CorruptionPlan ByzantineAdversary::plan_with_rng_seed(
   const u64 c0 = 1 + rng() % (f.modulus() - 1);
   const u64 c1 = rng() % f.modulus();
   const u64 c2 = rng() % f.modulus();
-  // The draw order below scans positions ascending, exactly as the
-  // historical in-place corrupt() did, so plans reproduce its values
-  // bit for bit no matter which chunk order they are later applied in.
+  // The draw order below scans positions ascending, so a plan's values
+  // are fixed bit for bit no matter which chunk order they are later
+  // applied in.
   for (std::size_t i = 0; i < owners.size(); ++i) {
     if (!controls(owners[i])) continue;
     switch (strategy_) {

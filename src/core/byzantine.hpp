@@ -28,13 +28,13 @@ enum class ByzantineStrategy {
   kColludingPolynomial,
 };
 
-// Positional corruption schedule: the exact per-symbol rewrites one
-// corrupt() call would perform, laid out by codeword index. Because
-// the adversary's RNG draws depend only on (owners, strategy, seed) —
+// Positional corruption schedule: the exact per-symbol rewrites the
+// adversary performs, laid out by codeword index. Because the
+// adversary's RNG draws depend only on (owners, strategy, seed) —
 // never on the honest symbol values — the whole schedule can be fixed
 // before any symbol exists. A streaming transport uses this to
-// corrupt chunks in whatever order nodes finish while remaining
-// bit-identical to the one-shot barrier corruption.
+// corrupt chunks in whatever order nodes finish, and the result is
+// the same as applying the plan to the whole word at once.
 struct CorruptionPlan {
   enum class Op : unsigned char {
     kKeep = 0,    // honest symbol passes through
@@ -60,28 +60,17 @@ class ByzantineAdversary {
   }
   ByzantineStrategy strategy() const noexcept { return strategy_; }
 
-  // Applies the corruption in place. codeword[i] was produced by node
-  // owners[i]; points[i] is its evaluation point (needed by the
-  // colluding strategy). Randomness is drawn from the adversary seed
-  // alone — every call corrupts identically.
-  void corrupt(std::span<u64> codeword, std::span<const std::size_t> owners,
-               std::span<const u64> points, const PrimeField& f) const;
-
+  // The corruption schedule for a codeword whose symbol i was
+  // produced by node owners[i] at evaluation point points[i] (needed by
+  // the colluding strategy). Randomness is drawn from the adversary
+  // seed alone — every call yields the same plan.
+  CorruptionPlan make_plan(std::span<const std::size_t> owners,
+                           std::span<const u64> points,
+                           const PrimeField& f) const;
   // Same, but mixes `stream` (a derive_stream(seed, prime, stage)
   // value in the staged pipeline) into the adversary seed, so
   // corruption differs per prime yet stays deterministic regardless
   // of threading.
-  void corrupt(std::span<u64> codeword, std::span<const std::size_t> owners,
-               std::span<const u64> points, const PrimeField& f,
-               u64 stream) const;
-
-  // Positional schedules equivalent to the corrupt() overloads above:
-  // corrupt(word, ...) == make_plan(...).apply(word, 0, f) for every
-  // word, which is what makes chunk-order-independent streaming
-  // corruption possible.
-  CorruptionPlan make_plan(std::span<const std::size_t> owners,
-                           std::span<const u64> points,
-                           const PrimeField& f) const;
   CorruptionPlan make_plan(std::span<const std::size_t> owners,
                            std::span<const u64> points, const PrimeField& f,
                            u64 stream) const;

@@ -1,9 +1,11 @@
 // Shared configuration and report types of the Round Table pipeline,
-// used by both the staged ProofSession API and the legacy Cluster
-// facade (which is a thin shim over a one-shot session).
+// used by ProofSession and by the ProofService / shard layers that
+// drive it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "field/bigint.hpp"
@@ -60,6 +62,19 @@ struct ClusterConfig {
   // purely-corrupting transports, which never deliver short.
   std::size_t repair_budget = 3;
 };
+
+// The node partition of a length-e codeword over K nodes: node j owns
+// the contiguous chunk [ceil(j*e/K), ceil((j+1)*e/K)), so chunk sizes
+// differ by at most one symbol and position i belongs to node
+// floor(i*K/e).
+inline std::pair<std::size_t, std::size_t> node_chunk(std::size_t node,
+                                                      std::size_t e,
+                                                      std::size_t num_nodes) {
+  const std::size_t k = num_nodes;
+  const std::size_t lo = (node * e + k - 1) / k;
+  const std::size_t hi = std::min(e, ((node + 1) * e + k - 1) / k);
+  return {lo, hi};
+}
 
 struct NodeStats {
   std::size_t node_id = 0;

@@ -119,4 +119,17 @@ std::unique_ptr<SymbolStream> ErasureStreamingChannel::open(
   return std::make_unique<ErasureStream>(inner.open(spec), spec, loss_);
 }
 
+ChannelStack::ChannelStack(std::shared_ptr<const ByzantineAdversary> adversary,
+                           LossSpec loss)
+    : adversary_(std::move(adversary)) {
+  if (adversary_ != nullptr) {
+    base_ = std::make_unique<AdversarialStreamingChannel>(*adversary_);
+  } else {
+    base_ = std::make_unique<LosslessStreamingChannel>();
+  }
+  if (loss.symbol_loss_rate > 0.0) {
+    erasure_ = std::make_unique<ErasureStreamingChannel>(loss, base_.get());
+  }
+}
+
 }  // namespace camelot

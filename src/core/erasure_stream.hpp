@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <memory>
 
+#include "core/byzantine.hpp"
 #include "core/symbol_stream.hpp"
 
 namespace camelot {
@@ -70,6 +71,27 @@ class ErasureStreamingChannel final : public StreamingSymbolChannel {
  private:
   LossSpec loss_;
   const StreamingSymbolChannel* inner_;
+};
+
+// The transport a job describes, owned in one piece: adversarial
+// corruption when `adversary` is non-null (lossless otherwise), under
+// an erasure layer when loss.symbol_loss_rate > 0. ProofService and
+// the shard worker build their jobs' channels through this, so both
+// compose the stack identically.
+class ChannelStack {
+ public:
+  ChannelStack(std::shared_ptr<const ByzantineAdversary> adversary,
+               LossSpec loss);
+
+  // The outermost channel — what the session streams through.
+  const StreamingSymbolChannel& top() const {
+    return erasure_ ? *erasure_ : *base_;
+  }
+
+ private:
+  std::shared_ptr<const ByzantineAdversary> adversary_;
+  std::unique_ptr<StreamingSymbolChannel> base_;
+  std::unique_ptr<StreamingSymbolChannel> erasure_;
 };
 
 }  // namespace camelot

@@ -8,7 +8,6 @@
 #include "core/arena.hpp"
 #include "core/erasure_stream.hpp"
 #include "core/proof_session.hpp"
-#include "core/symbol_stream.hpp"
 #include "obs/trace.hpp"
 
 namespace camelot {
@@ -18,11 +17,9 @@ namespace camelot {
 // its last queued task is gone even after it settled.
 struct ProofService::Job {
   std::shared_ptr<const CamelotProblem> problem;
-  std::shared_ptr<const ByzantineAdversary> adversary;
-  // When the submit asked for loss, `channel` is the erasure wrapper
-  // and `base_channel` the lossless/adversarial stack under it.
-  std::unique_ptr<StreamingSymbolChannel> base_channel;
-  std::unique_ptr<StreamingSymbolChannel> channel;
+  // The job's transport: its adversary's corruption, under an erasure
+  // layer when the submit asked for loss.
+  std::unique_ptr<ChannelStack> channel;
   std::unique_ptr<ProofSession> session;
   std::promise<RunReport> promise;
   std::atomic<std::size_t> primes_left{0};
@@ -206,7 +203,8 @@ void ProofService::run_task(const Task& task) {
              (jp->has_deadline &&
               std::chrono::steady_clock::now() > jp->deadline);
     };
-    job.session->run_prime_streaming(task.prime_index, *job.channel, cancel);
+    job.session->run_prime_streaming(task.prime_index, job.channel->top(),
+                                     cancel);
   } catch (const SessionCancelled&) {
     settle_expired(/*queued=*/false);
     return;
@@ -303,21 +301,10 @@ std::future<RunReport> ProofService::submit(
 
   auto job = std::make_shared<Job>();
   job->problem = std::move(problem);
-  job->adversary = std::move(adversary);
-  if (job->adversary != nullptr) {
-    job->channel =
-        std::make_unique<AdversarialStreamingChannel>(*job->adversary);
-  } else {
-    job->channel = std::make_unique<LosslessStreamingChannel>();
-  }
-  if (options.loss_rate > 0.0) {
-    // Erasure transport on top of the corruption stack: the job's
-    // primes will exercise selective repair under the scheduler.
-    job->base_channel = std::move(job->channel);
-    job->channel = std::make_unique<ErasureStreamingChannel>(
-        LossSpec{options.loss_rate, options.loss_seed},
-        job->base_channel.get());
-  }
+  // With loss the job's primes exercise selective repair under the
+  // scheduler.
+  job->channel = std::make_unique<ChannelStack>(
+      std::move(adversary), LossSpec{options.loss_rate, options.loss_seed});
   job->session = std::make_unique<ProofSession>(
       *job->problem, config, cache_, std::move(plan), codes_, metrics_);
   const std::size_t num_primes = job->session->num_primes();

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
 #include "core/arena.hpp"
-#include "core/cluster.hpp"
 #include "core/rng.hpp"
 #include "core/verifier.hpp"
 #include "field/crt.hpp"
@@ -70,21 +70,6 @@ class FirstError {
 
 }  // namespace
 
-std::vector<u64> LosslessChannel::deliver(std::span<const u64> sent,
-                                          std::span<const std::size_t>,
-                                          std::span<const u64>,
-                                          const PrimeField&, u64) const {
-  return {sent.begin(), sent.end()};
-}
-
-std::vector<u64> AdversarialChannel::deliver(
-    std::span<const u64> sent, std::span<const std::size_t> owners,
-    std::span<const u64> points, const PrimeField& f, u64 stream_seed) const {
-  std::vector<u64> received(sent.begin(), sent.end());
-  adversary_.corrupt(received, owners, points, f, stream_seed);
-  return received;
-}
-
 ProofSession::ProofSession(const CamelotProblem& problem, ClusterConfig config,
                            std::shared_ptr<FieldCache> cache,
                            std::shared_ptr<const PrimePlan> plan,
@@ -115,8 +100,10 @@ ProofSession::ProofSession(const CamelotProblem& problem, ClusterConfig config,
 
   const std::size_t e = plan_->code_length;
   owners_.resize(e);
-  for (std::size_t i = 0; i < e; ++i) {
-    owners_[i] = Cluster::symbol_owner(i, e, config_.num_nodes);
+  for (std::size_t j = 0; j < config_.num_nodes; ++j) {
+    const auto [lo, hi] = node_chunk(j, e, config_.num_nodes);
+    std::fill(owners_.begin() + static_cast<long>(lo),
+              owners_.begin() + static_cast<long>(hi), j);
   }
   node_stats_.resize(config_.num_nodes);
   for (std::size_t j = 0; j < config_.num_nodes; ++j) {
@@ -181,15 +168,6 @@ void ProofSession::ensure_code(PrimeState& st) {
   st.code = codes_->code(st.ops, spec_.degree_bound, plan_->code_length);
 }
 
-std::pair<std::size_t, std::size_t> ProofSession::node_chunk(
-    std::size_t node) const {
-  const std::size_t e = plan_->code_length;
-  const std::size_t k = config_.num_nodes;
-  const std::size_t lo = (node * e + k - 1) / k;
-  const std::size_t hi = std::min(e, ((node + 1) * e + k - 1) / k);
-  return {lo, hi};
-}
-
 std::size_t ProofSession::message_prefix() const {
   const std::size_t e = plan_->code_length;
   const std::size_t m = spec_.degree_bound + 1;
@@ -202,7 +180,7 @@ std::size_t ProofSession::message_node_count() const {
   const std::size_t m = message_prefix();
   std::size_t count = 0;
   for (std::size_t j = 0; j < config_.num_nodes; ++j) {
-    const auto [lo, hi] = node_chunk(j);
+    const auto [lo, hi] = node_chunk(j, plan_->code_length, config_.num_nodes);
     if (lo < hi && lo < m) ++count;
   }
   return count;  // >= 1: node 0 always owns symbol 0 < m
@@ -216,9 +194,9 @@ std::vector<u64> ProofSession::evaluate_node_range(PrimeState& st,
   // allocates below must destruct before the scope unbinds the arena.
   ArenaScope arena_scope(stage_arena(config_.use_arena));
   const auto t0 = std::chrono::steady_clock::now();
-  // Span granularity: one prepare observation per node chunk — both
-  // the barrier and the streaming pipeline evaluate through here, so
-  // the histogram is fed identically on either path.
+  // Span granularity: one prepare observation per node chunk — the
+  // engine and selective repair both evaluate through here, so the
+  // histogram is fed identically on every path.
   obs::StageSpan span(stage_prepare_, obs::kTraceSched, "prepare", st.prime);
   auto evaluator = problem_.make_evaluator(st.ops);
   // One batched call for the whole range so the evaluator can
@@ -246,7 +224,7 @@ void ProofSession::extend_parity(PrimeState& st) {
             st.sent.begin() + static_cast<long>(m));
 }
 
-// ---- Stage bodies (shared by barrier staging and streaming) --------------
+// ---- Stage bodies (shared by the per-prime stages and the engine) --------
 
 void ProofSession::apply_decode(PrimeState& st, GaoResult decoded) {
   st.decoded = std::move(decoded);
@@ -295,68 +273,43 @@ void ProofSession::apply_recover(PrimeState& st) {
 // ---- Step 1: proof preparation, in distributed encoded form -------------
 
 void ProofSession::prepare_prime(std::size_t prime_index) {
-  ArenaScope arena_scope(stage_arena(config_.use_arena));
-  WallTimer wt(&wall_seconds_);
-  PrimeState& st = state_at(prime_index);
-  const std::size_t e = plan_->code_length;
-  const std::size_t k = config_.num_nodes;
-  const std::size_t m = message_prefix();
-  ensure_code(st);
-  st.sent.assign(e, 0);
-  st.received.clear();
-
-  unsigned threads = config_.num_threads != 0
-                         ? config_.num_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(k));
-
-  std::atomic<std::size_t> next_node{0};
-  FirstError errors;
-  auto worker = [&]() {
-    // Each pool thread binds its own arena (the thread-local
-    // process_local() when no service worker arena is bound), so the
-    // chunks' scratch never contends across threads.
-    ArenaScope arena_scope(stage_arena(config_.use_arena));
-    try {
-      while (!errors.failed()) {
-        const std::size_t j = next_node.fetch_add(1);
-        if (j >= k) break;
-        const auto [lo, hi] = node_chunk(j);
-        const std::size_t mhi = std::min(hi, m);
-        if (mhi <= lo) continue;  // parity-only chunk: no evaluator work
-        std::vector<u64> values = evaluate_node_range(st, j, lo, mhi);
-        std::copy(values.begin(), values.end(),
-                  st.sent.begin() + static_cast<long>(lo));
-      }
-    } catch (...) {
-      errors.capture();
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  errors.rethrow_if_any();
-
-  extend_parity(st);
-  invalidate_downstream(st, SessionStage::kPrepared);
+  state_at(prime_index);  // range check before the engine touches it
+  run_engine(prime_index, prime_index + 1, nullptr, nullptr);
 }
 
 // ---- Broadcast over the (possibly adversarial) channel ------------------
 
 void ProofSession::transport_prime(std::size_t prime_index,
-                                   const SymbolChannel& channel) {
+                                   const StreamingSymbolChannel& channel) {
   WallTimer wt(&wall_seconds_);
   state_at_least(prime_index, SessionStage::kPrepared, "transport_prime");
   PrimeState& st = state_at(prime_index);
-  obs::StageSpan span(stage_transport_, obs::kTraceSched, "transport",
-                      st.prime);
-  st.received = channel.deliver(
-      st.sent, owners_, st.code->points(), st.ops.prime(),
-      derive_stream(config_.seed, st.prime, PipelineStage::kTransport));
-  if (st.received.size() != st.sent.size()) {
-    throw std::logic_error("SymbolChannel: received length mismatch");
+  const std::size_t e = plan_->code_length;
+  // A barrier is a stream with one chunk.
+  std::unique_ptr<SymbolStream> stream = channel.open(stream_spec(st));
+  SymbolChunk word;
+  word.symbols = st.sent;
+  stream->push(std::move(word));
+  stream->close();
+  std::vector<u64> received(e, 0);
+  std::size_t delivered = 0;
+  while (!stream->exhausted()) {
+    if (auto c = stream->poll()) {
+      obs::StageSpan span(stage_transport_, obs::kTraceSched, "transport",
+                          st.prime);
+      std::copy(c->symbols.begin(), c->symbols.end(),
+                received.begin() + static_cast<long>(c->offset));
+      delivered += c->symbols.size();
+    }
   }
+  if (delivered != e) {
+    st.received.clear();
+    invalidate_downstream(st, SessionStage::kPrepared);
+    throw std::logic_error(
+        "ProofSession::transport_prime: channel delivered short (the "
+        "barrier stage has no repair)");
+  }
+  st.received = std::move(received);
   invalidate_downstream(st, SessionStage::kTransported);
 }
 
@@ -407,7 +360,7 @@ ProofSession& ProofSession::prepare() {
   return *this;
 }
 
-ProofSession& ProofSession::transport(const SymbolChannel& channel) {
+ProofSession& ProofSession::transport(const StreamingSymbolChannel& channel) {
   for (std::size_t pi = 0; pi < primes_.size(); ++pi) {
     if (primes_[pi].stage == SessionStage::kPrepared) {
       transport_prime(pi, channel);
@@ -418,9 +371,9 @@ ProofSession& ProofSession::transport(const SymbolChannel& channel) {
 
 ProofSession& ProofSession::transport(const ByzantineAdversary* adversary) {
   if (adversary != nullptr) {
-    return transport(AdversarialChannel(*adversary));
+    return transport(AdversarialStreamingChannel(*adversary));
   }
-  return transport(LosslessChannel());
+  return transport(LosslessStreamingChannel());
 }
 
 ProofSession& ProofSession::decode() {
@@ -460,44 +413,23 @@ RunReport ProofSession::run(const ByzantineAdversary* adversary) {
   return run_streaming(LosslessStreamingChannel());
 }
 
-RunReport ProofSession::run_barrier(const ByzantineAdversary* adversary) {
-  reset_for_run();
-  prepare();
-  transport(adversary);
-  decode();
-  verify();
-  recover();
-  return report();
-}
+// ---- The pipeline engine -------------------------------------------------
 
-// ---- Streaming pipeline --------------------------------------------------
-
-std::unique_ptr<SymbolStream> ProofSession::open_prime_stream(
-    PrimeState& st, const StreamingSymbolChannel& channel) {
-  const std::size_t e = plan_->code_length;
-  ensure_code(st);
-  st.sent.assign(e, 0);
-  st.received.clear();
-  invalidate_downstream(st, SessionStage::kCreated);
+StreamSpec ProofSession::stream_spec(const PrimeState& st) const {
   StreamSpec spec;
   spec.prime = st.prime;
-  spec.code_length = e;
+  spec.code_length = plan_->code_length;
   spec.owners = owners_;
   spec.points = st.code->points();
   spec.field = &st.ops.prime();
   spec.stream_seed =
       derive_stream(config_.seed, st.prime, PipelineStage::kTransport);
-  return channel.open(spec);
+  return spec;
 }
 
 void ProofSession::finalize_prime_stream(PrimeState& st,
                                          StreamingGaoDecoder& decoder) {
   ArenaScope arena_scope(stage_arena(config_.use_arena));
-  if (!decoder.ready()) {
-    throw std::logic_error(
-        "StreamingSymbolChannel: stream exhausted without delivering every "
-        "symbol");
-  }
   st.received.assign(decoder.received().begin(), decoder.received().end());
   st.stage = SessionStage::kTransported;
   GaoResult decoded;
@@ -536,7 +468,9 @@ ProofSession::RepairOutcome ProofSession::repair_stream_shortfall(
       while (pos < rhi) {
         if (cancel && cancel()) throw SessionCancelled();
         const std::size_t node = owners_[pos];
-        const std::size_t end = std::min(rhi, node_chunk(node).second);
+        const std::size_t node_end =
+            node_chunk(node, plan_->code_length, config_.num_nodes).second;
+        const std::size_t end = std::min(rhi, node_end);
         const std::size_t mend = std::min(end, m);
         if (pos < mend) {
           std::vector<u64> values = evaluate_node_range(st, node, pos, mend);
@@ -578,251 +512,146 @@ void ProofSession::fail_prime_stream(PrimeState& st) {
   apply_recover(st);
 }
 
-void ProofSession::run_prime_streaming(std::size_t prime_index,
-                                       const StreamingSymbolChannel& channel,
-                                       const SessionCancelFn& cancel) {
-  // The decoder's received-word buffers live in this scope's arena;
-  // the decoder is a local below, so it destructs before the scope.
-  ArenaScope arena_scope(stage_arena(config_.use_arena));
-  WallTimer wt(&wall_seconds_);
-  PrimeState& st = state_at(prime_index);
-  const std::size_t k = config_.num_nodes;
-  const std::size_t m = message_prefix();
-  const std::size_t msg_nodes = message_node_count();
-  std::unique_ptr<SymbolStream> stream = open_prime_stream(st, channel);
-  StreamingGaoDecoder decoder(*st.code);
-  std::mutex absorb_mu;
-
-  unsigned threads = config_.num_threads != 0
-                         ? config_.num_threads
-                         : std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min<unsigned>(threads, static_cast<unsigned>(k));
-
-  std::atomic<std::size_t> next_node{0};
-  std::atomic<std::size_t> nodes_done{0};
-  std::atomic<std::size_t> msg_done{0};
-  FirstError errors;
-  // Ships node j's full chunk into the stream; the caller guarantees
-  // st.sent[lo, hi) is final. Closes the stream after the k-th push
-  // and absorbs whatever became deliverable (overlap with computing
-  // workers is the point).
-  auto push_chunk = [&](std::size_t j, std::size_t lo, std::size_t hi) {
-    SymbolChunk chunk;
-    chunk.offset = lo;
-    chunk.node = j;
-    chunk.symbols.assign(st.sent.begin() + static_cast<long>(lo),
-                         st.sent.begin() + static_cast<long>(hi));
-    stream->push(std::move(chunk));
-    if (nodes_done.fetch_add(1) + 1 == k) stream->close();
-    std::lock_guard<std::mutex> lock(absorb_mu);
-    while (auto c = stream->poll()) {
-      obs::StageSpan span(stage_transport_, obs::kTraceSched, "absorb",
-                          st.prime);
-      decoder.absorb(c->offset, c->symbols);
-    }
-  };
-  auto worker = [&]() {
-    ArenaScope arena_scope(stage_arena(config_.use_arena));
-    try {
-      while (!errors.failed()) {
-        // Chunk boundary: an expired deadline stops this prime here
-        // instead of computing (and absorbing) the remaining chunks.
-        if (cancel && cancel()) throw SessionCancelled();
-        const std::size_t j = next_node.fetch_add(1);
-        if (j >= k) break;
-        const auto [lo, hi] = node_chunk(j);
-        const std::size_t mhi = std::min(hi, m);
-        if (mhi > lo) {
-          std::vector<u64> values = evaluate_node_range(st, j, lo, mhi);
-          std::copy(values.begin(), values.end(),
-                    st.sent.begin() + static_cast<long>(lo));
-        }
-        // Chunks that end inside the message prefix are final now;
-        // parity-bearing chunks wait for the systematic extension.
-        if (hi <= m) push_chunk(j, lo, hi);
-        if (mhi > lo && msg_done.fetch_add(1) + 1 == msg_nodes &&
-            m < plan_->code_length) {
-          // Last message sub-chunk landed: every write to
-          // st.sent[0, m) is ordered before this point by the
-          // msg_done RMW chain. Extend to the parity tail, then
-          // release the deferred chunks (deadline probes between
-          // pushes keep in-flight cancellation responsive).
-          extend_parity(st);
-          for (std::size_t jd = 0; jd < k; ++jd) {
-            const auto [dlo, dhi] = node_chunk(jd);
-            if (dhi <= m) continue;  // already pushed above
-            if (cancel && cancel()) throw SessionCancelled();
-            push_chunk(jd, dlo, dhi);
-          }
-        }
-      }
-    } catch (...) {
-      errors.capture();
-    }
-  };
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-  try {
-    errors.rethrow_if_any();
-
-    // Drain the tail: a rate-limited stream releases a bounded number
-    // of symbols per poll, so keep polling until it reports exhaustion
-    // — checking the deadline between absorbs (a rate-limited stream
-    // can hold a prime here for a long time).
-    while (!stream->exhausted()) {
-      if (cancel && cancel()) throw SessionCancelled();
-      if (auto c = stream->poll()) {
-        obs::StageSpan span(stage_transport_, obs::kTraceSched, "absorb",
-                            st.prime);
-        decoder.absorb(c->offset, c->symbols);
-      }
-    }
-    // Lossy transport: the drained stream left the decoder short.
-    // Selective repair re-pushes only the missing chunks; a spent
-    // budget settles the prime as a decode failure.
-    if (!decoder.ready() &&
-        repair_stream_shortfall(st, *stream, decoder, cancel) ==
-            RepairOutcome::kBudgetExhausted) {
-      fail_prime_stream(st);
-      return;
-    }
-  } catch (const SessionCancelled&) {
-    reset_prime(prime_index);  // leave no half-prepared stage behind
-    throw;
-  }
-  finalize_prime_stream(st, decoder);
-}
-
-RunReport ProofSession::run_streaming(const StreamingSymbolChannel& channel) {
+void ProofSession::run_engine(std::size_t first, std::size_t last,
+                              const StreamingSymbolChannel* channel,
+                              const SessionCancelFn& cancel) {
   // Outermost declaration: the flights below hold decoders whose
   // received-word buffers live in this scope's arena, and they must
   // destruct before the binding is restored.
   ArenaScope arena_scope(stage_arena(config_.use_arena));
-  reset_for_run();
   WallTimer wt(&wall_seconds_);
   const std::size_t k = config_.num_nodes;
-  const std::size_t num_primes = primes_.size();
+  const std::size_t e = plan_->code_length;
+  const std::size_t m = message_prefix();
+  const std::size_t msg_nodes = message_node_count();
+  const std::size_t num_primes = last - first;
+  auto check_cancel = [&] {
+    if (cancel && cancel()) throw SessionCancelled();
+  };
 
-  // Per-prime in-flight broadcast state.
+  // Per-prime in-flight state; stream and decoder stay null when the
+  // engine only prepares.
   struct Flight {
+    PrimeState* st = nullptr;
     std::unique_ptr<SymbolStream> stream;
     std::unique_ptr<StreamingGaoDecoder> decoder;
-    std::mutex mu;  // serializes poll/absorb
+    std::mutex mu;  // serializes poll/absorb/repair
     std::atomic<std::size_t> nodes_done{0};
     std::atomic<std::size_t> msg_done{0};
     std::atomic<bool> finalized{false};
   };
-  std::vector<std::unique_ptr<Flight>> flights;
-  flights.reserve(num_primes);
-  for (std::size_t pi = 0; pi < num_primes; ++pi) {
-    PrimeState& st = primes_[pi];
-    auto fl = std::make_unique<Flight>();
-    fl->stream = open_prime_stream(st, channel);
-    fl->decoder = std::make_unique<StreamingGaoDecoder>(*st.code);
-    flights.push_back(std::move(fl));
+  const auto flights = std::make_unique<Flight[]>(num_primes);
+  for (std::size_t i = 0; i < num_primes; ++i) {
+    Flight& fl = flights[i];
+    fl.st = &primes_[first + i];
+    ensure_code(*fl.st);
+    fl.st->sent.assign(e, 0);
+    fl.st->received.clear();
+    invalidate_downstream(*fl.st, SessionStage::kCreated);
+    if (channel != nullptr) {
+      fl.stream = channel->open(stream_spec(*fl.st));
+      fl.decoder = std::make_unique<StreamingGaoDecoder>(*fl.st->code);
+    }
   }
 
-  // Absorb what the channel will deliver now; with `to_exhaustion` the
-  // caller just closed the stream and drives out the tail. Whichever
-  // worker absorbs the last symbol wins the finalized flag and runs
-  // decode -> verify -> recover for the prime — possibly while other
-  // primes are still preparing. That overlap is the whole point.
-  auto drain = [&](std::size_t pi, bool to_exhaustion) {
-    Flight& fl = *flights[pi];
+  // A prime's tail (drain, repair, decode -> verify -> recover) runs on
+  // the pool while other primes still prepare — that overlap is the
+  // whole point. A single prime has nothing to overlap, so its caller
+  // settles it after the join: the tail's scratch then lands in the
+  // caller's arena (a service worker's long-lived one), not in a
+  // fresh pool thread's, whose regions every call would fault in anew.
+  const bool tail_on_caller = num_primes == 1;
+  auto absorb = [&](Flight& fl, const SymbolChunk& c) {
+    obs::StageSpan span(stage_transport_, obs::kTraceSched, "absorb",
+                        fl.st->prime);
+    fl.decoder->absorb(c.offset, c.symbols);
+  };
+  // Settles a closed stream: drives out the tail (a rate-limited
+  // stream releases a bounded number of symbols per poll, so keep
+  // polling, probing the deadline between absorbs), then runs
+  // selective repair if the drained stream left the decoder short — a
+  // spent budget settles the prime as a decode failure — and finally
+  // decode -> verify -> recover.
+  auto settle = [&](Flight& fl) {
     {
       std::lock_guard<std::mutex> lock(fl.mu);
-      if (to_exhaustion) {
-        while (!fl.stream->exhausted()) {
-          if (auto c = fl.stream->poll()) {
-            obs::StageSpan span(stage_transport_, obs::kTraceSched, "absorb",
-                                primes_[pi].prime);
-            fl.decoder->absorb(c->offset, c->symbols);
-          }
-        }
-      } else {
-        while (auto c = fl.stream->poll()) {
-          obs::StageSpan span(stage_transport_, obs::kTraceSched, "absorb",
-                              primes_[pi].prime);
-          fl.decoder->absorb(c->offset, c->symbols);
-        }
+      while (!fl.stream->exhausted()) {
+        check_cancel();
+        if (auto c = fl.stream->poll()) absorb(fl, *c);
       }
-      // A fully-drained lossy stream leaves the decoder short: run
-      // selective repair right here (under the flight lock, while
-      // other primes keep preparing); a spent budget settles the
-      // prime as a decode failure.
-      if (to_exhaustion && !fl.decoder->ready() &&
-          repair_stream_shortfall(primes_[pi], *fl.stream, *fl.decoder,
-                                  SessionCancelFn()) ==
+      if (!fl.decoder->ready() &&
+          repair_stream_shortfall(*fl.st, *fl.stream, *fl.decoder, cancel) ==
               RepairOutcome::kBudgetExhausted) {
-        if (!fl.finalized.exchange(true)) fail_prime_stream(primes_[pi]);
+        fail_prime_stream(*fl.st);
+        fl.finalized.store(true);
         return;
       }
       if (!fl.decoder->ready()) return;
     }
-    if (!fl.finalized.exchange(true)) {
-      finalize_prime_stream(primes_[pi], *fl.decoder);
+    finalize_prime_stream(*fl.st, *fl.decoder);
+    fl.finalized.store(true);
+  };
+
+  // Ships node j's full chunk (final in st.sent) into the prime's
+  // stream and absorbs what the channel delivers now; the k-th push
+  // closes the stream and settles it unless the caller owns the tail.
+  auto push_chunk = [&](Flight& fl, std::size_t j) {
+    const auto [lo, hi] = node_chunk(j, e, k);
+    SymbolChunk chunk;
+    chunk.offset = lo;
+    chunk.node = j;
+    chunk.symbols.assign(fl.st->sent.begin() + static_cast<long>(lo),
+                         fl.st->sent.begin() + static_cast<long>(hi));
+    fl.stream->push(std::move(chunk));
+    const bool last = fl.nodes_done.fetch_add(1) + 1 == k;
+    if (last) fl.stream->close();
+    if (last && !tail_on_caller) {
+      settle(fl);
+      return;
     }
+    std::lock_guard<std::mutex> lock(fl.mu);
+    while (auto c = fl.stream->poll()) absorb(fl, *c);
   };
 
   // Task t = (prime t/k, node t%k), claimed prime-major so early
   // primes' streams fill (and decode) while later primes prepare.
   std::atomic<std::size_t> next_task{0};
   const std::size_t total_tasks = num_primes * k;
-  const std::size_t m = message_prefix();
-  const std::size_t msg_nodes = message_node_count();
   FirstError errors;
-  // Ships node j's full chunk (final in st.sent) into prime pi's
-  // stream, closing it after the k-th push and draining.
-  auto push_chunk = [&](std::size_t pi, std::size_t j, std::size_t lo,
-                        std::size_t hi) {
-    PrimeState& st = primes_[pi];
-    Flight& fl = *flights[pi];
-    SymbolChunk chunk;
-    chunk.offset = lo;
-    chunk.node = j;
-    chunk.symbols.assign(st.sent.begin() + static_cast<long>(lo),
-                         st.sent.begin() + static_cast<long>(hi));
-    fl.stream->push(std::move(chunk));
-    const bool last = fl.nodes_done.fetch_add(1) + 1 == k;
-    if (last) fl.stream->close();
-    drain(pi, /*to_exhaustion=*/last);
-  };
   auto worker = [&]() {
+    // Each pool thread binds its own arena (the thread-local
+    // process_local() when no service worker arena is bound), so the
+    // chunks' scratch never contends across threads.
     ArenaScope arena_scope(stage_arena(config_.use_arena));
     try {
       while (!errors.failed()) {
+        // Chunk boundary: an expired deadline stops here instead of
+        // computing (and absorbing) the remaining chunks.
+        check_cancel();
         const std::size_t t = next_task.fetch_add(1);
         if (t >= total_tasks) break;
-        const std::size_t pi = t / k;
+        Flight& fl = flights[t / k];
         const std::size_t j = t % k;
-        PrimeState& st = primes_[pi];
-        const auto [lo, hi] = node_chunk(j);
+        const auto [lo, hi] = node_chunk(j, e, k);
         const std::size_t mhi = std::min(hi, m);
         if (mhi > lo) {
-          std::vector<u64> values = evaluate_node_range(st, j, lo, mhi);
+          std::vector<u64> values = evaluate_node_range(*fl.st, j, lo, mhi);
           std::copy(values.begin(), values.end(),
-                    st.sent.begin() + static_cast<long>(lo));
+                    fl.st->sent.begin() + static_cast<long>(lo));
         }
-        // Chunks ending inside the message prefix are final; parity-
-        // bearing chunks wait for this prime's systematic extension.
-        if (hi <= m) push_chunk(pi, j, lo, hi);
-        if (mhi > lo &&
-            flights[pi]->msg_done.fetch_add(1) + 1 == msg_nodes &&
-            m < plan_->code_length) {
-          // Last message sub-chunk of prime pi landed (the msg_done
+        // Chunks ending inside the message prefix are final now;
+        // parity-bearing chunks wait for the systematic extension.
+        if (channel == nullptr) continue;
+        if (hi <= m) push_chunk(fl, j);
+        if (mhi > lo && fl.msg_done.fetch_add(1) + 1 == msg_nodes && m < e) {
+          // Last message sub-chunk of this prime landed (the msg_done
           // RMW chain orders every st.sent[0, m) write before this):
           // extend to the parity tail and release the deferred chunks.
-          extend_parity(st);
+          extend_parity(*fl.st);
           for (std::size_t jd = 0; jd < k; ++jd) {
-            const auto [dlo, dhi] = node_chunk(jd);
-            if (dhi <= m) continue;  // already pushed above
-            push_chunk(pi, jd, dlo, dhi);
+            if (node_chunk(jd, e, k).second <= m) continue;  // pushed above
+            check_cancel();
+            push_chunk(fl, jd);
           }
         }
       }
@@ -842,15 +671,40 @@ RunReport ProofSession::run_streaming(const StreamingSymbolChannel& channel) {
     for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (std::thread& t : pool) t.join();
   }
-  errors.rethrow_if_any();
+  try {
+    errors.rethrow_if_any();
+    if (channel != nullptr && tail_on_caller) settle(flights[0]);
+  } catch (const SessionCancelled&) {
+    // Leave no half-prepared stage behind.
+    for (std::size_t i = 0; i < num_primes; ++i) reset_prime(first + i);
+    throw;
+  }
 
-  for (std::size_t pi = 0; pi < num_primes; ++pi) {
-    if (!flights[pi]->finalized.load()) {
+  for (std::size_t i = 0; i < num_primes; ++i) {
+    if (channel == nullptr) {
+      // Nothing streams behind the parity tail, so extend it here: its
+      // scratch then lands in the caller's arena, which the following
+      // stages reuse, not in a short-lived pool thread's.
+      extend_parity(*flights[i].st);
+      invalidate_downstream(*flights[i].st, SessionStage::kPrepared);
+    } else if (!flights[i].finalized.load()) {
       throw std::logic_error(
           "StreamingSymbolChannel: stream exhausted without delivering "
           "every symbol");
     }
   }
+}
+
+void ProofSession::run_prime_streaming(std::size_t prime_index,
+                                       const StreamingSymbolChannel& channel,
+                                       const SessionCancelFn& cancel) {
+  state_at(prime_index);  // range check before the engine touches it
+  run_engine(prime_index, prime_index + 1, &channel, cancel);
+}
+
+RunReport ProofSession::run_streaming(const StreamingSymbolChannel& channel) {
+  reset_for_run();
+  run_engine(0, primes_.size(), &channel, nullptr);
   return report();
 }
 
@@ -899,6 +753,14 @@ bool ProofSession::complete() const {
 }
 
 // ---- Reconstruction over the integers (CRT across primes) ---------------
+
+std::vector<std::size_t> RunReport::implicated_nodes() const {
+  std::set<std::size_t> nodes;
+  for (const PrimeRunReport& pr : per_prime) {
+    nodes.insert(pr.implicated_nodes.begin(), pr.implicated_nodes.end());
+  }
+  return {nodes.begin(), nodes.end()};
+}
 
 RunReport ProofSession::report() const {
   RunReport out;

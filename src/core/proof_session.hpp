@@ -58,49 +58,6 @@ enum class SessionStage {
   kRecovered,    // answer residues extracted
 };
 
-// Pluggable broadcast channel: what the honest parties receive when
-// the prepared symbols are broadcast. Implementations must be
-// deterministic functions of their inputs (stream_seed carries the
-// per-(seed, prime, stage) randomness).
-class SymbolChannel {
- public:
-  virtual ~SymbolChannel() = default;
-
-  // sent[i] was produced by node owners[i] at evaluation point
-  // points[i]; returns the symbols the honest parties receive.
-  virtual std::vector<u64> deliver(std::span<const u64> sent,
-                                   std::span<const std::size_t> owners,
-                                   std::span<const u64> points,
-                                   const PrimeField& f,
-                                   u64 stream_seed) const = 0;
-};
-
-// Faithful broadcast: every symbol arrives unchanged.
-class LosslessChannel final : public SymbolChannel {
- public:
-  std::vector<u64> deliver(std::span<const u64> sent,
-                           std::span<const std::size_t> owners,
-                           std::span<const u64> points, const PrimeField& f,
-                           u64 stream_seed) const override;
-};
-
-// Broadcast through Morgana: the adversary corrupts the symbols of
-// the nodes it controls. Non-owning — the adversary must outlive the
-// channel.
-class AdversarialChannel final : public SymbolChannel {
- public:
-  explicit AdversarialChannel(const ByzantineAdversary& adversary)
-      : adversary_(adversary) {}
-
-  std::vector<u64> deliver(std::span<const u64> sent,
-                           std::span<const std::size_t> owners,
-                           std::span<const u64> points, const PrimeField& f,
-                           u64 stream_seed) const override;
-
- private:
-  const ByzantineAdversary& adversary_;
-};
-
 // Thrown by run_prime_streaming when its cancel callback reports
 // expiry at a chunk boundary: the in-flight prime aborts instead of
 // finishing work whose job has already been discarded. The prime's
@@ -144,7 +101,7 @@ class ProofSession {
   // stage and leaves the others untouched, so a selectively re-run
   // prime is never clobbered by a later whole-session call.
   ProofSession& prepare();
-  ProofSession& transport(const SymbolChannel& channel);
+  ProofSession& transport(const StreamingSymbolChannel& channel);
   // Convenience: adversarial channel when non-null, lossless otherwise.
   ProofSession& transport(const ByzantineAdversary* adversary = nullptr);
   ProofSession& decode();
@@ -152,16 +109,10 @@ class ProofSession {
   ProofSession& recover();
 
   // One-shot pipeline; resets any existing per-prime state first.
-  // Equivalent to (and used by) the legacy Cluster::run(). Since the
-  // streaming transport landed this drives the overlapped pipeline
-  // below (over an adversarial or lossless streaming channel) — the
-  // reports are bit-identical to the barrier staging either way.
+  // Drives the overlapped pipeline below over an adversarial (when
+  // non-null) or lossless streaming channel. The reports are
+  // bit-identical to composing the whole-session stages above.
   RunReport run(const ByzantineAdversary* adversary = nullptr);
-
-  // One-shot pipeline over the whole-stage barriers (prepare every
-  // prime, then transport, then decode, ...). Kept for A/B against
-  // the streaming pipeline; results are bit-identical.
-  RunReport run_barrier(const ByzantineAdversary* adversary = nullptr);
 
   // ---- Streaming pipeline -----------------------------------------------
   // Overlapped one-shot run: per-(prime, node) chunks are pushed into
@@ -190,7 +141,12 @@ class ProofSession {
   // reached at least the preceding stage (std::logic_error otherwise).
   // Re-running a stage invalidates the stages after it.
   void prepare_prime(std::size_t prime_index);
-  void transport_prime(std::size_t prime_index, const SymbolChannel& channel);
+  // Barrier broadcast of the prepared word: opens the prime's stream,
+  // pushes sent() as one chunk, closes it and drains it into
+  // received(). This stage has no repair, so a channel that delivers
+  // short throws std::logic_error and leaves the prime at kPrepared.
+  void transport_prime(std::size_t prime_index,
+                       const StreamingSymbolChannel& channel);
   void decode_prime(std::size_t prime_index);
   void verify_prime(std::size_t prime_index);
   void recover_prime(std::size_t prime_index);
@@ -241,12 +197,28 @@ class ProofSession {
                                    const char* what) const;
   void invalidate_downstream(PrimeState& st, SessionStage new_stage);
   void ensure_code(PrimeState& st);
-  // Resets `st` to kCreated and opens its per-prime stream on the
-  // channel (shared front half of the two streaming drivers).
-  std::unique_ptr<SymbolStream> open_prime_stream(
-      PrimeState& st, const StreamingSymbolChannel& channel);
-  // Back half: requires a fully-absorbed decoder; runs decode ->
-  // verify -> recover (throws if the stream delivered short).
+  // The one pipeline driver behind prepare_prime, run_prime_streaming
+  // and run_streaming. Resets primes [first, last) to kCreated, then
+  // claims (prime, node) tasks prime-major on a pool of
+  // min(num_threads, tasks) threads; each task evaluates the node's
+  // message-prefix chunk. With no channel the parity tails are
+  // extended after the pool joins and the primes end at kPrepared.
+  // With one, the task that lands a prime's last message chunk extends
+  // its parity tail, every chunk is pushed into the prime's stream the
+  // moment it is final, and the push that closes the stream
+  // drains it, repairs any shortfall and finalizes the prime to
+  // kRecovered — while later primes are still preparing. A lone prime
+  // has nothing to overlap, so the caller does that after the join,
+  // in its own arena. `cancel` is
+  // polled at every chunk compute/absorb boundary; once it returns
+  // true the primes reset to kCreated and SessionCancelled is thrown.
+  void run_engine(std::size_t first, std::size_t last,
+                  const StreamingSymbolChannel* channel,
+                  const SessionCancelFn& cancel);
+  // The broadcast metadata of one prime, for channel.open().
+  StreamSpec stream_spec(const PrimeState& st) const;
+  // Requires a fully-absorbed decoder; runs decode -> verify ->
+  // recover.
   void finalize_prime_stream(PrimeState& st, StreamingGaoDecoder& decoder);
   // Selective repair after a drained stream left the decoder short
   // (lossy transports): round by round, re-arms the stream via
@@ -268,9 +240,6 @@ class ProofSession {
   // failure (never a hang or a throw) — empty received word, no
   // verification, no residues.
   void fail_prime_stream(PrimeState& st);
-  // [lo, hi) bounds of node j's contiguous codeword chunk (the closed
-  // form of symbol_owner: owner(i) = floor(i*K/e)).
-  std::pair<std::size_t, std::size_t> node_chunk(std::size_t node) const;
   // Number of leading codeword positions the evaluator computes
   // directly: d+1 on the systematic fast path, the full code length
   // when the path is off (or the code is rate-1).
@@ -286,8 +255,8 @@ class ProofSession {
   // Extends the message prefix already sitting in st.sent[0, m) to
   // the parity tail st.sent[m, e) via the code's systematic encoder.
   void extend_parity(PrimeState& st);
-  // Stage bodies shared by the barrier stage methods (which add
-  // precondition checks and wall timing) and the streaming pipeline.
+  // Stage bodies shared by the per-prime stage methods (which add
+  // precondition checks and wall timing) and the engine.
   void apply_decode(PrimeState& st, GaoResult decoded);
   void apply_verify(PrimeState& st);
   void apply_recover(PrimeState& st);
@@ -300,10 +269,9 @@ class ProofSession {
   std::shared_ptr<CodeCache> codes_;  // never null (global() fallback)
   std::shared_ptr<obs::Registry> metrics_;  // never null (global() fallback)
   // Per-stage latency histograms resolved once at construction
-  // (registry lookups lock; steady-state span observes do not). The
-  // streaming pipeline feeds the same histograms at its natural
-  // granularity: prepare per node chunk, transport per absorbed
-  // chunk, decode/verify/recover per prime.
+  // (registry lookups lock; steady-state span observes do not). Every
+  // path feeds them at the same granularity: prepare per node chunk,
+  // transport per absorbed chunk, decode/verify/recover per prime.
   obs::Histogram* stage_prepare_ = nullptr;
   obs::Histogram* stage_transport_ = nullptr;
   obs::Histogram* stage_decode_ = nullptr;

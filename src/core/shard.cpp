@@ -15,7 +15,6 @@
 #include "core/erasure_stream.hpp"
 #include "core/prime_plan.hpp"
 #include "core/proof_session.hpp"
-#include "core/symbol_stream.hpp"
 #include "apps/ov.hpp"
 #include "count/clique_camelot.hpp"
 #include "count/triangle_camelot.hpp"
@@ -32,6 +31,21 @@ namespace {
 // Little-endian, append-only writer / cursor reader over std::string
 // payloads. Fixed-width integers, 8-byte doubles (bit pattern), and
 // u32-count-prefixed strings and u64 vectors cover every frame.
+//
+// Every length on the wire is untrusted: a frame may not announce more
+// than kMaxFrameBytes, and a count may not promise more elements than
+// the bytes left in its frame, so nothing is allocated from a length
+// before the bytes behind it are known to exist.
+constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
+
+std::uint32_t checked_frame_length(const unsigned char* hdr) {
+  std::uint32_t len = 0;
+  for (int i = 0; i < 4; ++i) len |= std::uint32_t(hdr[i]) << (8 * i);
+  if (len > kMaxFrameBytes) {
+    throw std::runtime_error("shard wire: frame length exceeds the cap");
+  }
+  return len;
+}
 
 void put_u8(std::string& out, unsigned char v) {
   out.push_back(static_cast<char>(v));
@@ -112,15 +126,25 @@ class WireReader {
     return out;
   }
 
-  std::vector<u64> vec_u64() {
+  // Reads a u32 element count and checks that `n` elements of
+  // `elem_bytes` each fit in what is left of the frame.
+  std::uint32_t count(std::size_t elem_bytes) {
     const std::uint32_t n = u32();
+    if (n > (s_.size() - pos_) / elem_bytes) {
+      throw std::runtime_error("shard wire: count exceeds frame");
+    }
+    return n;
+  }
+
+  std::vector<u64> vec_u64() {
+    const std::uint32_t n = count(8);
     std::vector<u64> out(n);
     for (std::uint32_t i = 0; i < n; ++i) out[i] = u64v();
     return out;
   }
 
   std::vector<std::size_t> vec_size() {
-    const std::uint32_t n = u32();
+    const std::uint32_t n = count(8);
     std::vector<std::size_t> out(n);
     for (std::uint32_t i = 0; i < n; ++i) {
       out[i] = static_cast<std::size_t>(u64v());
@@ -246,7 +270,7 @@ PrimeReportFrame decode_prime_report(WireReader& r) {
   f.report.repair_rounds = static_cast<std::size_t>(r.u64v());
   f.report.repaired_symbols = static_cast<std::size_t>(r.u64v());
   f.report.answer_residues = r.vec_u64();
-  const std::uint32_t n = r.u32();
+  const std::uint32_t n = r.count(24);  // node id, symbols, seconds
   f.delta.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     f.delta[i].node_id = static_cast<std::size_t>(r.u64v());
@@ -308,8 +332,7 @@ std::optional<std::string> read_frame(int fd) {
     }
     got += static_cast<std::size_t>(r);
   }
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= std::uint32_t(hdr[i]) << (8 * i);
+  const std::uint32_t len = checked_frame_length(hdr);
   std::string payload(len, '\0');
   got = 0;
   while (got < len) {
@@ -322,34 +345,6 @@ std::optional<std::string> read_frame(int fd) {
     got += static_cast<std::size_t>(r);
   }
   return payload;
-}
-
-// The channel stack a job describes: owning wrapper so worker and
-// golden tests build byte-identical transports from one ShardJob.
-struct ChannelStack {
-  std::unique_ptr<ByzantineAdversary> adversary;
-  std::unique_ptr<StreamingSymbolChannel> base;
-  std::unique_ptr<StreamingSymbolChannel> erasure;
-
-  const StreamingSymbolChannel& top() const {
-    return erasure ? *erasure : *base;
-  }
-};
-
-ChannelStack build_channel(const ShardJob& job) {
-  ChannelStack st;
-  if (job.adversary) {
-    st.adversary = std::make_unique<ByzantineAdversary>(
-        job.corrupt_nodes, job.strategy, job.adversary_seed);
-    st.base = std::make_unique<AdversarialStreamingChannel>(*st.adversary);
-  } else {
-    st.base = std::make_unique<LosslessStreamingChannel>();
-  }
-  if (job.loss_rate > 0.0) {
-    st.erasure = std::make_unique<ErasureStreamingChannel>(
-        LossSpec{job.loss_rate, job.loss_seed}, st.base.get());
-  }
-  return st;
 }
 
 void ignore_sigpipe_once() {
@@ -452,7 +447,13 @@ int run_shard_worker(int in_fd, int out_fd, std::size_t crash_after_primes) {
               make_problem_from_spec(submit.job.problem_spec);
           ProofSession session(*problem, submit.job.config, nullptr, nullptr,
                                nullptr, registry);
-          ChannelStack channel = build_channel(submit.job);
+          const ShardJob& job = submit.job;
+          const ChannelStack channel(
+              job.adversary ? std::make_shared<const ByzantineAdversary>(
+                                  job.corrupt_nodes, job.strategy,
+                                  job.adversary_seed)
+                            : nullptr,
+              LossSpec{job.loss_rate, job.loss_seed});
           // Node-stats deltas come from successive report() snapshots;
           // primes run sequentially here, so the difference is exactly
           // the work the prime just settled added.
@@ -624,11 +625,10 @@ bool ShardCoordinator::pump(Shard& s) {
 
 std::optional<std::string> ShardCoordinator::take_frame(Shard& s) {
   if (s.rbuf.size() < 4) return std::nullopt;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= std::uint32_t(static_cast<unsigned char>(s.rbuf[std::size_t(i)]))
-           << (8 * i);
-  }
+  // A worker announcing an oversized frame is broken; fail the job
+  // like any other malformed frame instead of buffering toward it.
+  const std::uint32_t len = checked_frame_length(
+      reinterpret_cast<const unsigned char*>(s.rbuf.data()));
   if (s.rbuf.size() < 4 + std::size_t(len)) return std::nullopt;
   std::string payload = s.rbuf.substr(4, len);
   s.rbuf.erase(0, 4 + std::size_t(len));

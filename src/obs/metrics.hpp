@@ -153,8 +153,8 @@ class Registry {
   Snapshot snapshot() const;
 
   // Process-wide default registry: sessions constructed without an
-  // injected registry (stand-alone ProofSession, Cluster::run, the
-  // examples) record their stage spans here, mirroring
+  // injected registry (stand-alone ProofSession runs, the examples)
+  // record their stage spans here, mirroring
   // FieldCache::global()/CodeCache::global().
   static const std::shared_ptr<Registry>& global();
 

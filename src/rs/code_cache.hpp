@@ -57,7 +57,7 @@ class CodeCache {
   // subproduct trees now carry their per-node Newton inverses, a
   // cached code is the unit that amortizes the whole quasi-linear
   // engine's precomputation — sharing it by default means stand-alone
-  // sessions and one-shot Cluster::run calls reuse the enriched trees
+  // sessions and one-shot ProofSession::run calls reuse the enriched trees
   // across invocations exactly like ProofService jobs do.
   static const std::shared_ptr<CodeCache>& global();
 

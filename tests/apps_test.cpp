@@ -5,19 +5,18 @@
 #include "apps/csp2.hpp"
 #include "apps/hamming.hpp"
 #include "apps/ov.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "field/primes.hpp"
 
 namespace camelot {
 namespace {
 
-RunReport run_cluster(const CamelotProblem& p, std::size_t nodes = 4,
+RunReport run_session(const CamelotProblem& p, std::size_t nodes = 4,
                       double redundancy = 1.25) {
   ClusterConfig cfg;
   cfg.num_nodes = nodes;
   cfg.redundancy = redundancy;
-  Cluster cluster(cfg);
-  return cluster.run(p);
+  return ProofSession(p, cfg).run();
 }
 
 TEST(Ov, BruteKnownCase) {
@@ -40,7 +39,7 @@ TEST_P(OvShapes, CamelotMatchesBrute) {
   BoolMatrix b = BoolMatrix::random(n, t, 0.35, n * 200 + t);
   auto expect = count_orthogonal_brute(a, b);
   OrthogonalVectorsProblem problem(a, b);
-  RunReport report = run_cluster(problem);
+  RunReport report = run_session(problem);
   ASSERT_TRUE(report.success);
   ASSERT_EQ(report.answers.size(), n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -81,7 +80,7 @@ TEST(Hamming, CamelotMatchesBrute) {
     BoolMatrix b = BoolMatrix::random(n, t, 0.6, n * 3 + t);
     auto expect = hamming_distribution_brute(a, b);
     HammingDistributionProblem problem(a, b);
-    RunReport report = run_cluster(problem);
+    RunReport report = run_session(problem);
     ASSERT_TRUE(report.success) << n << "x" << t;
     ASSERT_EQ(report.answers.size(), n * (t + 1));
     for (std::size_t i = 0; i < expect.size(); ++i) {
@@ -151,7 +150,7 @@ TEST(Conv3Sum, CamelotMatchesBrute) {
     for (u64& v : values) v = rng() % 16;  // 4-bit values
     auto expect = conv3sum_brute(values);
     Conv3SumProblem problem(values, 5);  // 5 bits: sums can carry
-    RunReport report = run_cluster(problem);
+    RunReport report = run_session(problem);
     ASSERT_TRUE(report.success) << trial;
     ASSERT_EQ(report.answers.size(), 4u);
     for (std::size_t i = 0; i < 4; ++i) {
@@ -163,7 +162,7 @@ TEST(Conv3Sum, CamelotMatchesBrute) {
 TEST(Conv3Sum, NoWitnesses) {
   std::vector<u64> values = {9, 9, 9, 9};  // 9+9=18 != 9
   Conv3SumProblem problem(values, 4);
-  RunReport report = run_cluster(problem);
+  RunReport report = run_session(problem);
   ASSERT_TRUE(report.success);
   for (const BigInt& c : report.answers) EXPECT_TRUE(c.is_zero());
 }
@@ -192,7 +191,7 @@ TEST(Csp2, CamelotMatchesBrute) {
   Csp2Instance inst = Csp2Instance::random(6, 2, 4, 0.5, 7);
   auto expect = csp2_histogram_brute(inst);
   Csp2Problem problem(inst, strassen_decomposition());
-  RunReport report = run_cluster(problem);
+  RunReport report = run_session(problem);
   ASSERT_TRUE(report.success);
   ASSERT_EQ(report.answers.size(), expect.size());
   for (std::size_t k = 0; k < expect.size(); ++k) {

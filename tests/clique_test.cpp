@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "field/primes.hpp"
 #include "graph/brute.hpp"
 #include "graph/generators.hpp"
@@ -115,20 +115,19 @@ TEST(CliqueCamelot, EvaluationsAtRankPointsSumToForm) {
 // registers this suite (minus the K12 brute-force comparison) as
 // `clique_test_small`; CI runs it sanitized instead of excluding
 // clique coverage wholesale.
-TEST(CliqueCamelotSmall, ClusterRunSmallKroneckerPower) {
+TEST(CliqueCamelotSmall, SessionRunSmallKroneckerPower) {
   Graph g = complete_graph(6);  // exactly one 6-clique
   TrilinearDecomposition dec = strassen_decomposition();
   CliqueCountProblem problem(g, 6, dec);
   ClusterConfig cfg;
   cfg.num_nodes = 4;
   cfg.redundancy = 1.5;
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   EXPECT_EQ(problem.cliques_from_answer(report.answers[0]).to_u64(), 1u);
 }
 
-TEST(CliqueCamelot, ClusterRunCountsSixCliques) {
+TEST(CliqueCamelot, SessionRunCountsSixCliques) {
   Graph g = planted_clique(8, 0.4, 6, 3);
   const u64 expect = count_k_cliques_brute(g, 6);
   ASSERT_GE(expect, 1u);
@@ -137,8 +136,7 @@ TEST(CliqueCamelot, ClusterRunCountsSixCliques) {
   ClusterConfig cfg;
   cfg.num_nodes = 8;
   cfg.redundancy = 1.3;
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   EXPECT_EQ(problem.cliques_from_answer(report.answers[0]).to_u64(), expect);
   // Proof size matches Theorem 1's O(R) = O(N^omega) shape: d+1 <= 3R.
@@ -153,9 +151,8 @@ TEST(CliqueCamelot, ByzantineNodesToleratedAndCaught) {
   ClusterConfig cfg;
   cfg.num_nodes = 12;
   cfg.redundancy = 2.0;
-  Cluster cluster(cfg);
   ByzantineAdversary adversary({2, 9}, ByzantineStrategy::kRandom, 123);
-  RunReport report = cluster.run(problem, &adversary);
+  RunReport report = ProofSession(problem, cfg).run(&adversary);
   ASSERT_TRUE(report.success);
   EXPECT_EQ(problem.cliques_from_answer(report.answers[0]).to_u64(), expect);
   EXPECT_EQ(report.implicated_nodes(), (std::vector<std::size_t>{2, 9}));
@@ -168,8 +165,7 @@ TEST(CliqueCamelot, RejectsTooSmallGraph) {
   CliqueCountProblem problem(g, 6, dec);
   ClusterConfig cfg;
   cfg.num_nodes = 2;
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   EXPECT_EQ(problem.cliques_from_answer(report.answers[0]).to_u64(), 0u);
 }

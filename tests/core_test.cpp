@@ -5,7 +5,7 @@
 #include <numeric>
 #include <random>
 
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "core/prime_plan.hpp"
 #include "core/verifier.hpp"
 #include "field/primes.hpp"
@@ -101,29 +101,35 @@ TEST(PrimePlan, RejectsBadRedundancy) {
   EXPECT_THROW(plan_primes(spec, 0.5), std::invalid_argument);
 }
 
-TEST(Cluster, SymbolOwnerBalanced) {
-  const std::size_t e = 103, k = 7;
-  std::vector<std::size_t> counts(k, 0);
-  for (std::size_t i = 0; i < e; ++i) {
-    std::size_t owner = Cluster::symbol_owner(i, e, k);
-    ASSERT_LT(owner, k);
-    ++counts[owner];
-    if (i > 0) {
-      EXPECT_GE(owner, Cluster::symbol_owner(i - 1, e, k));  // contiguous
+TEST(NodeChunk, BalancedContiguousPartition) {
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {103, 7}, {96, 8}, {5, 8}, {1, 1}};
+  for (const auto& [e, k] : cases) {
+    std::vector<std::size_t> counts(k, 0);
+    std::size_t next = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+      const auto [lo, hi] = node_chunk(j, e, k);
+      EXPECT_EQ(lo, next) << "chunks must tile [0, e) in node order";
+      ASSERT_LE(lo, hi);
+      counts[j] = hi - lo;
+      for (std::size_t i = lo; i < hi; ++i) {
+        EXPECT_EQ(i * k / e, j) << "position " << i;  // owner = floor(iK/e)
+      }
+      next = hi;
     }
+    EXPECT_EQ(next, e);
+    auto [mn, mx] = std::minmax_element(counts.begin(), counts.end());
+    EXPECT_LE(*mx - *mn, 1u) << "chunks must be balanced within 1 symbol";
   }
-  auto [mn, mx] = std::minmax_element(counts.begin(), counts.end());
-  EXPECT_LE(*mx - *mn, 1u) << "chunks must be balanced within 1 symbol";
 }
 
-TEST(Cluster, HonestRunRecoversAnswer) {
+TEST(Pipeline, HonestRunRecoversAnswer) {
   auto input = toy_input(40, 1);
   u64 expect = std::accumulate(input.begin(), input.end(), u64{0});
   ToyProblem problem(input);
   ClusterConfig cfg;
   cfg.num_nodes = 8;
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   ASSERT_EQ(report.answers.size(), 1u);
   EXPECT_EQ(report.answers[0].to_u64(), expect);
@@ -135,13 +141,12 @@ TEST(Cluster, HonestRunRecoversAnswer) {
   }
 }
 
-TEST(Cluster, WorkloadBalancedAcrossNodes) {
+TEST(Pipeline, WorkloadBalancedAcrossNodes) {
   ToyProblem problem(toy_input(64, 2));
   ClusterConfig cfg;
   cfg.num_nodes = 16;
   cfg.systematic_encode = false;  // every node evaluates its full chunk
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   std::size_t mn = SIZE_MAX, mx = 0, total = 0;
   for (const auto& ns : report.node_stats) {
@@ -155,13 +160,12 @@ TEST(Cluster, WorkloadBalancedAcrossNodes) {
   EXPECT_EQ(total, report.code_length * report.num_primes);
 }
 
-TEST(Cluster, SystematicEncodeSkipsParityEvaluations) {
+TEST(Pipeline, SystematicEncodeSkipsParityEvaluations) {
   ToyProblem problem(toy_input(64, 2));
   ClusterConfig cfg;
   cfg.num_nodes = 16;
   ASSERT_TRUE(cfg.systematic_encode);  // the default fast path
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   // Evaluator work covers exactly the message prefix — d+1 symbols
   // per prime, however it lands across the owning nodes — and the
@@ -182,10 +186,9 @@ TEST_P(ByzantineModes, ToleratedWithinRadiusAndIdentified) {
   ClusterConfig cfg;
   cfg.num_nodes = 10;
   cfg.redundancy = 3.0;  // e ~ 3(d+1): radius ~ (e-d-1)/2 ~ d
-  Cluster cluster(cfg);
   // Corrupt 2 of 10 nodes: ~2e/10 symbols < radius ~ e/3.
   ByzantineAdversary adversary({3, 7}, GetParam(), 99);
-  RunReport report = cluster.run(problem, &adversary);
+  RunReport report = ProofSession(problem, cfg).run(&adversary);
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.answers[0].to_u64(), expect);
   auto implicated = report.implicated_nodes();
@@ -202,7 +205,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ByzantineStrategy::kOffByOne,
                       ByzantineStrategy::kColludingPolynomial));
 
-TEST(Cluster, FailureDetectedBeyondRadius) {
+TEST(Pipeline, FailureDetectedBeyondRadius) {
   // Corrupt a majority of the nodes: decoding must fail or, if a
   // colluding adversary drags the word to another codeword, the
   // random-point verification must reject. Either way success=false
@@ -212,12 +215,11 @@ TEST(Cluster, FailureDetectedBeyondRadius) {
   ClusterConfig cfg;
   cfg.num_nodes = 10;
   cfg.redundancy = 1.2;
-  Cluster cluster(cfg);
   for (ByzantineStrategy s :
        {ByzantineStrategy::kRandom, ByzantineStrategy::kColludingPolynomial,
         ByzantineStrategy::kOffByOne}) {
     ByzantineAdversary adversary({0, 1, 2, 3, 4, 5, 6}, s, 7);
-    RunReport report = cluster.run(problem, &adversary);
+    RunReport report = ProofSession(problem, cfg).run(&adversary);
     EXPECT_FALSE(report.success);
   }
 }
@@ -266,37 +268,36 @@ TEST(Verifier, SoundnessErrorMatchesDegreeOverQ) {
   EXPECT_LT(accepted, trials * 15 / 257 + 50);
 }
 
-TEST(Cluster, RejectsDegenerateConfig) {
+TEST(ProofSession, RejectsDegenerateConfig) {
+  ToyProblem problem(toy_input(10, 7));
   ClusterConfig cfg;
   cfg.num_nodes = 0;
-  EXPECT_THROW(Cluster{cfg}, std::invalid_argument);
+  EXPECT_THROW((ProofSession{problem, cfg}), std::invalid_argument);
   ClusterConfig cfg2;
   cfg2.redundancy = 0.9;
-  EXPECT_THROW(Cluster{cfg2}, std::invalid_argument);
+  EXPECT_THROW((ProofSession{problem, cfg2}), std::invalid_argument);
 }
 
-TEST(Cluster, SingleNodeStillWorks) {
+TEST(Pipeline, SingleNodeStillWorks) {
   // K=1 degenerates to the sequential algorithm with a self-check.
   auto input = toy_input(10, 8);
   u64 expect = std::accumulate(input.begin(), input.end(), u64{0});
   ToyProblem problem(input);
   ClusterConfig cfg;
   cfg.num_nodes = 1;
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.answers[0].to_u64(), expect);
 }
 
-TEST(Cluster, MorePrimesThanNeededStillConsistent) {
+TEST(Pipeline, MorePrimesThanNeededStillConsistent) {
   auto input = toy_input(12, 9);
   u64 expect = std::accumulate(input.begin(), input.end(), u64{0});
   ToyProblem problem(input);
   ClusterConfig cfg;
   cfg.num_nodes = 4;
   cfg.num_primes = 5;
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.num_primes, 5u);
   EXPECT_EQ(report.answers[0].to_u64(), expect);

@@ -292,5 +292,20 @@ TEST(ErasureSession, RepairCountersAreDeterministic) {
   }
 }
 
+TEST(ErasureSession, BarrierTransportRefusesShortDelivery) {
+  // The barrier stage is a one-chunk stream with no repair: a lossy
+  // channel must throw rather than hand decode a partial word, and the
+  // prime stays prepared for a re-transport on a better channel.
+  auto problem = make_problem();
+  ProofSession session(*problem, small_config());
+  session.prepare_prime(0);
+  ErasureStreamingChannel lossy(LossSpec{0.5, 17});
+  EXPECT_THROW(session.transport_prime(0, lossy), std::logic_error);
+  EXPECT_EQ(session.stage(0), SessionStage::kPrepared);
+
+  session.transport_prime(0, LosslessStreamingChannel());
+  EXPECT_EQ(session.received(0), session.sent(0));
+}
+
 }  // namespace
 }  // namespace camelot

@@ -2,7 +2,7 @@
 // its instantiations (Theorems 6, 7, 8, 9, 10).
 #include <gtest/gtest.h>
 
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "exp/chromatic.hpp"
 #include "exp/cnfsat.hpp"
 #include "exp/hamilton.hpp"
@@ -17,13 +17,12 @@
 namespace camelot {
 namespace {
 
-RunReport run_cluster(const CamelotProblem& p, std::size_t nodes = 4,
+RunReport run_session(const CamelotProblem& p, std::size_t nodes = 4,
                       double redundancy = 1.3) {
   ClusterConfig cfg;
   cfg.num_nodes = nodes;
   cfg.redundancy = redundancy;
-  Cluster cluster(cfg);
-  return cluster.run(p);
+  return ProofSession(p, cfg).run();
 }
 
 std::vector<u64> random_family(std::size_t n, std::size_t count, u64 seed) {
@@ -65,7 +64,7 @@ TEST(ExactCover, MatchesBruteForce) {
     auto fam = random_family(n, 20, seed);
     for (u64 t : {u64{2}, u64{3}, u64{4}}) {
       ExactCoverProblem problem(n, fam, t);
-      RunReport report = run_cluster(problem);
+      RunReport report = run_session(problem);
       ASSERT_TRUE(report.success) << "seed=" << seed << " t=" << t;
       EXPECT_EQ(ExactCoverProblem::partitions_from_answer(report.answers[0],
                                                           t)
@@ -82,7 +81,7 @@ TEST(ExactCover, HandCheckedInstance) {
   // Partitions into 2 parts: {01|23}, {02|13} -> 2.
   EXPECT_EQ(count_exact_covers_brute(4, fam, 2), 2u);
   ExactCoverProblem problem(4, fam, 2);
-  RunReport report = run_cluster(problem);
+  RunReport report = run_session(problem);
   ASSERT_TRUE(report.success);
   EXPECT_EQ(
       ExactCoverProblem::partitions_from_answer(report.answers[0], 2)
@@ -100,7 +99,7 @@ TEST(SetCover, MatchesBruteForce) {
     auto fam = random_family(n, 6, seed);
     for (u64 t : {u64{2}, u64{3}}) {
       SetCoverProblem problem(n, fam, t);
-      RunReport report = run_cluster(problem);
+      RunReport report = run_session(problem);
       ASSERT_TRUE(report.success) << seed;
       EXPECT_EQ(report.answers[0], count_set_covers_brute(n, fam, t))
           << "seed=" << seed << " t=" << t;
@@ -123,7 +122,7 @@ class ChromaticGraphs : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(ChromaticGraphs, CamelotMatchesGroundTruths) {
   Graph g = gnp(GetParam(), 0.5, GetParam() * 13 + 1);
   ChromaticProblem problem(g);
-  RunReport report = run_cluster(problem);
+  RunReport report = run_session(problem);
   ASSERT_TRUE(report.success);
   const std::size_t n = g.num_vertices();
   ASSERT_EQ(report.answers.size(), n + 1);
@@ -171,9 +170,8 @@ TEST(Chromatic, ByzantineRun) {
   ClusterConfig cfg;
   cfg.num_nodes = 10;
   cfg.redundancy = 2.0;
-  Cluster cluster(cfg);
   ByzantineAdversary adversary({1, 8}, ByzantineStrategy::kRandom, 3);
-  RunReport report = cluster.run(problem, &adversary);
+  RunReport report = ProofSession(problem, cfg).run(&adversary);
   ASSERT_TRUE(report.success);
   EXPECT_EQ(report.implicated_nodes(), (std::vector<std::size_t>{1, 8}));
   std::vector<BigInt> baseline = chromatic_values_ie(g);
@@ -200,7 +198,7 @@ TEST(Tutte, PottsGridMatchesWhitneyBrute) {
 TEST(Tutte, CamelotMatchesPottsGrid) {
   Graph g = gnm(6, 7, 3);
   TutteProblem problem(g);
-  RunReport report = run_cluster(problem, 4, 1.2);
+  RunReport report = run_session(problem, 4, 1.2);
   ASSERT_TRUE(report.success);
   std::vector<BigInt> grid = potts_grid_ie(g);
   ASSERT_EQ(report.answers.size(), grid.size());
@@ -214,7 +212,7 @@ TEST(Tutte, FortuinKasteleynConsistency) {
   // connected graph; pick (x,y) = (2,2) -> (t,r) = (1,1).
   Graph g = cycle_graph(6);
   TutteProblem problem(g);
-  RunReport report = run_cluster(problem, 3, 1.2);
+  RunReport report = run_session(problem, 3, 1.2);
   ASSERT_TRUE(report.success);
   const BigInt z11 = report.answers[problem.grid_index(1, 1)];
   const BigInt t22 = tutte_value_delcontract(g, 2, 2);  // 2^m
@@ -241,7 +239,7 @@ TEST(Permanent, CamelotMatchesRyser) {
   for (u64 seed = 1; seed <= 3; ++seed) {
     IntMatrix m = IntMatrix::random(6, 3, seed + 10);
     PermanentProblem problem(m);
-    RunReport report = run_cluster(problem);
+    RunReport report = run_session(problem);
     ASSERT_TRUE(report.success) << seed;
     EXPECT_EQ(report.answers[0], permanent_ryser(m)) << seed;
   }
@@ -251,7 +249,7 @@ TEST(Permanent, ZeroRowGivesZero) {
   IntMatrix m = IntMatrix::random(6, 4, 99);
   for (std::size_t j = 0; j < 6; ++j) m.at(2, j) = 0;
   PermanentProblem problem(m);
-  RunReport report = run_cluster(problem);
+  RunReport report = run_session(problem);
   ASSERT_TRUE(report.success);
   EXPECT_TRUE(report.answers[0].is_zero());
 }
@@ -260,7 +258,7 @@ TEST(Hamilton, CamelotMatchesBrute) {
   for (u64 seed = 1; seed <= 3; ++seed) {
     Graph g = gnp(7, 0.6, seed + 20);
     HamiltonCycleProblem problem(g);
-    RunReport report = run_cluster(problem);
+    RunReport report = run_session(problem);
     ASSERT_TRUE(report.success) << seed;
     EXPECT_EQ(
         HamiltonCycleProblem::undirected_from_answer(report.answers[0])
@@ -277,7 +275,7 @@ TEST(Hamilton, KnownGraphs) {
                                           {cycle_graph(6), 1},
                                           {petersen_graph(), 0}}) {
     HamiltonCycleProblem problem(g);
-    RunReport report = run_cluster(problem, 4, 1.2);
+    RunReport report = run_session(problem, 4, 1.2);
     ASSERT_TRUE(report.success);
     EXPECT_EQ(
         HamiltonCycleProblem::undirected_from_answer(report.answers[0])
@@ -301,7 +299,7 @@ TEST(CnfSat, CamelotMatchesBrute) {
   for (u64 seed = 1; seed <= 3; ++seed) {
     CnfFormula f = CnfFormula::random_ksat(8, 12, 3, seed);
     auto problem = make_cnfsat_problem(f);
-    RunReport report = run_cluster(*problem);
+    RunReport report = run_session(*problem);
     ASSERT_TRUE(report.success) << seed;
     BigInt total(0);
     for (const BigInt& c : report.answers) total += c;
@@ -315,7 +313,7 @@ TEST(CnfSat, UnsatisfiableFormula) {
   f.clauses = {{{0, false}}, {{0, true}}};
   EXPECT_EQ(count_sat_brute(f), 0u);
   auto problem = make_cnfsat_problem(f);
-  RunReport report = run_cluster(*problem);
+  RunReport report = run_session(*problem);
   ASSERT_TRUE(report.success);
   BigInt total(0);
   for (const BigInt& c : report.answers) total += c;

@@ -348,9 +348,9 @@ TEST(FastDiv, SystematicEncodeRateOneCode) {
 }
 
 TEST(FastDiv, GoldenSessionEqualityOnNewDescent) {
-  // run_streaming vs run_barrier with every tree division forced
-  // through the fast path: reports must stay bit-for-bit equal, and
-  // equal to the default-crossover reference.
+  // run_streaming vs the composed whole-session stages with every
+  // tree division forced through the fast path: reports must stay
+  // bit-for-bit equal, and equal to the default-crossover reference.
   OrthogonalVectorsProblem problem(BoolMatrix::random(8, 5, 0.35, 21),
                                    BoolMatrix::random(8, 5, 0.35, 42));
   ClusterConfig cfg;
@@ -367,7 +367,12 @@ TEST(FastDiv, GoldenSessionEqualityOnNewDescent) {
   ProofSession streaming(problem, cfg, nullptr, nullptr, codes);
   RunReport a = streaming.run_streaming(LosslessStreamingChannel());
   ProofSession barrier(problem, cfg, nullptr, nullptr, codes);
-  RunReport b = barrier.run_barrier();
+  RunReport b = barrier.prepare()
+                    .transport()
+                    .decode()
+                    .verify()
+                    .recover()
+                    .report();
 
   ASSERT_TRUE(a.success);
   ASSERT_TRUE(b.success);

@@ -10,7 +10,7 @@
 #include "apps/csp2.hpp"
 #include "apps/hamming.hpp"
 #include "apps/ov.hpp"
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "core/verifier.hpp"
 #include "count/clique_camelot.hpp"
 #include "count/triangle_camelot.hpp"
@@ -188,9 +188,8 @@ TEST(RadiusBoundary, SilentNodesAreErasuresNotCatastrophes) {
   ClusterConfig cfg;
   cfg.num_nodes = 10;
   cfg.redundancy = 2.0;
-  Cluster cluster(cfg);
   ByzantineAdversary adversary({0, 5}, ByzantineStrategy::kSilent, 1);
-  RunReport report = cluster.run(problem, &adversary);
+  RunReport report = ProofSession(problem, cfg).run(&adversary);
   EXPECT_TRUE(report.success);
 }
 

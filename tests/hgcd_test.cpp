@@ -245,9 +245,10 @@ TEST(Hgcd, StreamingMatchesBarrierDecodeForcedHgcd) {
 }
 
 TEST(Hgcd, GoldenSessionEqualityForcedHgcd) {
-  // run_streaming vs run_barrier with the remainder sequence forced
-  // through the recursive cascade: reports must stay bit-for-bit
-  // equal, and equal to the default-crossover reference.
+  // run_streaming vs the composed whole-session stages with the
+  // remainder sequence forced through the recursive cascade: reports
+  // must stay bit-for-bit equal, and equal to the default-crossover
+  // reference.
   OrthogonalVectorsProblem problem(BoolMatrix::random(8, 5, 0.35, 33),
                                    BoolMatrix::random(8, 5, 0.35, 77));
   ClusterConfig cfg;
@@ -264,7 +265,12 @@ TEST(Hgcd, GoldenSessionEqualityForcedHgcd) {
   ProofSession streaming(problem, cfg, nullptr, nullptr, codes);
   RunReport a = streaming.run_streaming(LosslessStreamingChannel());
   ProofSession barrier(problem, cfg, nullptr, nullptr, codes);
-  RunReport b = barrier.run_barrier();
+  RunReport b = barrier.prepare()
+                    .transport()
+                    .decode()
+                    .verify()
+                    .recover()
+                    .report();
 
   ASSERT_TRUE(a.success);
   ASSERT_TRUE(b.success);

@@ -17,7 +17,6 @@
 #include "apps/csp2.hpp"
 #include "apps/hamming.hpp"
 #include "apps/ov.hpp"
-#include "core/cluster.hpp"
 #include "core/proof_service.hpp"
 #include "core/proof_session.hpp"
 #include "core/symbol_stream.hpp"
@@ -57,7 +56,7 @@ TEST(ProofService, ServesFourDistinctProblemsConcurrently) {
     RunReport report = futures[i].get();
     ASSERT_TRUE(report.success) << "problem " << i;
     // Same answers as a stand-alone run of the legacy facade.
-    RunReport solo = Cluster(cfg).run(*problems[i]);
+    RunReport solo = ProofSession(*problems[i], cfg).run();
     ASSERT_EQ(report.answers.size(), solo.answers.size());
     for (std::size_t a = 0; a < report.answers.size(); ++a) {
       EXPECT_EQ(report.answers[a], solo.answers[a]);

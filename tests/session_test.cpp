@@ -1,7 +1,7 @@
-// Tests for the staged ProofSession API: golden equivalence against
-// the legacy Cluster::run() facade across the four src/apps problems,
-// stage mechanics, selective per-prime re-runs under byzantine
-// corruption, backend selection and FieldCache reuse.
+// Tests for the staged ProofSession API: golden equivalence of the
+// one-shot run() against the composed whole-session stages across the
+// four src/apps problems, stage mechanics, selective per-prime re-runs
+// under byzantine corruption, backend selection and FieldCache reuse.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +11,6 @@
 #include "apps/csp2.hpp"
 #include "apps/hamming.hpp"
 #include "apps/ov.hpp"
-#include "core/cluster.hpp"
 #include "core/proof_session.hpp"
 #include "core/rng.hpp"
 #include "linalg/tensor.hpp"
@@ -81,20 +80,20 @@ void expect_reports_equal(const RunReport& a, const RunReport& b) {
 
 class GoldenEquivalence : public ::testing::TestWithParam<int> {};
 
-TEST_P(GoldenEquivalence, SessionMatchesClusterRun) {
+TEST_P(GoldenEquivalence, RunMatchesComposedStages) {
   const AppCase c = make_app_problem(GetParam());
   const ClusterConfig cfg = small_config();
 
-  Cluster cluster(cfg);
-  RunReport legacy = cluster.run(*c.problem);
-  ASSERT_TRUE(legacy.success);
+  RunReport oneshot = ProofSession(*c.problem, cfg).run();
+  ASSERT_TRUE(oneshot.success);
 
   ProofSession session(*c.problem, cfg);
-  RunReport staged = session.run();
-  expect_reports_equal(legacy, staged);
+  RunReport staged =
+      session.prepare().transport().decode().verify().recover().report();
+  expect_reports_equal(oneshot, staged);
 
-  // Anchor against brute-force ground truth (Cluster::run is itself a
-  // session shim now, so the equivalence alone would be circular).
+  // Anchor against brute-force ground truth (both paths share the
+  // engine's prepare, so the equivalence alone would be circular).
   if (!c.expected.empty()) {
     ASSERT_EQ(staged.answers.size(), c.expected.size());
     for (std::size_t i = 0; i < c.expected.size(); ++i) {
@@ -160,7 +159,7 @@ TEST(ProofSession, StagePreconditionsEnforced) {
   EXPECT_THROW(s.prepare_prime(s.num_primes()), std::out_of_range);
   s.prepare_prime(0);
   EXPECT_THROW(s.decode_prime(0), std::logic_error);  // not transported yet
-  s.transport_prime(0, LosslessChannel());
+  s.transport_prime(0, LosslessStreamingChannel());
   EXPECT_NO_THROW(s.decode_prime(0));
 }
 
@@ -179,11 +178,12 @@ TEST(ProofSession, CorruptOnePrimeRerunOnlyThatPrime) {
   const std::size_t bad = 1;
 
   ByzantineAdversary adversary({2, 4}, ByzantineStrategy::kRandom, 1234);
-  AdversarialChannel dark(adversary);
-  LosslessChannel clean;
+  AdversarialStreamingChannel dark(adversary);
+  LosslessStreamingChannel clean;
   for (std::size_t pi = 0; pi < s.num_primes(); ++pi) {
-    s.transport_prime(pi, pi == bad ? static_cast<const SymbolChannel&>(dark)
-                                    : clean);
+    s.transport_prime(
+        pi, pi == bad ? static_cast<const StreamingSymbolChannel&>(dark)
+                      : clean);
   }
   s.decode().verify().recover();
 
@@ -315,20 +315,43 @@ TEST(ProofSession, SystematicEncodeMatchesFullEvaluation) {
 }
 
 // Channel that adds 1 to the symbols at fixed positions — targeted
-// corruption for exercising specific codeword regions.
-class FlipChannel final : public SymbolChannel {
+// corruption for exercising specific codeword regions. Its streams
+// rewrite each chunk on push and otherwise deliver losslessly.
+class FlipChannel final : public StreamingSymbolChannel {
  public:
   explicit FlipChannel(std::vector<std::size_t> positions)
       : positions_(std::move(positions)) {}
-  std::vector<u64> deliver(std::span<const u64> sent,
-                           std::span<const std::size_t>, std::span<const u64>,
-                           const PrimeField& f, u64) const override {
-    std::vector<u64> out(sent.begin(), sent.end());
-    for (std::size_t pos : positions_) out[pos] = f.add(out[pos], 1);
-    return out;
+  std::unique_ptr<SymbolStream> open(const StreamSpec& spec) const override {
+    return std::make_unique<FlipStream>(
+        LosslessStreamingChannel().open(spec), *spec.field, positions_);
   }
 
  private:
+  class FlipStream final : public SymbolStream {
+   public:
+    FlipStream(std::unique_ptr<SymbolStream> inner, const PrimeField& f,
+               const std::vector<std::size_t>& positions)
+        : inner_(std::move(inner)), f_(f), positions_(positions) {}
+    void push(SymbolChunk chunk) override {
+      const std::size_t end = chunk.offset + chunk.symbols.size();
+      for (std::size_t pos : positions_) {
+        if (pos >= chunk.offset && pos < end) {
+          u64& v = chunk.symbols[pos - chunk.offset];
+          v = f_.add(v, 1);
+        }
+      }
+      inner_->push(std::move(chunk));
+    }
+    void close() override { inner_->close(); }
+    std::optional<SymbolChunk> poll() override { return inner_->poll(); }
+    bool exhausted() override { return inner_->exhausted(); }
+
+   private:
+    std::unique_ptr<SymbolStream> inner_;
+    const PrimeField& f_;
+    const std::vector<std::size_t>& positions_;
+  };
+
   std::vector<std::size_t> positions_;
 };
 
@@ -367,7 +390,7 @@ TEST(ProofSession, CorruptedMessageAndParityChunksBothRecover) {
   // Selective re-run of one prime over a clean channel: the prepared
   // (systematically extended) codeword is still in place, so only
   // transport/decode/verify/recover repeat — and correct nothing.
-  s.transport_prime(0, LosslessChannel());
+  s.transport_prime(0, LosslessStreamingChannel());
   s.decode_prime(0);
   EXPECT_TRUE(s.prime_report(0).corrected_symbols.empty());
   EXPECT_EQ(s.prime_report(0).decode_quotient_steps, 0u);

@@ -1,9 +1,10 @@
 // Tests for the sharded multi-process service: golden equality of the
 // coordinator's assembled RunReport against a single-process
 // ProofSession on the same job (lossless, lossy, and mixed
-// loss+corruption), shard-death retry, and the fleet observability
-// rollup (merged scrape == element-wise sum of the per-process
-// scrapes; deterministic counts match the single-process run).
+// loss+corruption), shard-death retry, the fleet observability rollup
+// (merged scrape == element-wise sum of the per-process scrapes;
+// deterministic counts match the single-process run), and the
+// worker's rejection of untrusted wire lengths.
 //
 // Requires the shardd binary; ctest points CAMELOT_SHARDD at the
 // build-tree target. Suites skip (not fail) when it is missing so the
@@ -12,13 +13,14 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <string>
 
 #include "core/erasure_stream.hpp"
 #include "core/proof_session.hpp"
 #include "core/shard.hpp"
-#include "core/symbol_stream.hpp"
 
 namespace camelot {
 namespace {
@@ -57,25 +59,15 @@ RunReport run_single_process(const ShardJob& job,
                              std::shared_ptr<obs::Registry> registry = nullptr) {
   std::unique_ptr<CamelotProblem> problem =
       make_problem_from_spec(job.problem_spec);
-  std::unique_ptr<ByzantineAdversary> adversary;
-  std::unique_ptr<StreamingSymbolChannel> base;
-  if (job.adversary) {
-    adversary = std::make_unique<ByzantineAdversary>(
-        job.corrupt_nodes, job.strategy, job.adversary_seed);
-    base = std::make_unique<AdversarialStreamingChannel>(*adversary);
-  } else {
-    base = std::make_unique<LosslessStreamingChannel>();
-  }
-  std::unique_ptr<StreamingSymbolChannel> top;
-  if (job.loss_rate > 0.0) {
-    top = std::make_unique<ErasureStreamingChannel>(
-        LossSpec{job.loss_rate, job.loss_seed}, base.get());
-  }
+  const ChannelStack channel(
+      job.adversary ? std::make_shared<const ByzantineAdversary>(
+                          job.corrupt_nodes, job.strategy, job.adversary_seed)
+                    : nullptr,
+      LossSpec{job.loss_rate, job.loss_seed});
   ProofSession session(*problem, job.config, nullptr, nullptr, nullptr,
                        std::move(registry));
-  const StreamingSymbolChannel& channel = top ? *top : *base;
   for (std::size_t pi = 0; pi < session.num_primes(); ++pi) {
-    session.run_prime_streaming(pi, channel);
+    session.run_prime_streaming(pi, channel.top());
   }
   return session.report();
 }
@@ -159,6 +151,76 @@ TEST(ShardProtocol, ProblemFactoryParsesAndRejects) {
   EXPECT_THROW(make_problem_from_spec("ov:8:5:1.5:11"),
                std::invalid_argument);
   EXPECT_THROW(make_problem_from_spec("ov:8:5:0.5"), std::invalid_argument);
+}
+
+// ---- Untrusted wire lengths ----------------------------------------------
+
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+// Feeds `input` to an in-process worker over a pipe and returns its
+// exit code; `reply` receives the tag of its first output frame.
+int run_worker_on(const std::string& input, unsigned char* reply) {
+  int in[2];
+  int out[2];
+  if (::pipe(in) != 0 || ::pipe(out) != 0) return -1;
+  if (::write(in[1], input.data(), input.size()) !=
+      static_cast<ssize_t>(input.size())) {
+    return -1;
+  }
+  ::close(in[1]);
+  const int rc = run_shard_worker(in[0], out[1]);
+  ::close(in[0]);
+  ::close(out[1]);
+  unsigned char frame[5] = {0, 0, 0, 0, 0};
+  const ssize_t got = ::read(out[0], frame, sizeof(frame));
+  ::close(out[0]);
+  *reply = got == 5 ? frame[4] : 0;
+  return rc;
+}
+
+TEST(ShardProtocol, WorkerRejectsVectorCountBeyondFrame) {
+  // A submit frame whose corrupt-node count claims 0xFFFFFFFF entries
+  // with no bytes behind it: the worker must refuse before sizing a
+  // vector from the count.
+  std::string p;
+  put_le(p, static_cast<unsigned char>(ShardFrame::kSubmit), 1);
+  const std::string spec = kProblemSpec;
+  put_le(p, spec.size(), 4);
+  p += spec;
+  put_le(p, 6, 8);       // num_nodes
+  put_le(p, 0, 8);       // redundancy (bit pattern)
+  put_le(p, 1, 4);       // num_threads
+  put_le(p, 2, 8);       // verification_trials
+  put_le(p, 0, 8);       // num_primes
+  put_le(p, 7, 8);       // seed
+  put_le(p, 0, 1);       // backend
+  put_le(p, 1, 1);       // systematic_encode
+  put_le(p, 1, 1);       // use_arena
+  put_le(p, 3, 8);       // repair_budget
+  put_le(p, 0, 8);       // loss_rate (bit pattern)
+  put_le(p, 0, 8);       // loss_seed
+  put_le(p, 1, 1);       // adversary
+  put_le(p, 0xFFFFFFFFu, 4);  // corrupt_nodes count, no entries follow
+  std::string frame;
+  put_le(frame, p.size(), 4);
+  frame += p;
+
+  unsigned char reply = 0;
+  EXPECT_EQ(run_worker_on(frame, &reply), 1);
+  EXPECT_EQ(reply, static_cast<unsigned char>(ShardFrame::kError));
+}
+
+TEST(ShardProtocol, WorkerRejectsOversizedFrameHeader) {
+  // A frame header announcing 4 GiB: refused before any allocation.
+  std::string frame;
+  put_le(frame, 0xFFFFFFFFu, 4);
+  unsigned char reply = 0;
+  EXPECT_EQ(run_worker_on(frame, &reply), 1);
+  EXPECT_EQ(reply, static_cast<unsigned char>(ShardFrame::kError));
 }
 
 // ---- Golden equality -----------------------------------------------------

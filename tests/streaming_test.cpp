@@ -1,8 +1,8 @@
 // Tests for the streaming transport layer: SymbolStream mechanics,
-// corruption-plan equivalence, golden streaming-vs-barrier agreement
-// (bit-for-bit RunReports on all three backends), adversarial streams
-// under concurrent load, and rate-limited (congested-clique style)
-// delivery.
+// corruption-plan equivalence, golden agreement between the overlapped
+// pipeline and the composed whole-session stages (bit-for-bit
+// RunReports on all three backends), adversarial streams under
+// concurrent load, and rate-limited (congested-clique style) delivery.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -74,6 +74,12 @@ void expect_reports_equal(const RunReport& a, const RunReport& b) {
     EXPECT_EQ(a.node_stats[j].symbols_computed,
               b.node_stats[j].symbols_computed);
   }
+}
+
+// The barrier staging: every prime through one stage before the next.
+RunReport run_staged(ProofSession& s,
+                     const ByzantineAdversary* adversary = nullptr) {
+  return s.prepare().transport(adversary).decode().verify().recover().report();
 }
 
 // ---- SymbolStream mechanics ---------------------------------------------
@@ -150,9 +156,9 @@ TEST(SymbolStream, RateLimitedSplitsChunksAcrossPolls) {
   EXPECT_EQ(got, (std::vector<u64>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
-// The streaming adversary must corrupt chunk-by-chunk exactly as the
-// barrier adversary corrupts the whole word, independent of chunk
-// arrival order.
+// The streaming adversary must corrupt chunk-by-chunk exactly as its
+// plan corrupts the whole word at once, independent of chunk arrival
+// order.
 TEST(SymbolStream, AdversarialStreamMatchesBarrierCorruption) {
   PrimeField f(101);
   const std::size_t e = 24;
@@ -172,7 +178,7 @@ TEST(SymbolStream, AdversarialStreamMatchesBarrierCorruption) {
     const u64 stream_seed = derive_stream(5, 101, PipelineStage::kTransport);
 
     std::vector<u64> barrier = word;
-    adversary.corrupt(barrier, owners, points, f, stream_seed);
+    adversary.make_plan(owners, points, f, stream_seed).apply(barrier, 0, f);
 
     AdversarialStreamingChannel channel(adversary);
     auto stream =
@@ -232,7 +238,7 @@ TEST(StreamingGaoDecoder, OutOfOrderAbsorbMatchesOneShotDecode) {
   EXPECT_EQ(streamed.corrected, oneshot.corrected);
 }
 
-// ---- Streaming pipeline vs barrier pipeline ------------------------------
+// ---- Streaming pipeline vs composed stages -------------------------------
 
 class StreamingGolden : public ::testing::TestWithParam<int> {};
 
@@ -244,7 +250,7 @@ TEST_P(StreamingGolden, StreamingMatchesBarrierOnAllBackends) {
     ClusterConfig cfg = small_config();
     cfg.backend = backend;
     ProofSession barrier_session(*problem, cfg);
-    const RunReport barrier = barrier_session.run_barrier();
+    const RunReport barrier = run_staged(barrier_session);
     ASSERT_TRUE(barrier.success);
 
     ProofSession streaming_session(*problem, cfg);
@@ -261,7 +267,7 @@ TEST_P(StreamingGolden, AdversarialStreamingMatchesBarrier) {
   ByzantineAdversary adversary({1, 4}, ByzantineStrategy::kRandom, 321);
 
   ProofSession barrier_session(*problem, cfg);
-  const RunReport barrier = barrier_session.run_barrier(&adversary);
+  const RunReport barrier = run_staged(barrier_session, &adversary);
   ASSERT_TRUE(barrier.success);
 
   ProofSession streaming_session(*problem, cfg);

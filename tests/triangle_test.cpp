@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cluster.hpp"
+#include "core/proof_session.hpp"
 #include "field/primes.hpp"
 #include "graph/brute.hpp"
 #include "graph/generators.hpp"
@@ -98,15 +98,14 @@ TEST(TriangleCamelot, ProofEvaluationsSumToTrace) {
   EXPECT_EQ(sum, f.reduce(6 * count_triangles_brute(g)));
 }
 
-TEST(TriangleCamelot, ClusterRunCountsTriangles) {
+TEST(TriangleCamelot, SessionRunCountsTriangles) {
   Graph g = gnm(16, 40, 7);
   const u64 expect = count_triangles_brute(g);
   TriangleCountProblem problem(g, strassen_decomposition());
   ClusterConfig cfg;
   cfg.num_nodes = 6;
   cfg.redundancy = 1.5;
-  Cluster cluster(cfg);
-  RunReport report = cluster.run(problem);
+  RunReport report = ProofSession(problem, cfg).run();
   ASSERT_TRUE(report.success);
   EXPECT_EQ(
       TriangleCountProblem::triangles_from_answer(report.answers[0]).to_u64(),
@@ -131,10 +130,9 @@ TEST(TriangleCamelot, ByzantineToleratedOnTriangles) {
   ClusterConfig cfg;
   cfg.num_nodes = 9;
   cfg.redundancy = 2.5;
-  Cluster cluster(cfg);
   ByzantineAdversary adversary({4}, ByzantineStrategy::kColludingPolynomial,
                                55);
-  RunReport report = cluster.run(problem, &adversary);
+  RunReport report = ProofSession(problem, cfg).run(&adversary);
   ASSERT_TRUE(report.success);
   EXPECT_EQ(
       TriangleCountProblem::triangles_from_answer(report.answers[0]).to_u64(),
