@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "field/backend_dispatch.hpp"
 #include "field/field_cache.hpp"
 #include "field/field_ops.hpp"
 #include "field/montgomery.hpp"
@@ -471,11 +470,11 @@ int main(int argc, char** argv) {
   }
 
   // --- AVX2 backend vs scalar Montgomery ----------------------------------
-  // Measured on a *narrow* NTT prime (q < 2^31, the 5-vpmuludq
-  // double-REDC32 path): the framework's CRT primes are chosen just
-  // above the code length, so this is the regime every real session
-  // runs in — FieldOps resolves kMontgomeryAvx2 to scalar for wider
-  // primes, where 64-bit lanes cannot beat mulx. Only emitted when
+  // Measured on a lane prime (q < 2^31, the 5-vpmuludq double-REDC32
+  // path): the framework's CRT primes are chosen just above the code
+  // length, so this is the regime every real session runs in —
+  // FieldOps resolves lane requests to scalar for wider primes, which
+  // the lane kernels do not implement. Only emitted when
   // the process can run the AVX2 kernels (the committed baseline
   // comes from an AVX2 host; check_bench.py only compares keys
   // present on both sides).
@@ -565,86 +564,33 @@ int main(int argc, char** argv) {
   }
 
   // --- AVX-512 backend vs scalar Montgomery -------------------------------
-  // Same shape as mul_avx2 but on 8xu64 lanes; the narrow prime takes
-  // the IFMA REDC-52 kernel when the host has it, the wide prime the
-  // vpmullq REDC-64 kernel AVX2 has no counterpart for. Only emitted
-  // when the process can run the AVX-512 kernels.
+  // Same shape as mul_avx2 on the same narrow prime, but on 8xu64
+  // lanes. Only emitted when the process can run the AVX-512 kernels.
   if (simd512_runtime_enabled()) {
-    for (const bool wide : {false, true}) {
-      const u64 qv = wide ? q : find_ntt_prime(u64{1} << 29, 20);
-      const MontgomeryField mv((PrimeField(qv)));
-      const MontgomeryAvx512Field ms512(mv);
-      constexpr std::size_t kN = 1 << 14;
-      std::vector<u64> a(kN), b(kN), out_v(kN);
-      for (auto& v : a) v = rng() % qv;
-      for (auto& v : b) v = rng() % qv;
-      const std::vector<u64> am = mv.to_mont_vec(a), bm = mv.to_mont_vec(b);
-      const double before = ns_per_op([&] {
-        u64 acc = 0;
-        for (std::size_t i = 0; i < kN; ++i) acc ^= mv.mul(am[i], bm[i]);
-        g_sink = acc;
-        return static_cast<double>(kN);
-      });
-      const double after = ns_per_op([&] {
-        ms512.mul_vec(am.data(), bm.data(), out_v.data(), kN);
-        g_sink = out_v[0];
-        return static_cast<double>(kN);
-      });
-      entries.push_back({wide ? "mul_avx512_wide" : "mul_avx512",
-                         "scalar_ns_per_op", "avx512_ns_per_op", before,
-                         after});
-    }
+    const u64 qv = find_ntt_prime(u64{1} << 29, 20);
+    const MontgomeryField mv((PrimeField(qv)));
+    const MontgomeryAvx512Field ms512(mv);
+    constexpr std::size_t kN = 1 << 14;
+    std::vector<u64> a(kN), b(kN), out_v(kN);
+    for (auto& v : a) v = rng() % qv;
+    for (auto& v : b) v = rng() % qv;
+    const std::vector<u64> am = mv.to_mont_vec(a), bm = mv.to_mont_vec(b);
+    const double before = ns_per_op([&] {
+      u64 acc = 0;
+      for (std::size_t i = 0; i < kN; ++i) acc ^= mv.mul(am[i], bm[i]);
+      g_sink = acc;
+      return static_cast<double>(kN);
+    });
+    const double after = ns_per_op([&] {
+      ms512.mul_vec(am.data(), bm.data(), out_v.data(), kN);
+      g_sink = out_v[0];
+      return static_cast<double>(kN);
+    });
+    entries.push_back({"mul_avx512", "scalar_ns_per_op", "avx512_ns_per_op",
+                       before, after});
   } else {
     std::printf("AVX-512 unavailable (or forced off); "
                 "skipping *_avx512 entries\n");
-  }
-
-  // --- Shoup-tabled NTT vs REDC-tabled NTT --------------------------------
-  // The same cached-twiddle transform with the Shoup butterfly forced
-  // off ("before": REDC products against the Montgomery-domain
-  // tables) and on ("after": mulhi-quotient products against the
-  // canonical twin tables). Run on the backend FieldOps resolves for
-  // each prime — the wide entry is the payoff case: AVX2 resolves to
-  // scalar above 2^31, and the scalar/AVX-512 Shoup butterfly drops
-  // the REDC chain's second widening multiply. Identical words either
-  // way (the quotient product is exactly the REDC product).
-  {
-    FieldCache cache;
-    struct ShoupCase {
-      const char* name;
-      u64 prime;
-    };
-    const ShoupCase cases[] = {
-        {"ntt_shoup_narrow", find_ntt_prime(u64{1} << 29, 20)},
-        {"ntt_shoup_wide", q},
-    };
-    for (const ShoupCase& sc : cases) {
-      constexpr std::size_t kN = 1 << 14;
-      const FieldOps ops = cache.ops(sc.prime, kN, best_backend());
-      const MontgomeryField& mm = ops.mont();
-      const auto tables = ops.ntt_tables();
-      std::vector<u64> base(kN);
-      for (auto& v : base) v = rng() % sc.prime;
-      const std::vector<u64> base_mont = mm.to_mont_vec(base);
-      with_lane_field(ops.backend(), mm, [&](const auto& lf) {
-        set_ntt_shoup_enabled(false);
-        const double before = ns_per_op([&] {
-          std::vector<u64> a = base_mont;
-          ntt_inplace(a, false, lf, *tables);
-          g_sink = a[0];
-          return 1.0;
-        });
-        set_ntt_shoup_enabled(true);
-        const double after = ns_per_op([&] {
-          std::vector<u64> a = base_mont;
-          ntt_inplace(a, false, lf, *tables);
-          g_sink = a[0];
-          return 1.0;
-        });
-        entries.push_back({sc.name, "redc_ns_per_op", "shoup_ns_per_op",
-                           before, after});
-      });
-    }
   }
 
   // --- wide-prime matmul: division kernel vs Shoup products ---------------

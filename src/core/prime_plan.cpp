@@ -10,8 +10,9 @@ namespace camelot {
 
 PrimePlan plan_primes(const ProofSpec& spec, double redundancy,
                       std::size_t num_primes) {
-  if (redundancy < 1.0) {
-    throw std::invalid_argument("plan_primes: redundancy must be >= 1");
+  if (!std::isfinite(redundancy) || redundancy < 1.0) {
+    throw std::invalid_argument(
+        "plan_primes: redundancy must be finite and >= 1");
   }
   PrimePlan plan;
   const u64 d = spec.degree_bound;

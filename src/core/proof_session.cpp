@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -90,8 +91,11 @@ ProofSession::ProofSession(const CamelotProblem& problem, ClusterConfig config,
   if (config_.num_nodes == 0) {
     throw std::invalid_argument("ProofSession: need at least one node");
   }
-  if (config_.redundancy < 1.0) {
-    throw std::invalid_argument("ProofSession: redundancy must be >= 1");
+  // NaN and infinities would slip past a plain `< 1` test into the
+  // code-length ceil() cast.
+  if (!std::isfinite(config_.redundancy) || config_.redundancy < 1.0) {
+    throw std::invalid_argument(
+        "ProofSession: redundancy must be finite and >= 1");
   }
   plan_ = plan != nullptr
               ? std::move(plan)

@@ -143,6 +143,16 @@ class WireReader {
     return out;
   }
 
+  // A one-byte enum, rejected when past its last enumerator.
+  template <typename E>
+  E enum8(E last) {
+    const unsigned char v = u8();
+    if (v > static_cast<unsigned char>(last)) {
+      throw std::runtime_error("shard wire: enum byte out of range");
+    }
+    return static_cast<E>(v);
+  }
+
   std::vector<std::size_t> vec_size() {
     const std::uint32_t n = count(8);
     std::vector<std::size_t> out(n);
@@ -208,7 +218,7 @@ SubmitFrame decode_submit(WireReader& r) {
   c.verification_trials = static_cast<std::size_t>(r.u64v());
   c.num_primes = static_cast<std::size_t>(r.u64v());
   c.seed = r.u64v();
-  c.backend = static_cast<FieldBackend>(r.u8());
+  c.backend = r.enum8(FieldBackend::kMontgomeryAvx512);
   c.systematic_encode = r.u8() != 0;
   c.use_arena = r.u8() != 0;
   c.repair_budget = static_cast<std::size_t>(r.u64v());
@@ -216,7 +226,7 @@ SubmitFrame decode_submit(WireReader& r) {
   f.job.loss_seed = r.u64v();
   f.job.adversary = r.u8() != 0;
   f.job.corrupt_nodes = r.vec_size();
-  f.job.strategy = static_cast<ByzantineStrategy>(r.u8());
+  f.job.strategy = r.enum8(ByzantineStrategy::kColludingPolynomial);
   f.job.adversary_seed = r.u64v();
   f.prime_indices = r.vec_size();
   return f;
@@ -261,7 +271,7 @@ PrimeReportFrame decode_prime_report(WireReader& r) {
   PrimeReportFrame f;
   f.prime_index = static_cast<std::size_t>(r.u64v());
   f.report.prime = r.u64v();
-  f.report.decode_status = static_cast<DecodeStatus>(r.u8());
+  f.report.decode_status = r.enum8(DecodeStatus::kDecodeFailure);
   f.report.verified = r.u8() != 0;
   f.report.corrected_symbols = r.vec_size();
   f.report.implicated_nodes = r.vec_size();
@@ -625,8 +635,9 @@ bool ShardCoordinator::pump(Shard& s) {
 
 std::optional<std::string> ShardCoordinator::take_frame(Shard& s) {
   if (s.rbuf.size() < 4) return std::nullopt;
-  // A worker announcing an oversized frame is broken; fail the job
-  // like any other malformed frame instead of buffering toward it.
+  // A worker announcing an oversized frame is broken; throw like any
+  // other malformed frame (the caller marks the worker dead) instead
+  // of buffering toward it.
   const std::uint32_t len = checked_frame_length(
       reinterpret_cast<const unsigned char*>(s.rbuf.data()));
   if (s.rbuf.size() < 4 + std::size_t(len)) return std::nullopt;
@@ -644,6 +655,10 @@ void ShardCoordinator::mark_dead(Shard& s) {
     s.to_fd = -1;
   }
   if (s.pid > 0) {
+    // A worker declared dead may still be running (it sent a bad
+    // frame, or stopped answering a scrape); reaping it must not wait
+    // on it. Killing an already-exited child is harmless.
+    (void)::kill(s.pid, SIGKILL);
     int status = 0;
     (void)::waitpid(s.pid, &status, 0);
     s.pid = -1;
@@ -777,24 +792,33 @@ RunReport ShardCoordinator::run(const ShardJob& job) {
       Shard& s = shards_[fd_shard[k]];
       const bool open = pump(s);
       bool fatal = !open;
-      while (auto payload = take_frame(s)) {
-        WireReader r(*payload);
-        const auto tag = static_cast<ShardFrame>(r.u8());
-        if (tag == ShardFrame::kPrimeReport) {
-          handle_report(s, r);
-        } else if (tag == ShardFrame::kSubmitDone) {
-          // Informational; pending should already be empty.
-        } else if (tag == ShardFrame::kError) {
-          CAMELOT_TRACE_MSG(obs::kTraceSched, "shard error: %s",
-                            r.str().c_str());
-          fatal = true;
-        } else if (tag == ShardFrame::kObsSnapshot) {
-          // Stale scrape response; ignore.
-          (void)r.str();
-        } else {
-          throw std::runtime_error(
-              "ShardCoordinator: unexpected frame from worker");
+      // A malformed frame (oversize header, unknown tag, truncated or
+      // out-of-range payload) means the worker is broken: it dies like
+      // a crashed one, and its pending primes retry on the survivors.
+      try {
+        while (auto payload = take_frame(s)) {
+          WireReader r(*payload);
+          const auto tag = static_cast<ShardFrame>(r.u8());
+          if (tag == ShardFrame::kPrimeReport) {
+            handle_report(s, r);
+          } else if (tag == ShardFrame::kSubmitDone) {
+            // Informational; pending should already be empty.
+          } else if (tag == ShardFrame::kError) {
+            CAMELOT_TRACE_MSG(obs::kTraceSched, "shard error: %s",
+                              r.str().c_str());
+            fatal = true;
+          } else if (tag == ShardFrame::kObsSnapshot) {
+            // Stale scrape response; ignore.
+            (void)r.str();
+          } else {
+            throw std::runtime_error(
+                "ShardCoordinator: unexpected frame from worker");
+          }
         }
+      } catch (const std::runtime_error& e) {
+        CAMELOT_TRACE_MSG(obs::kTraceSched, "shard sent a bad frame: %s",
+                          e.what());
+        fatal = true;
       }
       if (fatal && s.alive) {
         mark_dead(s);
@@ -847,37 +871,36 @@ obs::Registry::Snapshot ShardCoordinator::fleet_snapshot() {
     if (!s.alive) continue;  // send_frame may have detected the death
     // Wait for the kObsSnapshot answer, dispatching anything else the
     // worker had queued (a worker is sequential, so the snapshot is
-    // the last frame it emits for this request).
-    bool got = false;
-    while (!got) {
-      pollfd pfd{s.from_fd, POLLIN, 0};
-      const int rc = ::poll(&pfd, 1, /*ms=*/10000);
-      if (rc <= 0) {
-        mark_dead(s);
-        break;
-      }
-      if (!pump(s)) {
+    // the last frame it emits for this request). A malformed frame
+    // kills the worker, as in run().
+    try {
+      bool got = false;
+      while (!got) {
+        pollfd pfd{s.from_fd, POLLIN, 0};
+        const int rc = ::poll(&pfd, 1, /*ms=*/10000);
+        if (rc <= 0) {
+          mark_dead(s);
+          break;
+        }
+        const bool open = pump(s);
         while (auto payload = take_frame(s)) {
           WireReader r(*payload);
+          // Out-of-band leftovers (late kSubmitDone) are uninteresting
+          // here.
           if (static_cast<ShardFrame>(r.u8()) == ShardFrame::kObsSnapshot) {
             last_scrapes_[i] = r.str();
             got = true;
+            break;
           }
         }
-        if (!got) mark_dead(s);
-        break;
-      }
-      while (auto payload = take_frame(s)) {
-        WireReader r(*payload);
-        const auto tag = static_cast<ShardFrame>(r.u8());
-        if (tag == ShardFrame::kObsSnapshot) {
-          last_scrapes_[i] = r.str();
-          got = true;
+        if (!open) {
+          if (!got) mark_dead(s);
           break;
         }
-        // Out-of-band leftovers (late kSubmitDone) are uninteresting
-        // here.
       }
+    } catch (const std::runtime_error&) {
+      last_scrapes_[i].clear();
+      mark_dead(s);
     }
     if (!last_scrapes_[i].empty()) {
       obs::merge_snapshot(fleet, obs::parse_json_snapshot(last_scrapes_[i]));

@@ -56,29 +56,24 @@ bool detect_512_runtime_enabled() noexcept {
 }
 
 // The downgrade ladder, applied once at handle construction so every
-// consumer can branch on backend() alone.
-//
-// kMontgomeryAvx512 falls back to kMontgomeryAvx2 when this process
-// cannot run the 8-lane kernels (no AVX-512F/DQ, CAMELOT_FORCE_SCALAR
-// or CAMELOT_FORCE_AVX2 set) or for q == 2 (identity-domain mode).
-// Unlike the AVX2 set it is *kept* for wide primes: the vpmullq REDC
-// and the Shoup-tabled butterflies beat scalar mulx at q >= 2^31.
-//
-// kMontgomeryAvx2 falls back to kMontgomery when it cannot run (no
-// AVX2 / forced scalar, or q == 2) or would not pay: for q >= 2^31
-// the 4-lane REDC needs 11 vpmuludq per 4 products and roughly ties
-// scalar mulx, while the framework's own CRT primes (chosen just
-// above the code length) always take the 5-vpmuludq narrow path.
+// consumer can branch on backend() alone. A lane request resolves to
+// kMontgomery when q >= 2^31 or q == 2 (the lane kernels implement
+// only the REDC-32 chain, and their constructors refuse wider
+// moduli) or when no lanes can run (no AVX2, CAMELOT_FORCE_SCALAR
+// set); kMontgomeryAvx512 steps down to kMontgomeryAvx2 when only the
+// 8-lane set is out of reach (no AVX-512F/DQ, CAMELOT_FORCE_AVX2 set).
 FieldBackend resolve(FieldBackend requested, u64 modulus) noexcept {
+  if (requested != FieldBackend::kMontgomeryAvx2 &&
+      requested != FieldBackend::kMontgomeryAvx512) {
+    return requested;
+  }
+  if (modulus == 2 || (modulus >> 31) != 0) return FieldBackend::kMontgomery;
   if (requested == FieldBackend::kMontgomeryAvx512 &&
-      (!simd512_runtime_enabled() || modulus == 2)) {
-    requested = FieldBackend::kMontgomeryAvx2;
+      simd512_runtime_enabled()) {
+    return requested;
   }
-  if (requested == FieldBackend::kMontgomeryAvx2 &&
-      (!simd_runtime_enabled() || modulus == 2 || (modulus >> 31) != 0)) {
-    return FieldBackend::kMontgomery;
-  }
-  return requested;
+  return simd_runtime_enabled() ? FieldBackend::kMontgomeryAvx2
+                                : FieldBackend::kMontgomery;
 }
 
 }  // namespace

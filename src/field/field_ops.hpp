@@ -34,19 +34,16 @@ enum class FieldBackend {
   // Montgomery-domain u64s as kMontgomery and every kernel computes
   // bit-identical results; only the instruction mix differs.
   // Requesting it constructs a handle that *resolves* at runtime:
-  // without AVX2, with CAMELOT_FORCE_SCALAR set, or for primes where
-  // the lanes cannot beat scalar mulx (q >= 2^31; the framework's CRT
-  // primes sit far below), the handle silently degrades to
+  // without AVX2, with CAMELOT_FORCE_SCALAR set, or for primes the
+  // lanes do not implement (q >= 2^31 or q == 2; the framework's CRT
+  // primes sit far below 2^31), the handle silently degrades to
   // kMontgomery, so it is always safe to ask for.
   kMontgomeryAvx2,
-  // Montgomery-domain pipeline on AVX-512 8xu64 lanes
-  // (field/montgomery_avx512.hpp): vpmullq 64-bit products, and on
-  // IFMA hosts a 52-bit vpmadd52 REDC for the planner primes. Unlike
-  // the AVX2 lane set it stays enabled for wide primes (q >= 2^31),
-  // where the 8-lane REDC and the Shoup-tabled NTT beat scalar mulx.
-  // Resolution degrades a request to kMontgomeryAvx2 (and onward to
-  // kMontgomery) when the CPU lacks AVX-512F/DQ, when
-  // CAMELOT_FORCE_SCALAR or CAMELOT_FORCE_AVX2 is set, or for q == 2.
+  // The same pipeline on AVX-512 8xu64 lanes
+  // (field/montgomery_avx512.hpp). Resolution degrades a request to
+  // kMontgomeryAvx2 when the CPU lacks AVX-512F/DQ or when
+  // CAMELOT_FORCE_AVX2 is set (and onward as above), and straight to
+  // kMontgomery for q >= 2^31 or q == 2.
   kMontgomeryAvx512,
 };
 
@@ -66,7 +63,7 @@ bool simd512_runtime_enabled() noexcept;
 // Raw CPUID bits, ignoring the environment overrides.
 bool cpu_supports_avx2() noexcept;
 bool cpu_supports_avx512() noexcept;      // AVX-512F + AVX-512DQ
-bool cpu_supports_avx512ifma() noexcept;  // AVX-512IFMA52
+bool cpu_supports_avx512ifma() noexcept;  // AVX-512IFMA52, host records only
 
 // The fastest backend this process can run: kMontgomeryAvx512 when
 // simd512_runtime_enabled(), then kMontgomeryAvx2 when
@@ -89,7 +86,8 @@ class FieldOps {
   u64 modulus() const noexcept { return mont_->modulus(); }
   // The *resolved* backend: a SIMD request comes back downgraded
   // (kMontgomeryAvx512 -> kMontgomeryAvx2 -> kMontgomery) when the
-  // process cannot run — or would not profit from — the wider lanes.
+  // process cannot run the wider lanes or the prime is not a lane
+  // prime (q >= 2^31 or q == 2).
   FieldBackend backend() const noexcept { return backend_; }
   // True iff the hot kernels run a lane-wide pipeline (AVX2 or
   // AVX-512). Consumers that need the exact lane set should branch on

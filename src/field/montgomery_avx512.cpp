@@ -2,35 +2,26 @@
 //
 // This translation unit is compiled with -mavx512f -mavx512dq (see
 // CMakeLists.txt) and nothing else in the build is, so every 512-bit
-// instruction in the binary is confined here (and to the IFMA TU,
-// field/montgomery_avx512_ifma.cpp). Entry points are reached only
-// after FieldOps runtime dispatch has confirmed the CPU can run them;
-// on targets built without the extensions the same entry points
-// compile to the scalar loops under #else, so the link never breaks.
+// instruction in the binary is confined here. Entry points are
+// reached only after FieldOps runtime dispatch has confirmed the CPU
+// can run them. Each entry point runs its lane loop under the ISA
+// guard and finishes with the scalar loop, which is also the whole
+// kernel for q == 2 and on targets built without the extensions, so
+// the link never breaks.
 //
-// Vector arithmetic notes (8 lanes of u64):
-//  * AVX-512DQ brings a true 64x64 low multiplier (vpmullq), so wide
-//    REDC costs 10 multiply-class instructions per 8 lanes — low
-//    products via vpmullq, high halves assembled from 4 vpmuludq
-//    partials — against 11 vpmuludq per 4 lanes on AVX2. That, plus
-//    the doubled width, is what makes this backend profitable for
-//    wide primes where AVX2 resolves back to scalar.
-//  * Narrow moduli (q < 2^31) reuse the chained REDC-32 sequence from
-//    the AVX2 backend (5 vpmuludq per 8 lanes); on IFMA hosts the
-//    mont_mul-bearing kernels route to the vpmadd52 variants in
-//    field/montgomery_avx512_ifma.cpp instead.
-//  * The Shoup butterfly needs only 6 multiply-class instructions per
-//    8 wide lanes (4-partial mulhi + two vpmullq) and 4 vpmuludq per
-//    8 narrow lanes.
+// Vector arithmetic notes (8 lanes of u64, q < 2^31):
+//  * The REDC-32 chain and the Shoup butterfly are the widened twins
+//    of the AVX2 sequences (field/montgomery_simd.cpp): 5 vpmuludq
+//    per 8 Montgomery products, 4 per 8 Shoup products.
 //  * Unsigned compares are native (vpcmpuq -> mask), so the [0, 2q)
 //    fold and the subtract wrap use mask-sub/mask-add directly
 //    instead of the AVX2 signed-compare workaround.
 #include "field/montgomery_avx512.hpp"
 
-#include "field/field_ops.hpp"
 #include "field/shoup.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
+#define CAMELOT_AVX512_LANES 1
 #include <immintrin.h>
 #endif
 
@@ -44,19 +35,26 @@
 
 namespace camelot {
 
-MontgomeryAvx512Field::MontgomeryAvx512Field(const MontgomeryField& m,
-                                             bool allow_ifma)
-    : m_(m),
-      narrow_((m.modulus() >> 31) == 0),
-      // The 52+12-bit REDC chain lands in [0, q + 2^20) before its
-      // final conditional subtract, so it needs q > 2^20 on top of
-      // the narrow bound; the tiny test primes fall back to REDC-32.
-      ifma_(allow_ifma && narrow_ && (m.modulus() >> 21) != 0 &&
-            cpu_supports_avx512ifma()) {}
-
-#if defined(__AVX512F__) && defined(__AVX512DQ__)
-
 namespace {
+
+// One scalar radix-2 stage: the lane kernels' fallback for q == 2,
+// for stages narrower than a vector, and for builds without AVX-512.
+// `twiddle_mul(x, j)` is x times the stage's j-th twiddle.
+template <class TwiddleMul>
+void scalar_stage(const MontgomeryField& m, u64* a, std::size_t n,
+                  std::size_t len, TwiddleMul twiddle_mul) noexcept {
+  const std::size_t half = len / 2;
+  for (std::size_t i = 0; i < n; i += len) {
+    for (std::size_t j = 0; j < half; ++j) {
+      const u64 u = a[i + j];
+      const u64 v = twiddle_mul(a[i + j + half], j);
+      a[i + j] = m.add(u, v);
+      a[i + j + half] = m.sub(u, v);
+    }
+  }
+}
+
+#if defined(CAMELOT_AVX512_LANES)
 
 struct MontCtx {
   __m512i q;
@@ -75,88 +73,40 @@ inline void store8(u64* p, __m512i v) noexcept {
   _mm512_storeu_si512(reinterpret_cast<void*>(p), v);
 }
 
-// High 64 bits of the per-lane 64x64 products, from 4 vpmuludq
-// partials (vpmullq covers the low halves, so unlike AVX2 there is
-// no need to materialize the full 128-bit value).
-inline __m512i mul_hi64(__m512i a, __m512i b) noexcept {
-  const __m512i lo32 = _mm512_set1_epi64(0xffffffffLL);
-  const __m512i a_hi = _mm512_srli_epi64(a, 32);
-  const __m512i b_hi = _mm512_srli_epi64(b, 32);
-  const __m512i p00 = _mm512_mul_epu32(a, b);
-  const __m512i p01 = _mm512_mul_epu32(a, b_hi);
-  const __m512i p10 = _mm512_mul_epu32(a_hi, b);
-  const __m512i p11 = _mm512_mul_epu32(a_hi, b_hi);
-  // mid <= 3*(2^32-1): no overflow before the >>32.
-  const __m512i mid =
-      _mm512_add_epi64(_mm512_add_epi64(_mm512_srli_epi64(p00, 32),
-                                        _mm512_and_si512(p01, lo32)),
-                       _mm512_and_si512(p10, lo32));
-  return _mm512_add_epi64(
-      _mm512_add_epi64(p11, _mm512_srli_epi64(p01, 32)),
-      _mm512_add_epi64(_mm512_srli_epi64(p10, 32), _mm512_srli_epi64(mid, 32)));
-}
-
 // [0, 2q) -> [0, q).
 inline __m512i reduce_2q(__m512i r, __m512i q) noexcept {
   return _mm512_mask_sub_epi64(r, _mm512_cmpge_epu64_mask(r, q), r, q);
 }
 
-// One REDC-32 step of the narrow path: t -> (t + (t * -q^{-1} mod
-// 2^32) * q) >> 32, an exact division because the low word cancels.
+// One REDC-32 step: t -> (t + (t * -q^{-1} mod 2^32) * q) >> 32, an
+// exact division because the low word cancels.
 inline __m512i redc32_step(__m512i t, const MontCtx& c) noexcept {
   const __m512i m = _mm512_mul_epu32(t, c.ninv);  // low 32 bits are m_i
   const __m512i mq = _mm512_mul_epu32(m, c.q);
   return _mm512_srli_epi64(_mm512_add_epi64(t, mq), 32);
 }
 
-// Montgomery product of domain values: a * b * R^{-1} mod q. The
-// narrow and wide paths compute the same function; kNarrow only
-// selects the cheaper instruction sequence valid for q < 2^31.
-template <bool kNarrow>
+// Montgomery product of domain values: a * b * R^{-1} mod q.
 inline __m512i mont_mul(__m512i a, __m512i b, const MontCtx& c) noexcept {
-  if constexpr (kNarrow) {
-    const __m512i t = _mm512_mul_epu32(a, b);  // a, b < q < 2^31
-    const __m512i r = redc32_step(redc32_step(t, c), c);
-    return reduce_2q(r, c.q);
-  } else {
-    // t = a*b; m = t_lo * (-q^{-1}) mod 2^64; result is t_hi +
-    // (m*q)_hi + carry, where carry = (m != 0) because the low
-    // halves cancel to exactly 2^64 whenever t_lo is non-zero.
-    const __m512i t_lo = _mm512_mullo_epi64(a, b);
-    const __m512i t_hi = mul_hi64(a, b);
-    const __m512i m = _mm512_mullo_epi64(t_lo, c.ninv);
-    const __m512i mq_hi = mul_hi64(m, c.q);
-    const __m512i carry = _mm512_maskz_set1_epi64(
-        _mm512_cmpneq_epi64_mask(m, _mm512_setzero_si512()), 1);
-    const __m512i r = _mm512_add_epi64(_mm512_add_epi64(t_hi, mq_hi), carry);
-    return reduce_2q(r, c.q);
-  }
+  const __m512i t = _mm512_mul_epu32(a, b);  // a, b < q < 2^31
+  const __m512i r = redc32_step(redc32_step(t, c), c);
+  return reduce_2q(r, c.q);
 }
 
 // Shoup product a * w mod q for canonical twiddle w with quotient
-// wq = floor(w * 2^64 / q) (field/shoup.hpp). Narrow: a < q < 2^31
-// fits one 32-bit word, so the mulhi needs two vpmuludq partials and
-// hi*q / a*w are single exact vpmuludq — 4 multiplies per 8 lanes.
-// Wide: 4-partial mulhi plus two vpmullq — 6 multiplies per 8 lanes
-// against 10 for wide REDC.
-template <bool kNarrow>
+// wq = floor(w * 2^64 / q) (field/shoup.hpp): a < q < 2^31 fits one
+// 32-bit word, so the mulhi needs two vpmuludq partials and hi*q /
+// a*w are single exact vpmuludq — 4 multiplies per 8 lanes.
 inline __m512i shoup_mul8(__m512i a, __m512i w, __m512i wq,
                           __m512i q) noexcept {
-  if constexpr (kNarrow) {
-    const __m512i p0 = _mm512_mul_epu32(a, wq);
-    const __m512i p1 = _mm512_mul_epu32(a, _mm512_srli_epi64(wq, 32));
-    // p1 + (p0 >> 32) < 2^64: p1 <= (2^31-1)(2^32-1), p0 >> 32 < 2^31.
-    const __m512i hi =
-        _mm512_srli_epi64(_mm512_add_epi64(p1, _mm512_srli_epi64(p0, 32)), 32);
-    const __m512i r =
-        _mm512_sub_epi64(_mm512_mul_epu32(a, w), _mm512_mul_epu32(hi, q));
-    return reduce_2q(r, q);
-  } else {
-    const __m512i hi = mul_hi64(a, wq);
-    const __m512i r = _mm512_sub_epi64(_mm512_mullo_epi64(a, w),
-                                       _mm512_mullo_epi64(hi, q));
-    return reduce_2q(r, q);
-  }
+  const __m512i p0 = _mm512_mul_epu32(a, wq);
+  const __m512i p1 = _mm512_mul_epu32(a, _mm512_srli_epi64(wq, 32));
+  // p1 + (p0 >> 32) < 2^64: p1 <= (2^31-1)(2^32-1), p0 >> 32 < 2^31.
+  const __m512i hi =
+      _mm512_srli_epi64(_mm512_add_epi64(p1, _mm512_srli_epi64(p0, 32)), 32);
+  const __m512i r =
+      _mm512_sub_epi64(_mm512_mul_epu32(a, w), _mm512_mul_epu32(hi, q));
+  return reduce_2q(r, q);
 }
 
 inline __m512i mod_add(__m512i a, __m512i b, __m512i q) noexcept {
@@ -169,341 +119,175 @@ inline __m512i mod_sub(__m512i a, __m512i b, __m512i q) noexcept {
   return _mm512_mask_add_epi64(d, _mm512_cmplt_epu64_mask(a, b), d, q);
 }
 
-template <bool kNarrow>
-void mul_vec_impl(const MontgomeryField& m, const u64* a, const u64* b,
-                  u64* out, std::size_t n) noexcept {
-  const MontCtx c(m);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    store8(out + i, mont_mul<kNarrow>(load8(a + i), load8(b + i), c));
-  }
-  for (; i < n; ++i) out[i] = m.mul(a[i], b[i]);
-}
-
-template <bool kNarrow>
-void scale_vec_impl(const MontgomeryField& m, const u64* a, u64 s, u64* out,
-                    std::size_t n) noexcept {
-  const MontCtx c(m);
-  const __m512i vs = _mm512_set1_epi64(static_cast<long long>(s));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    store8(out + i, mont_mul<kNarrow>(load8(a + i), vs, c));
-  }
-  for (; i < n; ++i) out[i] = m.mul(a[i], s);
-}
-
-template <bool kNarrow>
-void addmul_impl(const MontgomeryField& m, u64* r, u64 s, const u64* b,
-                 std::size_t n) noexcept {
-  const MontCtx c(m);
-  const __m512i vs = _mm512_set1_epi64(static_cast<long long>(s));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i p = mont_mul<kNarrow>(vs, load8(b + i), c);
-    store8(r + i, mod_add(load8(r + i), p, c.q));
-  }
-  for (; i < n; ++i) r[i] = m.add(r[i], m.mul(s, b[i]));
-}
-
-template <bool kNarrow>
-void submul_impl(const MontgomeryField& m, u64* r, u64 s, const u64* b,
-                 std::size_t n) noexcept {
-  const MontCtx c(m);
-  const __m512i vs = _mm512_set1_epi64(static_cast<long long>(s));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i p = mont_mul<kNarrow>(vs, load8(b + i), c);
-    store8(r + i, mod_sub(load8(r + i), p, c.q));
-  }
-  for (; i < n; ++i) r[i] = m.sub(r[i], m.mul(s, b[i]));
-}
-
-template <bool kNarrow>
-u64 dot_impl(const MontgomeryField& m, const u64* a, const u64* b,
-             std::size_t n) noexcept {
-  const MontCtx c(m);
-  __m512i vacc = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    vacc = mod_add(vacc, mont_mul<kNarrow>(load8(a + i), load8(b + i), c),
-                   c.q);
-  }
-  alignas(64) u64 lanes[8];
-  _mm512_store_si512(reinterpret_cast<void*>(lanes), vacc);
-  u64 acc = m.add(m.add(m.add(lanes[0], lanes[1]), m.add(lanes[2], lanes[3])),
-                  m.add(m.add(lanes[4], lanes[5]), m.add(lanes[6], lanes[7])));
-  for (; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
-  return acc;
-}
-
-template <bool kNarrow>
-void ntt_stage_impl(const MontgomeryField& m, u64* a, std::size_t n,
-                    std::size_t len, const u64* tw) noexcept {
-  const MontCtx c(m);
-  const std::size_t half = len / 2;
-  // half >= 8 and a power of two, so the j-loop needs no tail.
-  for (std::size_t i = 0; i < n; i += len) {
-    u64* lo = a + i;
-    u64* hi = a + i + half;
-    for (std::size_t j = 0; j < half; j += 8) {
-      const __m512i u = load8(lo + j);
-      const __m512i v = mont_mul<kNarrow>(load8(hi + j), load8(tw + j), c);
-      store8(lo + j, mod_add(u, v, c.q));
-      store8(hi + j, mod_sub(u, v, c.q));
-    }
-  }
-}
-
-template <bool kNarrow>
-void ntt_stage_shoup_impl(const MontgomeryField& m, u64* a, std::size_t n,
-                          std::size_t len, const u64* op,
-                          const u64* qt) noexcept {
-  const __m512i q = _mm512_set1_epi64(static_cast<long long>(m.modulus()));
-  const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < n; i += len) {
-    u64* lo = a + i;
-    u64* hi = a + i + half;
-    for (std::size_t j = 0; j < half; j += 8) {
-      const __m512i u = load8(lo + j);
-      const __m512i v =
-          shoup_mul8<kNarrow>(load8(hi + j), load8(op + j), load8(qt + j), q);
-      store8(lo + j, mod_add(u, v, q));
-      store8(hi + j, mod_sub(u, v, q));
-    }
-  }
-}
+#endif  // defined(CAMELOT_AVX512_LANES)
 
 }  // namespace
 
 void MontgomeryAvx512Field::mul_vec(const u64* a, const u64* b, u64* out,
                                     std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], b[i]);
-    return;
+  std::size_t i = 0;
+#if defined(CAMELOT_AVX512_LANES)
+  if (!m.trivial()) {
+    const MontCtx c(m);
+    for (; i + 8 <= n; i += 8) {
+      store8(out + i, mont_mul(load8(a + i), load8(b + i), c));
+    }
   }
-  if (ifma_) {
-    avx512_ifma::mul_vec(m, a, b, out, n);
-  } else if (narrow_) {
-    mul_vec_impl<true>(m, a, b, out, n);
-  } else {
-    mul_vec_impl<false>(m, a, b, out, n);
-  }
+#endif
+  for (; i < n; ++i) out[i] = m.mul(a[i], b[i]);
 }
 
 void MontgomeryAvx512Field::scale_vec(const u64* a, u64 s, u64* out,
                                       std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], s);
-    return;
+  std::size_t i = 0;
+#if defined(CAMELOT_AVX512_LANES)
+  if (!m.trivial()) {
+    const MontCtx c(m);
+    const __m512i vs = _mm512_set1_epi64(static_cast<long long>(s));
+    for (; i + 8 <= n; i += 8) {
+      store8(out + i, mont_mul(load8(a + i), vs, c));
+    }
   }
-  if (ifma_) {
-    avx512_ifma::scale_vec(m, a, s, out, n);
-  } else if (narrow_) {
-    scale_vec_impl<true>(m, a, s, out, n);
-  } else {
-    scale_vec_impl<false>(m, a, s, out, n);
-  }
+#endif
+  for (; i < n; ++i) out[i] = m.mul(a[i], s);
 }
 
 void MontgomeryAvx512Field::addmul_inplace(u64* r, u64 s, const u64* b,
                                            std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) r[i] = m.add(r[i], m.mul(s, b[i]));
-    return;
+  std::size_t i = 0;
+#if defined(CAMELOT_AVX512_LANES)
+  if (!m.trivial()) {
+    const MontCtx c(m);
+    const __m512i vs = _mm512_set1_epi64(static_cast<long long>(s));
+    for (; i + 8 <= n; i += 8) {
+      const __m512i p = mont_mul(vs, load8(b + i), c);
+      store8(r + i, mod_add(load8(r + i), p, c.q));
+    }
   }
-  if (ifma_) {
-    avx512_ifma::addmul_inplace(m, r, s, b, n);
-  } else if (narrow_) {
-    addmul_impl<true>(m, r, s, b, n);
-  } else {
-    addmul_impl<false>(m, r, s, b, n);
-  }
+#endif
+  for (; i < n; ++i) r[i] = m.add(r[i], m.mul(s, b[i]));
 }
 
 void MontgomeryAvx512Field::submul_inplace(u64* r, u64 s, const u64* b,
                                            std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) r[i] = m.sub(r[i], m.mul(s, b[i]));
-    return;
+  std::size_t i = 0;
+#if defined(CAMELOT_AVX512_LANES)
+  if (!m.trivial()) {
+    const MontCtx c(m);
+    const __m512i vs = _mm512_set1_epi64(static_cast<long long>(s));
+    for (; i + 8 <= n; i += 8) {
+      const __m512i p = mont_mul(vs, load8(b + i), c);
+      store8(r + i, mod_sub(load8(r + i), p, c.q));
+    }
   }
-  if (ifma_) {
-    avx512_ifma::submul_inplace(m, r, s, b, n);
-  } else if (narrow_) {
-    submul_impl<true>(m, r, s, b, n);
-  } else {
-    submul_impl<false>(m, r, s, b, n);
-  }
+#endif
+  for (; i < n; ++i) r[i] = m.sub(r[i], m.mul(s, b[i]));
 }
 
 void MontgomeryAvx512Field::add_inplace(u64* r, const u64* b,
                                         std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  const __m512i q = _mm512_set1_epi64(static_cast<long long>(m.modulus()));
   std::size_t i = 0;
+#if defined(CAMELOT_AVX512_LANES)
+  const __m512i q = _mm512_set1_epi64(static_cast<long long>(m.modulus()));
   for (; i + 8 <= n; i += 8) {
     store8(r + i, mod_add(load8(r + i), load8(b + i), q));
   }
+#endif
   for (; i < n; ++i) r[i] = m.add(r[i], b[i]);
 }
 
 void MontgomeryAvx512Field::sub_from_scalar(u64 x, const u64* a, u64* out,
                                             std::size_t n) const noexcept {
   const MontgomeryField m = m_;
+  std::size_t i = 0;
+#if defined(CAMELOT_AVX512_LANES)
   const __m512i q = _mm512_set1_epi64(static_cast<long long>(m.modulus()));
   const __m512i vx = _mm512_set1_epi64(static_cast<long long>(x));
-  std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     store8(out + i, mod_sub(vx, load8(a + i), q));
   }
+#endif
   for (; i < n; ++i) out[i] = m.sub(x, a[i]);
 }
 
 u64 MontgomeryAvx512Field::dot(const u64* a, const u64* b,
                                std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  if (m.trivial()) {
-    u64 acc = 0;
-    for (std::size_t i = 0; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
-    return acc;
-  }
-  if (ifma_) return avx512_ifma::dot(m, a, b, n);
-  return narrow_ ? dot_impl<true>(m, a, b, n) : dot_impl<false>(m, a, b, n);
-}
-
-void MontgomeryAvx512Field::ntt_stage(u64* a, std::size_t n, std::size_t len,
-                                      const u64* tw) const noexcept {
-  const MontgomeryField m = m_;
-  const std::size_t half = len / 2;
-  if (m.trivial() || half < 8) {
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t j = 0; j < half; ++j) {
-        const u64 u = a[i + j];
-        const u64 v = m.mul(a[i + j + half], tw[j]);
-        a[i + j] = m.add(u, v);
-        a[i + j + half] = m.sub(u, v);
-      }
-    }
-    return;
-  }
-  if (ifma_) {
-    avx512_ifma::ntt_stage(m, a, n, len, tw);
-  } else if (narrow_) {
-    ntt_stage_impl<true>(m, a, n, len, tw);
-  } else {
-    ntt_stage_impl<false>(m, a, n, len, tw);
-  }
-}
-
-void MontgomeryAvx512Field::ntt_stage_shoup(u64* a, std::size_t n,
-                                            std::size_t len, const u64* op,
-                                            const u64* qt) const noexcept {
-  const MontgomeryField m = m_;
-  const std::size_t half = len / 2;
-  const u64 q = m.modulus();
-  if (m.trivial() || half < 8) {
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t j = 0; j < half; ++j) {
-        const u64 u = a[i + j];
-        const u64 v = shoup_mul(a[i + j + half], op[j], qt[j], q);
-        a[i + j] = m.add(u, v);
-        a[i + j + half] = m.sub(u, v);
-      }
-    }
-    return;
-  }
-  if (narrow_) {
-    ntt_stage_shoup_impl<true>(m, a, n, len, op, qt);
-  } else {
-    ntt_stage_shoup_impl<false>(m, a, n, len, op, qt);
-  }
-}
-
-#else  // !(defined(__AVX512F__) && defined(__AVX512DQ__))
-
-// Portable fallbacks: on targets where this TU is not built with
-// AVX-512, the batch entry points are plain scalar loops. Runtime
-// dispatch (simd512_runtime_enabled) never selects kMontgomeryAvx512
-// on such hosts, so these exist to keep the link whole — and correct,
-// should anyone call them directly.
-
-void MontgomeryAvx512Field::mul_vec(const u64* a, const u64* b, u64* out,
-                                    std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], b[i]);
-}
-
-void MontgomeryAvx512Field::scale_vec(const u64* a, u64 s, u64* out,
-                                      std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], s);
-}
-
-void MontgomeryAvx512Field::addmul_inplace(u64* r, u64 s, const u64* b,
-                                           std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) r[i] = m.add(r[i], m.mul(s, b[i]));
-}
-
-void MontgomeryAvx512Field::submul_inplace(u64* r, u64 s, const u64* b,
-                                           std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) r[i] = m.sub(r[i], m.mul(s, b[i]));
-}
-
-void MontgomeryAvx512Field::add_inplace(u64* r, const u64* b,
-                                        std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) r[i] = m.add(r[i], b[i]);
-}
-
-void MontgomeryAvx512Field::sub_from_scalar(u64 x, const u64* a, u64* out,
-                                            std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = m.sub(x, a[i]);
-}
-
-u64 MontgomeryAvx512Field::dot(const u64* a, const u64* b,
-                               std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
   u64 acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
+  std::size_t i = 0;
+#if defined(CAMELOT_AVX512_LANES)
+  if (!m.trivial()) {
+    const MontCtx c(m);
+    __m512i vacc = _mm512_setzero_si512();
+    for (; i + 8 <= n; i += 8) {
+      vacc = mod_add(vacc, mont_mul(load8(a + i), load8(b + i), c), c.q);
+    }
+    alignas(64) u64 lanes[8];
+    _mm512_store_si512(reinterpret_cast<void*>(lanes), vacc);
+    acc = m.add(m.add(m.add(lanes[0], lanes[1]), m.add(lanes[2], lanes[3])),
+                m.add(m.add(lanes[4], lanes[5]), m.add(lanes[6], lanes[7])));
+  }
+#endif
+  for (; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
   return acc;
 }
 
 void MontgomeryAvx512Field::ntt_stage(u64* a, std::size_t n, std::size_t len,
                                       const u64* tw) const noexcept {
   const MontgomeryField m = m_;
+#if defined(CAMELOT_AVX512_LANES)
   const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < n; i += len) {
-    for (std::size_t j = 0; j < half; ++j) {
-      const u64 u = a[i + j];
-      const u64 v = m.mul(a[i + j + half], tw[j]);
-      a[i + j] = m.add(u, v);
-      a[i + j + half] = m.sub(u, v);
+  // half >= 8 and a power of two, so the j-loop needs no tail.
+  if (!m.trivial() && half >= 8) {
+    const MontCtx c(m);
+    for (std::size_t i = 0; i < n; i += len) {
+      u64* lo = a + i;
+      u64* hi = a + i + half;
+      for (std::size_t j = 0; j < half; j += 8) {
+        const __m512i u = load8(lo + j);
+        const __m512i v = mont_mul(load8(hi + j), load8(tw + j), c);
+        store8(lo + j, mod_add(u, v, c.q));
+        store8(hi + j, mod_sub(u, v, c.q));
+      }
     }
+    return;
   }
+#endif
+  scalar_stage(m, a, n, len,
+               [&](u64 x, std::size_t j) { return m.mul(x, tw[j]); });
 }
 
 void MontgomeryAvx512Field::ntt_stage_shoup(u64* a, std::size_t n,
                                             std::size_t len, const u64* op,
                                             const u64* qt) const noexcept {
   const MontgomeryField m = m_;
-  const std::size_t half = len / 2;
   const u64 q = m.modulus();
-  for (std::size_t i = 0; i < n; i += len) {
-    for (std::size_t j = 0; j < half; ++j) {
-      const u64 u = a[i + j];
-      const u64 v = shoup_mul(a[i + j + half], op[j], qt[j], q);
-      a[i + j] = m.add(u, v);
-      a[i + j + half] = m.sub(u, v);
+#if defined(CAMELOT_AVX512_LANES)
+  const std::size_t half = len / 2;
+  if (!m.trivial() && half >= 8) {
+    const __m512i vq = _mm512_set1_epi64(static_cast<long long>(q));
+    for (std::size_t i = 0; i < n; i += len) {
+      u64* lo = a + i;
+      u64* hi = a + i + half;
+      for (std::size_t j = 0; j < half; j += 8) {
+        const __m512i u = load8(lo + j);
+        const __m512i v =
+            shoup_mul8(load8(hi + j), load8(op + j), load8(qt + j), vq);
+        store8(lo + j, mod_add(u, v, vq));
+        store8(hi + j, mod_sub(u, v, vq));
+      }
     }
+    return;
   }
+#endif
+  scalar_stage(m, a, n, len, [&](u64 x, std::size_t j) {
+    return shoup_mul(x, op[j], qt[j], q);
+  });
 }
-
-#endif  // defined(__AVX512F__) && defined(__AVX512DQ__)
 
 }  // namespace camelot

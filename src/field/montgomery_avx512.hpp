@@ -5,39 +5,25 @@
 // same Montgomery domain, the scalar surface delegates to the wrapped
 // context, and every batch kernel computes bit-identical results to
 // the scalar loop it replaces. What changes is the instruction mix:
-// eight u64 lanes per iteration, with true 64-bit mullo products from
-// vpmullq (AVX-512DQ) instead of the AVX2 three-vpmuludq assembly.
+// eight u64 lanes per iteration instead of four, and native unsigned
+// mask compares for the modular folds.
 //
-// Kernel selection inside the class, narrowest first:
-//  * IFMA path (q in [2^21, 2^31), CPU reports AVX-512IFMA): REDC by
-//    2^64 as a 52-bit step (vpmadd52luq for m = t * -q^{-1} mod 2^52,
-//    vpmadd52huq for the q-multiple fold) chased by a 12-bit step —
-//    52 + 12 = 64, so it computes exactly the same t*R^{-1} mod q
-//    function, landing in [0, 2q) before one conditional subtract
-//    (which needs q > 2^20, hence the lower bound).
-//  * Narrow path (q < 2^31): two chained REDC-32 steps, 5 vpmuludq
-//    per 8 lanes — the widened twin of the AVX2 narrow path.
-//  * Wide path (q < 2^62): generic REDC with vpmullq low products —
-//    10 multiply-class instructions per 8 lanes, which (unlike the
-//    AVX2 11-vpmuludq wide path) beats scalar mulx. This is why
-//    FieldOps keeps kMontgomeryAvx512 enabled for wide primes.
-//
-// The Shoup butterfly (ntt_stage_shoup) takes *canonical* twiddles
-// with precomputed quotients (see field/shoup.hpp): one mulhi + two
-// mullo per lane — 6 multiply-class instructions per 8 wide lanes
-// against 10 for the REDC butterfly — and produces the same words as
-// the REDC path by the Shoup identity.
+// The lanes implement the same single REDC sequence as the AVX2 set
+// (two chained REDC-32 steps, valid for q < 2^31; the constructor
+// throws std::invalid_argument for wider moduli), and the Shoup
+// butterfly (ntt_stage_shoup) takes *canonical* twiddles with
+// precomputed quotients (see field/shoup.hpp), producing the same
+// words as the REDC butterfly by the Shoup identity.
 //
 // Batch definitions live in field/montgomery_avx512.cpp (compiled
-// with -mavx512f -mavx512dq) and the IFMA variants in
-// field/montgomery_avx512_ifma.cpp (-mavx512ifma on top); everything
-// else in the build stays portable, and runtime dispatch (FieldOps
-// resolution + the ifma constructor flag) keeps hosts without the
-// ISA off these entry points. On targets compiled without the
-// extensions the same symbols exist as scalar fallbacks.
+// with -mavx512f -mavx512dq); everything else in the build stays
+// portable, and FieldOps resolution keeps hosts without the ISA off
+// these entry points. On targets compiled without the extensions the
+// same symbols exist as scalar fallbacks.
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "field/montgomery.hpp"
@@ -48,17 +34,11 @@ class MontgomeryAvx512Field {
  public:
   static constexpr std::size_t kLanes = 8;
 
-  // `allow_ifma` exists for A/B tests of the two narrow REDC
-  // sequences; production callers leave it on and the constructor
-  // resolves against the CPU (cpu_supports_avx512ifma) and the
-  // modulus window the 52+12-bit chain is valid for.
-  explicit MontgomeryAvx512Field(const MontgomeryField& m,
-                                 bool allow_ifma = true);
-
-  // True when the REDC-32 chain applies (q < 2^31).
-  bool narrow() const noexcept { return narrow_; }
-  // True when the vpmadd52 REDC sequence is selected.
-  bool ifma() const noexcept { return ifma_; }
+  explicit MontgomeryAvx512Field(const MontgomeryField& m) : m_(m) {
+    if ((m.modulus() >> 31) != 0) {
+      throw std::invalid_argument("MontgomeryAvx512Field: modulus >= 2^31");
+    }
+  }
 
   // The wrapped scalar context (same domain, same constants).
   const MontgomeryField& scalar() const noexcept { return m_; }
@@ -136,27 +116,6 @@ class MontgomeryAvx512Field {
 
  private:
   MontgomeryField m_;
-  bool narrow_;
-  bool ifma_;
 };
-
-// Internal IFMA kernel set (field/montgomery_avx512_ifma.cpp, the
-// only TU compiled with -mavx512ifma): the mont_mul-bearing batch
-// loops with the 52+12-bit REDC chain. Reached only through the
-// class dispatch above, never directly.
-namespace avx512_ifma {
-void mul_vec(const MontgomeryField& m, const u64* a, const u64* b, u64* out,
-             std::size_t n) noexcept;
-void scale_vec(const MontgomeryField& m, const u64* a, u64 s, u64* out,
-               std::size_t n) noexcept;
-void addmul_inplace(const MontgomeryField& m, u64* r, u64 s, const u64* b,
-                    std::size_t n) noexcept;
-void submul_inplace(const MontgomeryField& m, u64* r, u64 s, const u64* b,
-                    std::size_t n) noexcept;
-u64 dot(const MontgomeryField& m, const u64* a, const u64* b,
-        std::size_t n) noexcept;
-void ntt_stage(const MontgomeryField& m, u64* a, std::size_t n,
-               std::size_t len, const u64* tw) noexcept;
-}  // namespace avx512_ifma
 
 }  // namespace camelot

@@ -4,26 +4,22 @@
 // CMakeLists.txt), so it deliberately includes as little as possible:
 // everything it instantiates is confined to this TU, and every entry
 // point is reached only after FieldOps runtime dispatch has confirmed
-// the CPU can run it. On targets without AVX2 the same entry points
-// compile to the scalar loops under #else, so the link never breaks.
+// the CPU can run it. Each entry point runs its lane loop under
+// #if defined(__AVX2__) and finishes with the scalar loop, which is
+// also the whole kernel for q == 2 and on targets built without AVX2,
+// so the link never breaks.
 //
-// Vector arithmetic notes (4 lanes of u64):
-//  * AVX2 has no 64x64 multiplier; products are assembled from
-//    vpmuludq 32x32 partial products.
-//  * Narrow moduli (q < 2^31, the framework's CRT primes): REDC by
-//    2^64 runs as two chained REDC-32 steps (word-by-word
+// Vector arithmetic notes (4 lanes of u64, q < 2^31):
+//  * AVX2 has no 64x64 multiplier, but operands below 2^31 fit one
+//    32-bit word, so every product is a single vpmuludq.
+//  * REDC by 2^64 runs as two chained REDC-32 steps (word-by-word
 //    Montgomery). Each step needs one vpmuludq for m_i = t*(-q^{-1})
 //    mod 2^32 (vpmuludq reads the low 32 bits of each lane, so no
 //    masking) and one for m_i*q; with the initial product that is 5
 //    vpmuludq per 4 lanes. All intermediate sums stay below 2^64:
 //    t < 2^62, m_i*q < 2^63.
-//  * Wide moduli (q < 2^62): generic REDC from full 128-bit partial
-//    products (11 vpmuludq per 4 lanes). For t = a*b, m = t_lo *
-//    (-q^{-1}) mod 2^64, the reduced value is t_hi + (m*q)_hi +
-//    carry, where carry = (m != 0) because the low halves cancel to
-//    exactly 2^64 whenever t_lo (equivalently m) is non-zero.
-//  * Values stay in [0, q) with q < 2^62, and pre-reduction sums stay
-//    below 2^63, so signed vpcmpgtq implements unsigned compares.
+//  * Values stay in [0, q) and pre-reduction sums below 2^32, so
+//    signed vpcmpgtq implements unsigned compares.
 #include "field/montgomery_simd.hpp"
 
 #include "field/shoup.hpp"
@@ -34,9 +30,26 @@
 
 namespace camelot {
 
-#if defined(__AVX2__)
-
 namespace {
+
+// One scalar radix-2 stage: the lane kernels' fallback for q == 2,
+// for stages narrower than a vector, and for builds without AVX2.
+// `twiddle_mul(x, j)` is x times the stage's j-th twiddle.
+template <class TwiddleMul>
+void scalar_stage(const MontgomeryField& m, u64* a, std::size_t n,
+                  std::size_t len, TwiddleMul twiddle_mul) noexcept {
+  const std::size_t half = len / 2;
+  for (std::size_t i = 0; i < n; i += len) {
+    for (std::size_t j = 0; j < half; ++j) {
+      const u64 u = a[i + j];
+      const u64 v = twiddle_mul(a[i + j + half], j);
+      a[i + j] = m.add(u, v);
+      a[i + j + half] = m.sub(u, v);
+    }
+  }
+}
+
+#if defined(__AVX2__)
 
 struct MontCtx {
   __m256i q;
@@ -55,106 +68,43 @@ inline void store4(u64* p, __m256i v) noexcept {
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
 }
 
-struct U128x4 {
-  __m256i lo, hi;
-};
-
-// Full 64x64 -> 128 products, per lane.
-inline U128x4 mul_full(__m256i a, __m256i b) noexcept {
-  const __m256i lo32 = _mm256_set1_epi64x(0xffffffffLL);
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i p00 = _mm256_mul_epu32(a, b);
-  const __m256i p01 = _mm256_mul_epu32(a, b_hi);
-  const __m256i p10 = _mm256_mul_epu32(a_hi, b);
-  const __m256i p11 = _mm256_mul_epu32(a_hi, b_hi);
-  // mid <= 3*(2^32-1): no overflow before the >>32.
-  const __m256i mid = _mm256_add_epi64(
-      _mm256_add_epi64(_mm256_srli_epi64(p00, 32),
-                       _mm256_and_si256(p01, lo32)),
-      _mm256_and_si256(p10, lo32));
-  const __m256i hi =
-      _mm256_add_epi64(_mm256_add_epi64(p11, _mm256_srli_epi64(p01, 32)),
-                       _mm256_add_epi64(_mm256_srli_epi64(p10, 32),
-                                        _mm256_srli_epi64(mid, 32)));
-  const __m256i lo = _mm256_add_epi64(
-      p00, _mm256_slli_epi64(_mm256_add_epi64(p01, p10), 32));
-  return {lo, hi};
-}
-
-// Low 64 bits of the per-lane products.
-inline __m256i mul_lo(__m256i a, __m256i b) noexcept {
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i cross = _mm256_add_epi64(_mm256_mul_epu32(a, b_hi),
-                                         _mm256_mul_epu32(a_hi, b));
-  return _mm256_add_epi64(_mm256_mul_epu32(a, b),
-                          _mm256_slli_epi64(cross, 32));
-}
-
 // [0, 2q) -> [0, q).
 inline __m256i reduce_2q(__m256i r, __m256i q) noexcept {
   const __m256i lt = _mm256_cmpgt_epi64(q, r);  // r < q
   return _mm256_sub_epi64(r, _mm256_andnot_si256(lt, q));
 }
 
-// One REDC-32 step of the narrow path: t -> (t + (t * -q^{-1} mod
-// 2^32) * q) >> 32, an exact division because the low word cancels.
+// One REDC-32 step: t -> (t + (t * -q^{-1} mod 2^32) * q) >> 32, an
+// exact division because the low word cancels.
 inline __m256i redc32_step(__m256i t, const MontCtx& c) noexcept {
   const __m256i m = _mm256_mul_epu32(t, c.ninv);  // low 32 bits are m_i
   const __m256i mq = _mm256_mul_epu32(m, c.q);
   return _mm256_srli_epi64(_mm256_add_epi64(t, mq), 32);
 }
 
-// Montgomery product of domain values: a * b * R^{-1} mod q. The
-// narrow and wide paths compute the same function; kNarrow only
-// selects the cheaper instruction sequence valid for q < 2^31.
-template <bool kNarrow>
+// Montgomery product of domain values: a * b * R^{-1} mod q.
 inline __m256i mont_mul(__m256i a, __m256i b, const MontCtx& c) noexcept {
-  if constexpr (kNarrow) {
-    const __m256i t = _mm256_mul_epu32(a, b);  // a, b < q < 2^31
-    const __m256i r = redc32_step(redc32_step(t, c), c);
-    return reduce_2q(r, c.q);
-  } else {
-    const U128x4 t = mul_full(a, b);
-    const __m256i m = mul_lo(t.lo, c.ninv);
-    const U128x4 mq = mul_full(m, c.q);
-    const __m256i m_zero =
-        _mm256_cmpeq_epi64(m, _mm256_setzero_si256());
-    const __m256i carry =
-        _mm256_andnot_si256(m_zero, _mm256_set1_epi64x(1));
-    const __m256i r =
-        _mm256_add_epi64(_mm256_add_epi64(t.hi, mq.hi), carry);
-    return reduce_2q(r, c.q);
-  }
+  const __m256i t = _mm256_mul_epu32(a, b);  // a, b < q < 2^31
+  const __m256i r = redc32_step(redc32_step(t, c), c);
+  return reduce_2q(r, c.q);
 }
 
 // Shoup product a * w mod q for canonical twiddle w with quotient
-// wq = floor(w * 2^64 / q) (field/shoup.hpp). The narrow variant
-// exploits a < q < 2^31: the operand fits one 32-bit word, so
-// hi = floor(a * wq / 2^64) needs just two vpmuludq partials
-// (a * lo32(wq) and a * hi32(wq)), hi < a < 2^31 makes hi*q a single
-// exact vpmuludq, and a*w is a single exact vpmuludq — 4 multiplies
-// per 4 lanes against 5 for the REDC-32 chain. The wide variant
-// assembles hi from a full 128-bit product and the two low products
-// with mul_lo: 10 multiplies against 11 for wide REDC.
-template <bool kNarrow>
+// wq = floor(w * 2^64 / q) (field/shoup.hpp). a < q < 2^31 fits one
+// 32-bit word, so hi = floor(a * wq / 2^64) needs just two vpmuludq
+// partials (a * lo32(wq) and a * hi32(wq)), hi < a < 2^31 makes hi*q
+// a single exact vpmuludq, and a*w is a single exact vpmuludq — 4
+// multiplies per 4 lanes against 5 for the REDC-32 chain.
 inline __m256i shoup_mul4(__m256i a, __m256i w, __m256i wq,
                           __m256i q) noexcept {
-  if constexpr (kNarrow) {
-    const __m256i p0 = _mm256_mul_epu32(a, wq);
-    const __m256i p1 = _mm256_mul_epu32(a, _mm256_srli_epi64(wq, 32));
-    // p1 + (p0 >> 32) < 2^64: p1 <= (2^31-1)(2^32-1), p0 >> 32 < 2^31.
-    const __m256i hi = _mm256_srli_epi64(
-        _mm256_add_epi64(p1, _mm256_srli_epi64(p0, 32)), 32);
-    const __m256i r = _mm256_sub_epi64(_mm256_mul_epu32(a, w),
-                                       _mm256_mul_epu32(hi, q));
-    return reduce_2q(r, q);
-  } else {
-    const __m256i hi = mul_full(a, wq).hi;
-    const __m256i r = _mm256_sub_epi64(mul_lo(a, w), mul_lo(hi, q));
-    return reduce_2q(r, q);
-  }
+  const __m256i p0 = _mm256_mul_epu32(a, wq);
+  const __m256i p1 = _mm256_mul_epu32(a, _mm256_srli_epi64(wq, 32));
+  // p1 + (p0 >> 32) < 2^64: p1 <= (2^31-1)(2^32-1), p0 >> 32 < 2^31.
+  const __m256i hi = _mm256_srli_epi64(
+      _mm256_add_epi64(p1, _mm256_srli_epi64(p0, 32)), 32);
+  const __m256i r =
+      _mm256_sub_epi64(_mm256_mul_epu32(a, w), _mm256_mul_epu32(hi, q));
+  return reduce_2q(r, q);
 }
 
 inline __m256i mod_add(__m256i a, __m256i b, __m256i q) noexcept {
@@ -163,334 +113,177 @@ inline __m256i mod_add(__m256i a, __m256i b, __m256i q) noexcept {
 
 inline __m256i mod_sub(__m256i a, __m256i b, __m256i q) noexcept {
   const __m256i lt = _mm256_cmpgt_epi64(b, a);  // a < b: wrap, add q back
-  return _mm256_add_epi64(_mm256_sub_epi64(a, b),
-                          _mm256_and_si256(lt, q));
+  return _mm256_add_epi64(_mm256_sub_epi64(a, b), _mm256_and_si256(lt, q));
 }
 
-template <bool kNarrow>
-void mul_vec_impl(const MontgomeryField& m, const u64* a, const u64* b,
-                  u64* out, std::size_t n) noexcept {
-  const MontCtx c(m);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    store4(out + i, mont_mul<kNarrow>(load4(a + i), load4(b + i), c));
-  }
-  for (; i < n; ++i) out[i] = m.mul(a[i], b[i]);
-}
-
-template <bool kNarrow>
-void scale_vec_impl(const MontgomeryField& m, const u64* a, u64 s, u64* out,
-                    std::size_t n) noexcept {
-  const MontCtx c(m);
-  const __m256i vs = _mm256_set1_epi64x(static_cast<long long>(s));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    store4(out + i, mont_mul<kNarrow>(load4(a + i), vs, c));
-  }
-  for (; i < n; ++i) out[i] = m.mul(a[i], s);
-}
-
-template <bool kNarrow>
-void addmul_impl(const MontgomeryField& m, u64* r, u64 s, const u64* b,
-                 std::size_t n) noexcept {
-  const MontCtx c(m);
-  const __m256i vs = _mm256_set1_epi64x(static_cast<long long>(s));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i p = mont_mul<kNarrow>(vs, load4(b + i), c);
-    store4(r + i, mod_add(load4(r + i), p, c.q));
-  }
-  for (; i < n; ++i) r[i] = m.add(r[i], m.mul(s, b[i]));
-}
-
-template <bool kNarrow>
-void submul_impl(const MontgomeryField& m, u64* r, u64 s, const u64* b,
-                 std::size_t n) noexcept {
-  const MontCtx c(m);
-  const __m256i vs = _mm256_set1_epi64x(static_cast<long long>(s));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i p = mont_mul<kNarrow>(vs, load4(b + i), c);
-    store4(r + i, mod_sub(load4(r + i), p, c.q));
-  }
-  for (; i < n; ++i) r[i] = m.sub(r[i], m.mul(s, b[i]));
-}
-
-template <bool kNarrow>
-u64 dot_impl(const MontgomeryField& m, const u64* a, const u64* b,
-             std::size_t n) noexcept {
-  const MontCtx c(m);
-  __m256i vacc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    vacc = mod_add(vacc, mont_mul<kNarrow>(load4(a + i), load4(b + i), c),
-                   c.q);
-  }
-  alignas(32) u64 lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vacc);
-  u64 acc = m.add(m.add(lanes[0], lanes[1]), m.add(lanes[2], lanes[3]));
-  for (; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
-  return acc;
-}
-
-template <bool kNarrow>
-void ntt_stage_impl(const MontgomeryField& m, u64* a, std::size_t n,
-                    std::size_t len, const u64* tw) noexcept {
-  const MontCtx c(m);
-  const std::size_t half = len / 2;
-  // half >= 4 and a power of two, so the j-loop needs no tail.
-  for (std::size_t i = 0; i < n; i += len) {
-    u64* lo = a + i;
-    u64* hi = a + i + half;
-    for (std::size_t j = 0; j < half; j += 4) {
-      const __m256i u = load4(lo + j);
-      const __m256i v = mont_mul<kNarrow>(load4(hi + j), load4(tw + j), c);
-      store4(lo + j, mod_add(u, v, c.q));
-      store4(hi + j, mod_sub(u, v, c.q));
-    }
-  }
-}
-
-template <bool kNarrow>
-void ntt_stage_shoup_impl(const MontgomeryField& m, u64* a, std::size_t n,
-                          std::size_t len, const u64* op,
-                          const u64* qt) noexcept {
-  const __m256i q = _mm256_set1_epi64x(static_cast<long long>(m.modulus()));
-  const std::size_t half = len / 2;
-  // half >= 4 and a power of two, so the j-loop needs no tail.
-  for (std::size_t i = 0; i < n; i += len) {
-    u64* lo = a + i;
-    u64* hi = a + i + half;
-    for (std::size_t j = 0; j < half; j += 4) {
-      const __m256i u = load4(lo + j);
-      const __m256i v =
-          shoup_mul4<kNarrow>(load4(hi + j), load4(op + j), load4(qt + j), q);
-      store4(lo + j, mod_add(u, v, q));
-      store4(hi + j, mod_sub(u, v, q));
-    }
-  }
-}
+#endif  // defined(__AVX2__)
 
 }  // namespace
 
 void MontgomeryAvx2Field::mul_vec(const u64* a, const u64* b, u64* out,
                                   std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], b[i]);
-    return;
+  std::size_t i = 0;
+#if defined(__AVX2__)
+  if (!m.trivial()) {
+    const MontCtx c(m);
+    for (; i + 4 <= n; i += 4) {
+      store4(out + i, mont_mul(load4(a + i), load4(b + i), c));
+    }
   }
-  if (narrow_) {
-    mul_vec_impl<true>(m, a, b, out, n);
-  } else {
-    mul_vec_impl<false>(m, a, b, out, n);
-  }
+#endif
+  for (; i < n; ++i) out[i] = m.mul(a[i], b[i]);
 }
 
 void MontgomeryAvx2Field::scale_vec(const u64* a, u64 s, u64* out,
                                     std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], s);
-    return;
+  std::size_t i = 0;
+#if defined(__AVX2__)
+  if (!m.trivial()) {
+    const MontCtx c(m);
+    const __m256i vs = _mm256_set1_epi64x(static_cast<long long>(s));
+    for (; i + 4 <= n; i += 4) {
+      store4(out + i, mont_mul(load4(a + i), vs, c));
+    }
   }
-  if (narrow_) {
-    scale_vec_impl<true>(m, a, s, out, n);
-  } else {
-    scale_vec_impl<false>(m, a, s, out, n);
-  }
+#endif
+  for (; i < n; ++i) out[i] = m.mul(a[i], s);
 }
 
 void MontgomeryAvx2Field::addmul_inplace(u64* r, u64 s, const u64* b,
                                          std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) r[i] = m.add(r[i], m.mul(s, b[i]));
-    return;
+  std::size_t i = 0;
+#if defined(__AVX2__)
+  if (!m.trivial()) {
+    const MontCtx c(m);
+    const __m256i vs = _mm256_set1_epi64x(static_cast<long long>(s));
+    for (; i + 4 <= n; i += 4) {
+      const __m256i p = mont_mul(vs, load4(b + i), c);
+      store4(r + i, mod_add(load4(r + i), p, c.q));
+    }
   }
-  if (narrow_) {
-    addmul_impl<true>(m, r, s, b, n);
-  } else {
-    addmul_impl<false>(m, r, s, b, n);
-  }
+#endif
+  for (; i < n; ++i) r[i] = m.add(r[i], m.mul(s, b[i]));
 }
 
 void MontgomeryAvx2Field::submul_inplace(u64* r, u64 s, const u64* b,
                                          std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  if (m.trivial()) {
-    for (std::size_t i = 0; i < n; ++i) r[i] = m.sub(r[i], m.mul(s, b[i]));
-    return;
+  std::size_t i = 0;
+#if defined(__AVX2__)
+  if (!m.trivial()) {
+    const MontCtx c(m);
+    const __m256i vs = _mm256_set1_epi64x(static_cast<long long>(s));
+    for (; i + 4 <= n; i += 4) {
+      const __m256i p = mont_mul(vs, load4(b + i), c);
+      store4(r + i, mod_sub(load4(r + i), p, c.q));
+    }
   }
-  if (narrow_) {
-    submul_impl<true>(m, r, s, b, n);
-  } else {
-    submul_impl<false>(m, r, s, b, n);
-  }
+#endif
+  for (; i < n; ++i) r[i] = m.sub(r[i], m.mul(s, b[i]));
 }
 
 void MontgomeryAvx2Field::add_inplace(u64* r, const u64* b,
                                       std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  const __m256i q = _mm256_set1_epi64x(static_cast<long long>(m.modulus()));
   std::size_t i = 0;
+#if defined(__AVX2__)
+  const __m256i q = _mm256_set1_epi64x(static_cast<long long>(m.modulus()));
   for (; i + 4 <= n; i += 4) {
     store4(r + i, mod_add(load4(r + i), load4(b + i), q));
   }
+#endif
   for (; i < n; ++i) r[i] = m.add(r[i], b[i]);
 }
 
 void MontgomeryAvx2Field::sub_from_scalar(u64 x, const u64* a, u64* out,
                                           std::size_t n) const noexcept {
   const MontgomeryField m = m_;
+  std::size_t i = 0;
+#if defined(__AVX2__)
   const __m256i q = _mm256_set1_epi64x(static_cast<long long>(m.modulus()));
   const __m256i vx = _mm256_set1_epi64x(static_cast<long long>(x));
-  std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     store4(out + i, mod_sub(vx, load4(a + i), q));
   }
+#endif
   for (; i < n; ++i) out[i] = m.sub(x, a[i]);
 }
 
 u64 MontgomeryAvx2Field::dot(const u64* a, const u64* b,
                              std::size_t n) const noexcept {
   const MontgomeryField m = m_;
-  if (m.trivial()) {
-    u64 acc = 0;
-    for (std::size_t i = 0; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
-    return acc;
-  }
-  return narrow_ ? dot_impl<true>(m, a, b, n) : dot_impl<false>(m, a, b, n);
-}
-
-void MontgomeryAvx2Field::ntt_stage(u64* a, std::size_t n, std::size_t len,
-                                    const u64* tw) const noexcept {
-  const MontgomeryField m = m_;
-  const std::size_t half = len / 2;
-  if (m.trivial() || half < 4) {
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t j = 0; j < half; ++j) {
-        const u64 u = a[i + j];
-        const u64 v = m.mul(a[i + j + half], tw[j]);
-        a[i + j] = m.add(u, v);
-        a[i + j + half] = m.sub(u, v);
-      }
-    }
-    return;
-  }
-  if (narrow_) {
-    ntt_stage_impl<true>(m, a, n, len, tw);
-  } else {
-    ntt_stage_impl<false>(m, a, n, len, tw);
-  }
-}
-
-void MontgomeryAvx2Field::ntt_stage_shoup(u64* a, std::size_t n,
-                                          std::size_t len, const u64* op,
-                                          const u64* qt) const noexcept {
-  const MontgomeryField m = m_;
-  const std::size_t half = len / 2;
-  const u64 q = m.modulus();
-  if (m.trivial() || half < 4) {
-    for (std::size_t i = 0; i < n; i += len) {
-      for (std::size_t j = 0; j < half; ++j) {
-        const u64 u = a[i + j];
-        const u64 v = shoup_mul(a[i + j + half], op[j], qt[j], q);
-        a[i + j] = m.add(u, v);
-        a[i + j + half] = m.sub(u, v);
-      }
-    }
-    return;
-  }
-  if (narrow_) {
-    ntt_stage_shoup_impl<true>(m, a, n, len, op, qt);
-  } else {
-    ntt_stage_shoup_impl<false>(m, a, n, len, op, qt);
-  }
-}
-
-#else  // !defined(__AVX2__)
-
-// Portable fallbacks: on targets where this TU is not built with
-// AVX2, the batch entry points are plain scalar loops. Runtime
-// dispatch (simd_runtime_enabled) never selects kMontgomeryAvx2 on
-// such hosts, so these exist to keep the link whole — and correct,
-// should anyone call them directly.
-
-void MontgomeryAvx2Field::mul_vec(const u64* a, const u64* b, u64* out,
-                                  std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], b[i]);
-}
-
-void MontgomeryAvx2Field::scale_vec(const u64* a, u64 s, u64* out,
-                                    std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = m.mul(a[i], s);
-}
-
-void MontgomeryAvx2Field::addmul_inplace(u64* r, u64 s, const u64* b,
-                                         std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) r[i] = m.add(r[i], m.mul(s, b[i]));
-}
-
-void MontgomeryAvx2Field::submul_inplace(u64* r, u64 s, const u64* b,
-                                         std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) r[i] = m.sub(r[i], m.mul(s, b[i]));
-}
-
-void MontgomeryAvx2Field::add_inplace(u64* r, const u64* b,
-                                      std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) r[i] = m.add(r[i], b[i]);
-}
-
-void MontgomeryAvx2Field::sub_from_scalar(u64 x, const u64* a, u64* out,
-                                          std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
-  for (std::size_t i = 0; i < n; ++i) out[i] = m.sub(x, a[i]);
-}
-
-u64 MontgomeryAvx2Field::dot(const u64* a, const u64* b,
-                             std::size_t n) const noexcept {
-  const MontgomeryField m = m_;
   u64 acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
+  std::size_t i = 0;
+#if defined(__AVX2__)
+  if (!m.trivial()) {
+    const MontCtx c(m);
+    __m256i vacc = _mm256_setzero_si256();
+    for (; i + 4 <= n; i += 4) {
+      vacc = mod_add(vacc, mont_mul(load4(a + i), load4(b + i), c), c.q);
+    }
+    alignas(32) u64 lanes[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), vacc);
+    acc = m.add(m.add(lanes[0], lanes[1]), m.add(lanes[2], lanes[3]));
+  }
+#endif
+  for (; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
   return acc;
 }
 
 void MontgomeryAvx2Field::ntt_stage(u64* a, std::size_t n, std::size_t len,
                                     const u64* tw) const noexcept {
   const MontgomeryField m = m_;
+#if defined(__AVX2__)
   const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < n; i += len) {
-    for (std::size_t j = 0; j < half; ++j) {
-      const u64 u = a[i + j];
-      const u64 v = m.mul(a[i + j + half], tw[j]);
-      a[i + j] = m.add(u, v);
-      a[i + j + half] = m.sub(u, v);
+  // half >= 4 and a power of two, so the j-loop needs no tail.
+  if (!m.trivial() && half >= 4) {
+    const MontCtx c(m);
+    for (std::size_t i = 0; i < n; i += len) {
+      u64* lo = a + i;
+      u64* hi = a + i + half;
+      for (std::size_t j = 0; j < half; j += 4) {
+        const __m256i u = load4(lo + j);
+        const __m256i v = mont_mul(load4(hi + j), load4(tw + j), c);
+        store4(lo + j, mod_add(u, v, c.q));
+        store4(hi + j, mod_sub(u, v, c.q));
+      }
     }
+    return;
   }
+#endif
+  scalar_stage(m, a, n, len,
+               [&](u64 x, std::size_t j) { return m.mul(x, tw[j]); });
 }
 
 void MontgomeryAvx2Field::ntt_stage_shoup(u64* a, std::size_t n,
                                           std::size_t len, const u64* op,
                                           const u64* qt) const noexcept {
   const MontgomeryField m = m_;
-  const std::size_t half = len / 2;
   const u64 q = m.modulus();
-  for (std::size_t i = 0; i < n; i += len) {
-    for (std::size_t j = 0; j < half; ++j) {
-      const u64 u = a[i + j];
-      const u64 v = shoup_mul(a[i + j + half], op[j], qt[j], q);
-      a[i + j] = m.add(u, v);
-      a[i + j + half] = m.sub(u, v);
+#if defined(__AVX2__)
+  const std::size_t half = len / 2;
+  if (!m.trivial() && half >= 4) {
+    const __m256i vq = _mm256_set1_epi64x(static_cast<long long>(q));
+    for (std::size_t i = 0; i < n; i += len) {
+      u64* lo = a + i;
+      u64* hi = a + i + half;
+      for (std::size_t j = 0; j < half; j += 4) {
+        const __m256i u = load4(lo + j);
+        const __m256i v =
+            shoup_mul4(load4(hi + j), load4(op + j), load4(qt + j), vq);
+        store4(lo + j, mod_add(u, v, vq));
+        store4(hi + j, mod_sub(u, v, vq));
+      }
     }
+    return;
   }
+#endif
+  scalar_stage(m, a, n, len, [&](u64 x, std::size_t j) {
+    return shoup_mul(x, op[j], qt[j], q);
+  });
 }
-
-#endif  // defined(__AVX2__)
 
 }  // namespace camelot

@@ -10,31 +10,27 @@
 // lanes per iteration, assembling each 64-bit REDC from vpmuludq
 // 32x32 partial products.
 //
-// The win comes from the *narrow* path. For q < 2^31 the REDC by
+// The lanes implement one REDC sequence, valid for q < 2^31: REDC by
 // 2^64 factors into two chained REDC-32 steps (word-by-word
 // Montgomery), which costs only 5 vpmuludq per 4 products — a large
 // speedup over 4 scalar mulx-based multiplies — while computing
 // exactly the same t*R^{-1} mod q function, so the output words
 // match the scalar backend bit for bit. The framework's CRT primes
 // are chosen just above the code length (core/prime_plan.cpp), so
-// every real session runs on this path. For q >= 2^31 the generic
-// lane REDC needs 11 vpmuludq per 4 products, which roughly ties
-// the scalar pipeline on current cores — FieldOps therefore resolves
-// kMontgomeryAvx2 to kMontgomery for wide primes, and the wide lane
-// kernels here serve as a correct (and tested) fallback for direct
-// users of this class.
+// every real session runs on this path; the constructor throws
+// std::invalid_argument for q >= 2^31.
 //
 // The batch definitions live in field/montgomery_simd.cpp — the only
 // translation unit compiled with -mavx2, so the rest of the build
 // stays portable. Callers must not invoke the batch kernels unless
 // dispatch allows it: FieldOps resolves a kMontgomeryAvx2 request to
 // kMontgomery when the CPU lacks AVX2, when CAMELOT_FORCE_SCALAR is
-// set, when q >= 2^31 (scalar is faster there), or when q == 2
-// (identity-domain mode), so routing on FieldOps::simd() is always
-// safe.
+// set, when q >= 2^31, or when q == 2 (identity-domain mode), so
+// routing on FieldOps::backend() is always safe.
 #pragma once
 
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "field/montgomery.hpp"
@@ -58,11 +54,11 @@ class MontgomeryAvx2Field {
  public:
   static constexpr std::size_t kLanes = 4;
 
-  explicit MontgomeryAvx2Field(const MontgomeryField& m)
-      : m_(m), narrow_(m.modulus() >> 31 == 0) {}
-
-  // True when the 5-vpmuludq double-REDC32 path applies (q < 2^31).
-  bool narrow() const noexcept { return narrow_; }
+  explicit MontgomeryAvx2Field(const MontgomeryField& m) : m_(m) {
+    if ((m.modulus() >> 31) != 0) {
+      throw std::invalid_argument("MontgomeryAvx2Field: modulus >= 2^31");
+    }
+  }
 
   // The wrapped scalar context (same domain, same constants).
   const MontgomeryField& scalar() const noexcept { return m_; }
@@ -135,13 +131,12 @@ class MontgomeryAvx2Field {
   // Same stage through the Shoup tables: op[j] is the canonical
   // twiddle, qt[j] its precomputed quotient (field/shoup.hpp). Same
   // output words as ntt_stage with the matching Montgomery twiddles,
-  // one vpmuludq cheaper per product on both prime widths.
+  // one vpmuludq cheaper per product.
   void ntt_stage_shoup(u64* a, std::size_t n, std::size_t len, const u64* op,
                        const u64* qt) const noexcept;
 
  private:
   MontgomeryField m_;
-  bool narrow_;
 };
 
 }  // namespace camelot

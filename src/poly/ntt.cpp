@@ -1,36 +1,12 @@
 #include "poly/ntt.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 #include <type_traits>
 
 #include "field/shoup.hpp"
 
 namespace camelot {
-
-namespace {
-
-bool detect_shoup_enabled() noexcept {
-  const char* v = std::getenv("CAMELOT_SHOUP");
-  if (v == nullptr) return true;
-  const std::string_view s(v);
-  return !(s == "off" || s == "0");
-}
-
-std::atomic<bool> g_shoup_enabled{detect_shoup_enabled()};
-
-}  // namespace
-
-bool ntt_shoup_enabled() noexcept {
-  return g_shoup_enabled.load(std::memory_order_relaxed);
-}
-
-void set_ntt_shoup_enabled(bool enabled) noexcept {
-  g_shoup_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -68,14 +44,14 @@ void check_size_and_bit_reverse(Vec& a, int max_log2) {
   }
 }
 
-// Radix-2 kernel over any Montgomery backend (tables == nullptr
-// powers each stage's twiddles on the fly). The lane backends route
+// Radix-2 kernel over any Montgomery backend. Tabled transforms take
+// the Shoup-quotient butterfly (canonical twiddle + precomputed
+// quotient, no REDC); untabled ones power each stage's Montgomery
+// twiddles on the fly and multiply with REDC. The lane backends route
 // the butterflies and the final 1/n scaling through their lane-wide
-// kernels; tabled transforms additionally take the Shoup-quotient
-// butterfly (canonical twiddle + precomputed quotient, no REDC)
-// unless CAMELOT_SHOUP disables it. Every combination computes the
-// identical multiplication sequence mod q — and hence every output
-// word — so backends and butterfly flavors can be mixed freely.
+// kernels. Every combination computes the identical multiplication
+// sequence mod q — and hence every output word — so backends and
+// butterfly flavors can be mixed freely.
 template <class Field, class Vec>
 void ntt_kernel(Vec& a, bool inverse, const Field& fref,
                 const NttTables* tables) {
@@ -98,27 +74,21 @@ void ntt_kernel(Vec& a, bool inverse, const Field& fref,
     check_size_and_bit_reverse(a, f.two_adicity());
   }
   const int lg = log2_exact(n);
-  const bool shoup =
-      tables != nullptr && tables->has_shoup() && ntt_shoup_enabled();
-  ScratchVec scratch;  // untabled twiddle chain, freed at stage end
+  const bool shoup = tables != nullptr && tables->has_shoup();
+  ScratchVec tw;  // untabled twiddle chain, rebuilt per stage
   for (int k = 1; k <= lg; ++k) {
     const std::size_t len = std::size_t{1} << k;
     const std::size_t half = len / 2;
     if (shoup) {
-      const std::span<const u64> op = inverse
-                                          ? tables->stage_inverse_shoup_op(k)
-                                          : tables->stage_forward_shoup_op(k);
-      const std::span<const u64> qt = inverse
-                                          ? tables->stage_inverse_shoup_qt(k)
-                                          : tables->stage_forward_shoup_qt(k);
+      const NttTables::Stage st = tables->stage(k, inverse);
       if constexpr (FieldHasBatchKernels<Field>) {
-        f.ntt_stage_shoup(a.data(), n, len, op.data(), qt.data());
+        f.ntt_stage_shoup(a.data(), n, len, st.op, st.qt);
       } else {
         const u64 q = f.modulus();
         for (std::size_t i = 0; i < n; i += len) {
           for (std::size_t j = 0; j < half; ++j) {
             const u64 u = a[i + j];
-            const u64 v = shoup_mul(a[i + j + half], op[j], qt[j], q);
+            const u64 v = shoup_mul(a[i + j + half], st.op[j], st.qt[j], q);
             a[i + j] = f.add(u, v);
             a[i + j + half] = f.sub(u, v);
           }
@@ -126,19 +96,11 @@ void ntt_kernel(Vec& a, bool inverse, const Field& fref,
       }
       continue;
     }
-    std::span<const u64> tw;
-    if (tables != nullptr) {
-      tw = inverse ? tables->stage_inverse(k) : tables->stage_forward(k);
-    } else {
-      u64 wlen = f.root_of_unity(k);
-      if (inverse) wlen = f.inv(wlen);
-      scratch.resize(half);
-      scratch[0] = f.one();
-      for (std::size_t j = 1; j < half; ++j) {
-        scratch[j] = f.mul(scratch[j - 1], wlen);
-      }
-      tw = scratch;
-    }
+    u64 wlen = f.root_of_unity(k);
+    if (inverse) wlen = f.inv(wlen);
+    tw.resize(half);
+    tw[0] = f.one();
+    for (std::size_t j = 1; j < half; ++j) tw[j] = f.mul(tw[j - 1], wlen);
     if constexpr (FieldHasBatchKernels<Field>) {
       f.ntt_stage(a.data(), n, len, tw.data());
     } else {
@@ -246,49 +208,38 @@ NttTables::NttTables(const MontgomeryField& m, std::size_t max_size)
     n_inv_[static_cast<std::size_t>(k)] =
         m.inv(m.from_u64(u64{1} << k));
   }
+  // No stages to tabulate; this covers q == 2 (two-adicity 0), which
+  // has no Montgomery form.
   if (capacity_ < 2) return;
-  const u64 w = m.root_of_unity(lg);
-  const u64 w_inv = m.inv(w);
-  fwd_.resize(capacity_ - 1);
-  inv_.resize(capacity_ - 1);
-  // Top stage (order capacity()): the power chain of w / w^{-1}.
-  {
-    const std::size_t half = capacity_ / 2;
-    u64* top_f = fwd_.data() + (half - 1);
-    u64* top_i = inv_.data() + (half - 1);
-    top_f[0] = top_i[0] = m.one();
-    for (std::size_t j = 1; j < half; ++j) {
-      top_f[j] = m.mul(top_f[j - 1], w);
-      top_i[j] = m.mul(top_i[j - 1], w_inv);
-    }
-  }
-  // Stage k twiddles are every other entry of stage k+1
-  // (w_k = w_{k+1}^2), so the lower stages are strided copies.
-  for (int k = lg - 1; k >= 1; --k) {
-    const std::size_t half = std::size_t{1} << (k - 1);
-    const u64* src_f = fwd_.data() + (2 * half - 1);
-    const u64* src_i = inv_.data() + (2 * half - 1);
-    u64* dst_f = fwd_.data() + (half - 1);
-    u64* dst_i = inv_.data() + (half - 1);
-    for (std::size_t j = 0; j < half; ++j) {
-      dst_f[j] = src_f[2 * j];
-      dst_i[j] = src_i[2 * j];
-    }
-  }
-  // Shoup twins: canonical twiddle + floor(w*2^64/q) per entry, same
-  // layout. Skipped in identity-domain mode (q == 2), where Shoup's
-  // w < q < 2^63 precondition holds but there is nothing to win and
-  // the REDC path is already multiplication-free.
-  if (m.trivial()) return;
   const std::size_t entries = capacity_ - 1;
   fwd_op_.resize(entries);
   fwd_qt_.resize(entries);
   inv_op_.resize(entries);
   inv_qt_.resize(entries);
+  // Top stage (order capacity()): the power chain of w / w^{-1}, run
+  // in the Montgomery domain and stored canonical.
+  const u64 w = m.root_of_unity(lg);
+  const u64 w_inv = m.inv(w);
+  const std::size_t top = capacity_ / 2 - 1;
+  u64 pf = m.one();
+  u64 pi = m.one();
+  for (std::size_t j = 0; j < capacity_ / 2; ++j) {
+    fwd_op_[top + j] = m.from_mont(pf);
+    inv_op_[top + j] = m.from_mont(pi);
+    pf = m.mul(pf, w);
+    pi = m.mul(pi, w_inv);
+  }
+  // Stage k twiddles are every other entry of stage k+1
+  // (w_k = w_{k+1}^2), so the lower stages are strided copies.
+  for (int k = lg - 1; k >= 1; --k) {
+    const std::size_t half = std::size_t{1} << (k - 1);
+    for (std::size_t j = 0; j < half; ++j) {
+      fwd_op_[half - 1 + j] = fwd_op_[2 * half - 1 + 2 * j];
+      inv_op_[half - 1 + j] = inv_op_[2 * half - 1 + 2 * j];
+    }
+  }
   for (std::size_t i = 0; i < entries; ++i) {
-    fwd_op_[i] = m.from_mont(fwd_[i]);
     fwd_qt_[i] = shoup_quotient(fwd_op_[i], q_);
-    inv_op_[i] = m.from_mont(inv_[i]);
     inv_qt_[i] = shoup_quotient(inv_op_[i], q_);
   }
 }

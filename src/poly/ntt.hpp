@@ -30,22 +30,18 @@ bool ntt_supports_size(const MontgomeryAvx2Field& f, std::size_t result_size);
 bool ntt_supports_size(const MontgomeryAvx512Field& f,
                        std::size_t result_size);
 
-// Process-wide switch for the Shoup-quotient butterfly path (both
-// are bit-identical; the switch exists for A/B measurement and as an
-// escape hatch). Initialized from CAMELOT_SHOUP — default on, set it
-// to "off" or "0" to pin every tabled transform to the REDC
-// butterflies — and flippable in-process for benchmarks.
-bool ntt_shoup_enabled() noexcept;
-void set_ntt_shoup_enabled(bool enabled) noexcept;
-
-// Precomputed twiddle tables for the Montgomery-domain butterfly
-// kernel. The plain kernel powers the stage root serially
-// (w = w * wlen per butterfly — a loop-carried multiply chain); the
-// table variant replaces the chain with contiguous loads from
-// per-stage root power tables computed once per prime — the layout
-// both the scalar butterfly and the AVX2 lane kernel consume
-// directly. A FieldCache shares one instance per prime across all
-// sessions.
+// Precomputed twiddle tables for the butterfly kernel. The untabled
+// kernel powers the stage root serially (w = w * wlen per butterfly —
+// a loop-carried multiply chain) and multiplies with REDC; the tabled
+// kernel replaces the chain with contiguous loads from per-stage
+// tables computed once per prime, in Shoup form: the *canonical*
+// twiddle and its precomputed quotient floor(w*2^64/q) (see
+// field/shoup.hpp). The Shoup product of a Montgomery-domain value
+// with them lands on the same word as the REDC product with the
+// Montgomery twiddle, one mulhi + one mullo cheaper, so tabled and
+// untabled transforms agree bit for bit. The layout is the one both
+// the scalar butterfly and the lane kernels consume directly. A
+// FieldCache shares one instance per prime across all sessions.
 class NttTables {
  public:
   // Builds tables for transforms up to next_pow2(max_size), clamped
@@ -56,52 +52,35 @@ class NttTables {
   // Largest supported transform length (a power of two, >= 1).
   std::size_t capacity() const noexcept { return capacity_; }
 
-  // Contiguous twiddles for stage k of a transform: entry j is w_k^j
-  // (Montgomery domain) for the primitive root w_k of order 2^k;
-  // 2^(k-1) entries. Valid for 1 <= k <= log2(capacity()).
-  std::span<const u64> stage_forward(int k) const noexcept {
-    const std::size_t half = std::size_t{1} << (k - 1);
-    return {fwd_.data() + (half - 1), half};
-  }
-  // Same layout for powers of w_k^{-1} (the inverse transform).
-  std::span<const u64> stage_inverse(int k) const noexcept {
-    const std::size_t half = std::size_t{1} << (k - 1);
-    return {inv_.data() + (half - 1), half};
-  }
   // 1/2^k in the Montgomery domain, k <= log2(capacity()).
   u64 n_inv(int k) const noexcept { return n_inv_[static_cast<size_t>(k)]; }
 
-  // Shoup twin of the tables above: per stage, the *canonical*
-  // twiddle (shoup_op) and its precomputed quotient floor(w*2^64/q)
-  // (shoup_qt; see field/shoup.hpp). The butterfly product of a
-  // Montgomery-domain value with them lands on the same word as the
-  // REDC product with the Montgomery twiddle, one mulhi + one mullo
-  // cheaper. Built for every non-trivial modulus (q > 2).
+  // False when there are no stages to tabulate (capacity() == 1) and
+  // for q == 2, which has no Montgomery form; the kernel then takes
+  // the untabled chain.
   bool has_shoup() const noexcept { return !fwd_op_.empty(); }
-  std::span<const u64> stage_forward_shoup_op(int k) const noexcept {
-    const std::size_t half = std::size_t{1} << (k - 1);
-    return {fwd_op_.data() + (half - 1), half};
-  }
-  std::span<const u64> stage_forward_shoup_qt(int k) const noexcept {
-    const std::size_t half = std::size_t{1} << (k - 1);
-    return {fwd_qt_.data() + (half - 1), half};
-  }
-  std::span<const u64> stage_inverse_shoup_op(int k) const noexcept {
-    const std::size_t half = std::size_t{1} << (k - 1);
-    return {inv_op_.data() + (half - 1), half};
-  }
-  std::span<const u64> stage_inverse_shoup_qt(int k) const noexcept {
-    const std::size_t half = std::size_t{1} << (k - 1);
-    return {inv_qt_.data() + (half - 1), half};
+
+  // Stage k of the forward (or inverse) transform, 1 <= k <=
+  // log2(capacity()): 2^(k-1) canonical twiddles w_k^j (op) for the
+  // primitive root w_k of order 2^k (w_k^{-1} when inverse) and
+  // their Shoup quotients (qt).
+  struct Stage {
+    const u64* op;
+    const u64* qt;
+  };
+  Stage stage(int k, bool inverse) const noexcept {
+    const std::size_t off = (std::size_t{1} << (k - 1)) - 1;
+    return inverse ? Stage{inv_op_.data() + off, inv_qt_.data() + off}
+                   : Stage{fwd_op_.data() + off, fwd_qt_.data() + off};
   }
 
  private:
   u64 q_ = 0;
   std::size_t capacity_ = 1;
+  std::vector<u64> n_inv_;
   // Per-stage tables, concatenated: stage k occupies
-  // [2^(k-1) - 1, 2^k - 1). Total size capacity() - 1.
-  std::vector<u64> fwd_, inv_, n_inv_;
-  // Shoup twins, same layout (empty when q == 2).
+  // [2^(k-1) - 1, 2^k - 1). Total size capacity() - 1 (empty when
+  // q == 2).
   std::vector<u64> fwd_op_, fwd_qt_, inv_op_, inv_qt_;
 };
 

@@ -127,18 +127,6 @@ TEST(NttTablesTest, RejectsModulusMismatch) {
   EXPECT_THROW(ntt_inplace(a, false, mg, tables), std::invalid_argument);
 }
 
-// RAII guard: every Shoup toggle test must leave the process-wide
-// switch the way it found it, or later tests would silently run the
-// wrong butterfly.
-class ShoupToggleGuard {
- public:
-  ShoupToggleGuard() : saved_(ntt_shoup_enabled()) {}
-  ~ShoupToggleGuard() { set_ntt_shoup_enabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 TEST(NttShoup, TablesCarryQuotientTwins) {
   PrimeField f(7681);
   MontgomeryField m(f);
@@ -150,13 +138,13 @@ TEST(NttShoup, TablesCarryQuotientTwins) {
   EXPECT_FALSE(trivial.has_shoup());
 }
 
-TEST(NttShoup, ForcedShoupMatchesRedcAcrossPrimeWidths) {
-  // The Shoup quotient butterfly must reproduce the REDC butterfly
-  // words exactly — on a narrow prime (q < 2^31, the lane-dispatch
-  // regime) and on a wide one (q >= 2^32, where the quotient product
+TEST(NttShoup, TabledShoupMatchesUntabledRedcAcrossPrimeWidths) {
+  // The tabled transform (Shoup quotient butterfly) must reproduce the
+  // untabled one (REDC butterfly over an on-the-fly twiddle chain)
+  // word for word — on narrow primes (q < 2^31, the lane-dispatch
+  // regime) and on wide ones (q >= 2^32, where the quotient product
   // replaces the second widening multiply). Both transform directions
   // and convolution, across tail-heavy sizes.
-  ShoupToggleGuard guard;
   std::mt19937_64 rng(0x540F);
   for (u64 q : {u64{7681}, find_ntt_prime(1u << 29, 16),
                 find_ntt_prime(u64{1} << 40, 20),
@@ -169,9 +157,7 @@ TEST(NttShoup, ForcedShoupMatchesRedcAcrossPrimeWidths) {
       for (u64& v : a) v = m.to_mont(rng() % q);
       for (bool inverse : {false, true}) {
         std::vector<u64> redc = a, shoup = a;
-        set_ntt_shoup_enabled(false);
-        ntt_inplace(redc, inverse, m, tables);
-        set_ntt_shoup_enabled(true);
+        ntt_inplace(redc, inverse, m);
         ntt_inplace(shoup, inverse, m, tables);
         EXPECT_EQ(shoup, redc)
             << "q=" << q << " n=" << n << " inverse=" << inverse;
@@ -180,28 +166,9 @@ TEST(NttShoup, ForcedShoupMatchesRedcAcrossPrimeWidths) {
     std::vector<u64> a(100), b(57);
     for (u64& v : a) v = m.to_mont(rng() % q);
     for (u64& v : b) v = m.to_mont(rng() % q);
-    set_ntt_shoup_enabled(false);
-    const std::vector<u64> conv_redc = ntt_convolve(a, b, m, tables);
-    set_ntt_shoup_enabled(true);
-    EXPECT_EQ(ntt_convolve(a, b, m, tables), conv_redc) << "q=" << q;
+    EXPECT_EQ(ntt_convolve(a, b, m, tables), ntt_convolve(a, b, m))
+        << "q=" << q;
   }
-}
-
-TEST(NttShoup, UntabledTransformIgnoresToggle) {
-  // Without tables there are no precomputed quotients; the toggle
-  // must be a no-op rather than a behavior change.
-  ShoupToggleGuard guard;
-  PrimeField f(7681);
-  MontgomeryField m(f);
-  std::mt19937_64 rng(0x541F);
-  std::vector<u64> a(128);
-  for (u64& v : a) v = m.to_mont(rng() % f.modulus());
-  std::vector<u64> on = a, off = a;
-  set_ntt_shoup_enabled(true);
-  ntt_inplace(on, false, m);
-  set_ntt_shoup_enabled(false);
-  ntt_inplace(off, false, m);
-  EXPECT_EQ(on, off);
 }
 
 TEST(Ntt, LinearityProperty) {

@@ -4,13 +4,16 @@
 // under byzantine corruption, backend selection and FieldCache reuse.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 
 #include "apps/conv3sum.hpp"
 #include "apps/csp2.hpp"
 #include "apps/hamming.hpp"
 #include "apps/ov.hpp"
+#include "core/prime_plan.hpp"
 #include "core/proof_session.hpp"
 #include "core/rng.hpp"
 #include "linalg/tensor.hpp"
@@ -161,6 +164,24 @@ TEST(ProofSession, StagePreconditionsEnforced) {
   EXPECT_THROW(s.decode_prime(0), std::logic_error);  // not transported yet
   s.transport_prime(0, LosslessStreamingChannel());
   EXPECT_NO_THROW(s.decode_prime(0));
+}
+
+TEST(ProofSession, RejectsNonFiniteOrSubunitRedundancy) {
+  // NaN and the infinities slip past a plain `< 1` test and would
+  // reach the code-length ceil() cast; both the session and the prime
+  // planner must refuse them up front.
+  const AppCase app = make_app_problem(2);
+  for (double r : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(), 0.5}) {
+    EXPECT_THROW(
+        { ProofSession s(*app.problem, small_config(4, r)); },
+        std::invalid_argument)
+        << "redundancy=" << r;
+    EXPECT_THROW(plan_primes(app.problem->spec(), r, 0),
+                 std::invalid_argument)
+        << "redundancy=" << r;
+  }
 }
 
 TEST(ProofSession, CorruptOnePrimeRerunOnlyThatPrime) {

@@ -3,18 +3,24 @@
 // ProofSession on the same job (lossless, lossy, and mixed
 // loss+corruption), shard-death retry, the fleet observability rollup
 // (merged scrape == element-wise sum of the per-process scrapes;
-// deterministic counts match the single-process run), and the
-// worker's rejection of untrusted wire lengths.
+// deterministic counts match the single-process run), the worker's
+// rejection of untrusted wire lengths and field values, and the
+// coordinator's treatment of a malformed worker frame as that
+// worker's death.
 //
 // Requires the shardd binary; ctest points CAMELOT_SHARDD at the
 // build-tree target. Suites skip (not fail) when it is missing so the
 // test binary stays runnable by hand from anywhere.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 
@@ -182,35 +188,63 @@ int run_worker_on(const std::string& input, unsigned char* reply) {
   return rc;
 }
 
-TEST(ShardProtocol, WorkerRejectsVectorCountBeyondFrame) {
-  // A submit frame whose corrupt-node count claims 0xFFFFFFFF entries
-  // with no bytes behind it: the worker must refuse before sizing a
-  // vector from the count.
+// A submit frame for kProblemSpec, field by field in encode_submit
+// order, with no primes assigned. The arguments are the fields the
+// tests below corrupt; a corrupt-node count other than 0 is written
+// with no entries behind it.
+std::string submit_frame(double redundancy, unsigned char backend,
+                         std::uint32_t corrupt_count) {
+  std::uint64_t redundancy_bits;
+  std::memcpy(&redundancy_bits, &redundancy, sizeof(redundancy_bits));
   std::string p;
   put_le(p, static_cast<unsigned char>(ShardFrame::kSubmit), 1);
   const std::string spec = kProblemSpec;
   put_le(p, spec.size(), 4);
   p += spec;
-  put_le(p, 6, 8);       // num_nodes
-  put_le(p, 0, 8);       // redundancy (bit pattern)
-  put_le(p, 1, 4);       // num_threads
-  put_le(p, 2, 8);       // verification_trials
-  put_le(p, 0, 8);       // num_primes
-  put_le(p, 7, 8);       // seed
-  put_le(p, 0, 1);       // backend
-  put_le(p, 1, 1);       // systematic_encode
-  put_le(p, 1, 1);       // use_arena
-  put_le(p, 3, 8);       // repair_budget
-  put_le(p, 0, 8);       // loss_rate (bit pattern)
-  put_le(p, 0, 8);       // loss_seed
-  put_le(p, 1, 1);       // adversary
-  put_le(p, 0xFFFFFFFFu, 4);  // corrupt_nodes count, no entries follow
+  put_le(p, 6, 8);                // num_nodes
+  put_le(p, redundancy_bits, 8);  // redundancy
+  put_le(p, 1, 4);                // num_threads
+  put_le(p, 2, 8);                // verification_trials
+  put_le(p, 0, 8);                // num_primes
+  put_le(p, 7, 8);                // seed
+  put_le(p, backend, 1);          // backend
+  put_le(p, 1, 1);                // systematic_encode
+  put_le(p, 1, 1);                // use_arena
+  put_le(p, 3, 8);                // repair_budget
+  put_le(p, 0, 8);                // loss_rate (bit pattern)
+  put_le(p, 0, 8);                // loss_seed
+  put_le(p, 1, 1);                // adversary
+  put_le(p, corrupt_count, 4);    // corrupt_nodes count
+  if (corrupt_count == 0) {
+    put_le(p, 0, 1);  // strategy
+    put_le(p, 0, 8);  // adversary_seed
+    put_le(p, 0, 4);  // prime_indices count
+  }
   std::string frame;
   put_le(frame, p.size(), 4);
-  frame += p;
+  return frame + p;
+}
 
+TEST(ShardProtocol, WorkerRejectsVectorCountBeyondFrame) {
+  // A submit frame whose corrupt-node count claims 0xFFFFFFFF entries
+  // with no bytes behind it: the worker must refuse before sizing a
+  // vector from the count.
   unsigned char reply = 0;
-  EXPECT_EQ(run_worker_on(frame, &reply), 1);
+  EXPECT_EQ(run_worker_on(submit_frame(2.0, 0, 0xFFFFFFFFu), &reply), 1);
+  EXPECT_EQ(reply, static_cast<unsigned char>(ShardFrame::kError));
+}
+
+TEST(ShardProtocol, WorkerRejectsNanRedundancy) {
+  // NaN passes a plain `< 1` test; the session must refuse it before
+  // it reaches the code-length arithmetic.
+  unsigned char reply = 0;
+  EXPECT_EQ(run_worker_on(submit_frame(std::nan(""), 0, 0), &reply), 1);
+  EXPECT_EQ(reply, static_cast<unsigned char>(ShardFrame::kError));
+}
+
+TEST(ShardProtocol, WorkerRejectsOutOfEnumBackendByte) {
+  unsigned char reply = 0;
+  EXPECT_EQ(run_worker_on(submit_frame(2.0, 0xFF, 0), &reply), 1);
   EXPECT_EQ(reply, static_cast<unsigned char>(ShardFrame::kError));
 }
 
@@ -287,6 +321,99 @@ TEST(ShardCoordinatorTest, SurvivesWorkerCrashAndRetries) {
   // worker (shard 0: primes 0 and 3) one unfinished prime to retry.
   EXPECT_GT(fleet.retried_primes(), 0u);
 }
+
+// ---- Malformed worker frames ---------------------------------------------
+
+// A worker stand-in: of the two workers a 2-shard fleet spawns, the
+// first to take a mkdir lock writes `bad_frame` to the coordinator and
+// then hangs (so only a kill can reap it); the other execs the real
+// shardd. Files live in a fresh temporary directory, removed on
+// destruction.
+class BadFrameWorker {
+ public:
+  explicit BadFrameWorker(const std::string& bad_frame) {
+    std::string tmpl = ::testing::TempDir() + "camelot_bad_shard_XXXXXX";
+    if (::mkdtemp(tmpl.data()) == nullptr) return;
+    dir_ = tmpl;
+    std::ofstream(dir_ + "/frame.bin", std::ios::binary) << bad_frame;
+    const char* real = std::getenv("CAMELOT_SHARDD");
+    const std::string shardd = real && *real ? real : "./shardd";
+    std::ofstream(script())
+        << "#!/bin/sh\nif mkdir '" << dir_ << "/lock' 2>/dev/null; then\n"
+        << "  cat '" << dir_ << "/frame.bin'\n  exec sleep 30\nfi\n"
+        << "exec '" << shardd << "' \"$@\"\n";
+    ::chmod(script().c_str(), 0755);
+  }
+  ~BadFrameWorker() {
+    if (dir_.empty()) return;
+    ::unlink(script().c_str());
+    ::unlink((dir_ + "/frame.bin").c_str());
+    ::rmdir((dir_ + "/lock").c_str());
+    ::rmdir(dir_.c_str());
+  }
+  bool ok() const { return !dir_.empty(); }
+  std::string script() const { return dir_ + "/shardd.sh"; }
+
+ private:
+  std::string dir_;
+};
+
+class ShardMalformedFrame : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ShardMalformedFrame, WorkerDiesAndItsPrimesRetry) {
+  REQUIRE_SHARDD();
+  const ShardJob job = base_job();
+  const RunReport single = run_single_process(job);
+  ASSERT_TRUE(single.success);
+
+  const BadFrameWorker worker(GetParam());
+  ASSERT_TRUE(worker.ok());
+  ShardOptions options;
+  options.num_shards = 2;
+  options.shardd_path = worker.script();
+  ShardCoordinator fleet(options);
+  const RunReport sharded = fleet.run(job);
+
+  // The broken worker died like a crashed one: its primes re-ran on
+  // the survivor and the assembled report is still bit-identical.
+  expect_reports_equal(sharded, single);
+  EXPECT_EQ(fleet.live_shards(), 1u);
+  EXPECT_GT(fleet.retried_primes(), 0u);
+}
+
+std::string framed(const std::string& payload) {
+  std::string out;
+  put_le(out, payload.size(), 4);
+  return out + payload;
+}
+
+// A complete kPrimeReport for prime 0 whose decode-status byte names
+// no DecodeStatus.
+std::string report_with_bad_status() {
+  std::string p;
+  put_le(p, static_cast<unsigned char>(ShardFrame::kPrimeReport), 1);
+  put_le(p, 0, 8);     // prime index
+  put_le(p, 17, 8);    // prime
+  put_le(p, 0xFF, 1);  // decode status
+  put_le(p, 1, 1);     // verified
+  put_le(p, 0, 4);     // corrected_symbols count
+  put_le(p, 0, 4);     // implicated_nodes count
+  for (int i = 0; i < 4; ++i) put_le(p, 0, 8);  // stage counters
+  put_le(p, 0, 4);     // answer_residues count
+  put_le(p, 0, 4);     // node-stats delta count
+  return framed(p);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadFrames, ShardMalformedFrame,
+    ::testing::Values(
+        // Unknown tag.
+        framed(std::string(1, '\xff')),
+        // kPrimeReport cut short inside its prime index.
+        framed(std::string("\x02\x00\x00", 3)),
+        // Length header beyond the frame cap.
+        std::string("\xff\xff\xff\xff", 4),
+        report_with_bad_status()));
 
 TEST(ShardCoordinatorTest, ReusableAcrossJobs) {
   REQUIRE_SHARDD();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "field/field_cache.hpp"
@@ -27,11 +28,14 @@
 namespace camelot {
 namespace {
 
-// Primes of assorted sizes (all NTT-friendly enough for the kernels
-// each test uses). 3 and 5 stress the tiny-modulus corners.
+// Lane primes (q < 2^31) of assorted sizes, all NTT-friendly enough
+// for the kernels each test uses. 3 and 5 stress the tiny-modulus
+// corners; the ~2^29 prime covers the top of the lane window, where
+// the REDC-32 intermediates come closest to 2^64.
+u64 top_lane_prime() { return find_ntt_prime(u64{1} << 29, 20); }
+
 std::vector<u64> test_primes() {
-  return {3, 5, 97, find_ntt_prime(1u << 12, 8),
-          find_ntt_prime(u64{1} << 40, 20), find_ntt_prime(u64{1} << 61, 8)};
+  return {3, 5, 97, find_ntt_prime(1u << 12, 8), top_lane_prime()};
 }
 
 std::vector<u64> random_domain_values(const MontgomeryField& m,
@@ -77,15 +81,21 @@ TEST(SimdDispatch, ResolutionFollowsRuntimeSupport) {
 }
 
 TEST(SimdDispatch, WidePrimeResolvesScalar) {
-  // q >= 2^31: 4xu64 AVX2 lanes cannot beat scalar mulx, so dispatch
-  // keeps wide primes off the AVX2 pipeline. AVX-512 has a wide
-  // (vpmullq REDC-64) kernel set, so a 512 request keeps its lanes.
-  const PrimeField f(find_ntt_prime(u64{1} << 40, 20));
-  EXPECT_EQ(FieldOps(f, FieldBackend::kMontgomeryAvx2).backend(),
-            FieldBackend::kMontgomery);
-  if (simd512_runtime_enabled()) {
+  // The lane kernels implement only the REDC-32 chain (q < 2^31):
+  // both lane requests resolve to scalar Montgomery for wider primes,
+  // and the lane classes refuse to be built over them.
+  for (u64 q : {find_ntt_prime(u64{1} << 40, 20),
+                find_ntt_prime(u64{1} << 61, 8)}) {
+    const PrimeField f(q);
+    EXPECT_EQ(FieldOps(f, FieldBackend::kMontgomeryAvx2).backend(),
+              FieldBackend::kMontgomery)
+        << "q=" << q;
     EXPECT_EQ(FieldOps(f, FieldBackend::kMontgomeryAvx512).backend(),
-              FieldBackend::kMontgomeryAvx512);
+              FieldBackend::kMontgomery)
+        << "q=" << q;
+    const MontgomeryField m(f);
+    EXPECT_THROW(MontgomeryAvx2Field{m}, std::invalid_argument);
+    EXPECT_THROW(MontgomeryAvx512Field{m}, std::invalid_argument);
   }
 }
 
@@ -159,7 +169,7 @@ TEST(SimdBackend, ElementwiseKernelsMatchScalar) {
 TEST(SimdBackend, NttMatchesScalarTabledAndUntabled) {
   if (!simd_runtime_enabled()) GTEST_SKIP() << "AVX2 unavailable or forced off";
   std::mt19937_64 rng(0xB3D1);
-  for (u64 q : {find_ntt_prime(1u << 12, 14), find_ntt_prime(u64{1} << 40, 20)}) {
+  for (u64 q : {find_ntt_prime(1u << 12, 14), top_lane_prime()}) {
     const MontgomeryField m{PrimeField(q)};
     const MontgomeryAvx2Field fs(m);
     const NttTables tables(m, 1u << 12);
@@ -330,62 +340,55 @@ TEST(Avx512Backend, ElementwiseKernelsMatchScalar) {
   std::mt19937_64 rng(0x512A);
   for (u64 q : test_primes()) {
     const MontgomeryField m{PrimeField(q)};
-    // Both dispatch flavors: the IFMA REDC-52 kernels where the host
-    // and prime allow them, and the generic F/DQ kernels always.
-    for (bool allow_ifma : {true, false}) {
-      const MontgomeryAvx512Field fs(m, allow_ifma);
-      // Lengths around the 8-lane width exercise every tail shape.
-      for (std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{7},
-                            std::size_t{8}, std::size_t{9}, std::size_t{15},
-                            std::size_t{16}, std::size_t{100},
-                            std::size_t{1001}}) {
-        const std::vector<u64> a = random_domain_values(m, n, rng);
-        const std::vector<u64> b = random_domain_values(m, n, rng);
-        const u64 s = m.to_mont(rng() % q);
+    const MontgomeryAvx512Field fs(m);
+    // Lengths around the 8-lane width exercise every tail shape.
+    for (std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{7},
+                          std::size_t{8}, std::size_t{9}, std::size_t{15},
+                          std::size_t{16}, std::size_t{100},
+                          std::size_t{1001}}) {
+      const std::vector<u64> a = random_domain_values(m, n, rng);
+      const std::vector<u64> b = random_domain_values(m, n, rng);
+      const u64 s = m.to_mont(rng() % q);
 
-        std::vector<u64> got(n), want(n);
-        fs.mul_vec(a.data(), b.data(), got.data(), n);
-        for (std::size_t i = 0; i < n; ++i) want[i] = m.mul(a[i], b[i]);
-        EXPECT_EQ(got, want) << "mul_vec q=" << q << " n=" << n
-                             << " ifma=" << fs.ifma();
+      std::vector<u64> got(n), want(n);
+      fs.mul_vec(a.data(), b.data(), got.data(), n);
+      for (std::size_t i = 0; i < n; ++i) want[i] = m.mul(a[i], b[i]);
+      EXPECT_EQ(got, want) << "mul_vec q=" << q << " n=" << n;
 
-        fs.scale_vec(a.data(), s, got.data(), n);
-        for (std::size_t i = 0; i < n; ++i) want[i] = m.mul(a[i], s);
-        EXPECT_EQ(got, want) << "scale_vec q=" << q << " n=" << n;
+      fs.scale_vec(a.data(), s, got.data(), n);
+      for (std::size_t i = 0; i < n; ++i) want[i] = m.mul(a[i], s);
+      EXPECT_EQ(got, want) << "scale_vec q=" << q << " n=" << n;
 
-        got = a;
-        want = a;
-        fs.addmul_inplace(got.data(), s, b.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-          want[i] = m.add(want[i], m.mul(s, b[i]));
-        }
-        EXPECT_EQ(got, want) << "addmul q=" << q << " n=" << n;
-
-        got = a;
-        want = a;
-        fs.submul_inplace(got.data(), s, b.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-          want[i] = m.sub(want[i], m.mul(s, b[i]));
-        }
-        EXPECT_EQ(got, want) << "submul q=" << q << " n=" << n;
-
-        got = a;
-        want = a;
-        fs.add_inplace(got.data(), b.data(), n);
-        for (std::size_t i = 0; i < n; ++i) want[i] = m.add(want[i], b[i]);
-        EXPECT_EQ(got, want) << "add_inplace q=" << q << " n=" << n;
-
-        fs.sub_from_scalar(s, a.data(), got.data(), n);
-        for (std::size_t i = 0; i < n; ++i) want[i] = m.sub(s, a[i]);
-        EXPECT_EQ(got, want) << "sub_from_scalar q=" << q << " n=" << n;
-
-        u64 acc = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          acc = m.add(acc, m.mul(a[i], b[i]));
-        }
-        EXPECT_EQ(fs.dot(a.data(), b.data(), n), acc)
-            << "dot q=" << q << " n=" << n;
+      got = a;
+      want = a;
+      fs.addmul_inplace(got.data(), s, b.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        want[i] = m.add(want[i], m.mul(s, b[i]));
       }
+      EXPECT_EQ(got, want) << "addmul q=" << q << " n=" << n;
+
+      got = a;
+      want = a;
+      fs.submul_inplace(got.data(), s, b.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        want[i] = m.sub(want[i], m.mul(s, b[i]));
+      }
+      EXPECT_EQ(got, want) << "submul q=" << q << " n=" << n;
+
+      got = a;
+      want = a;
+      fs.add_inplace(got.data(), b.data(), n);
+      for (std::size_t i = 0; i < n; ++i) want[i] = m.add(want[i], b[i]);
+      EXPECT_EQ(got, want) << "add_inplace q=" << q << " n=" << n;
+
+      fs.sub_from_scalar(s, a.data(), got.data(), n);
+      for (std::size_t i = 0; i < n; ++i) want[i] = m.sub(s, a[i]);
+      EXPECT_EQ(got, want) << "sub_from_scalar q=" << q << " n=" << n;
+
+      u64 acc = 0;
+      for (std::size_t i = 0; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
+      EXPECT_EQ(fs.dot(a.data(), b.data(), n), acc)
+          << "dot q=" << q << " n=" << n;
     }
   }
 }
@@ -395,8 +398,7 @@ TEST(Avx512Backend, NttMatchesScalarTabledAndUntabled) {
     GTEST_SKIP() << "AVX-512 unavailable or forced off";
   }
   std::mt19937_64 rng(0x512B);
-  for (u64 q :
-       {find_ntt_prime(1u << 12, 14), find_ntt_prime(u64{1} << 40, 20)}) {
+  for (u64 q : {find_ntt_prime(1u << 12, 14), top_lane_prime()}) {
     const MontgomeryField m{PrimeField(q)};
     const MontgomeryAvx512Field fs(m);
     const NttTables tables(m, 1u << 12);
