@@ -12,21 +12,14 @@
 //   * overload            — bounded-queue behaviour under a burst
 //     (counts only; the bench *fails* if rejection stops working or
 //     an accepted job fails, so CI enforces the behaviour);
-//   * arena_alloc         — steady-state heap allocations per job with
-//     the scratch arena on vs off (operator-new interposition count);
-//     alloc_per_job is the gated number the arena layer exists to
-//     hold down;
 //   * calibration         — a frozen division-reduction loop
 //     (independent of the library) whose drift measures the runner,
 //     used by check_bench.py --calibrate to normalize machine speed.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -37,71 +30,6 @@
 #include "core/symbol_stream.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-
-// ---- operator-new interposition ------------------------------------------
-// Every heap allocation in the process bumps one relaxed counter; the
-// arena_alloc section below windows it across a job batch. Covers the
-// whole family the library can reach: plain, array, aligned (the
-// arena's own regions arrive through operator new(align_val_t)) and
-// nothrow. Deletes must pair with these (same malloc/free substrate),
-// so the full set is replaced.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* counted_alloc(std::size_t n) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n != 0 ? n : 1);
-}
-
-void* counted_aligned_alloc(std::size_t n, std::size_t align) noexcept {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t rounded = (n + align - 1) / align * align;
-  return std::aligned_alloc(align, rounded != 0 ? rounded : align);
-}
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (void* p = counted_alloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) {
-  if (void* p = counted_alloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, std::align_val_t a) {
-  if (void* p = counted_aligned_alloc(n, static_cast<std::size_t>(a))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  if (void* p = counted_aligned_alloc(n, static_cast<std::size_t>(a))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc(n);
-}
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
-  return counted_alloc(n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace camelot {
 namespace {
@@ -271,51 +199,6 @@ int main(int argc, char** argv) {
         {"service_latency", {{"p50_ns", p50}, {"p95_ns", p95}}});
 
     prom_snapshot = obs::render_prometheus(*service.metrics());
-  }
-
-  // --- steady-state allocations per job: arena on vs off ------------------
-  {
-    constexpr std::size_t kJobs = 8;
-    auto problem = service_problem(7);
-    ProofService service({.num_workers = 4});
-    auto run_batch = [&](bool use_arena) {
-      ClusterConfig c = bench_config();
-      c.use_arena = use_arena;
-      std::vector<std::future<RunReport>> futures;
-      futures.reserve(kJobs);
-      for (std::size_t i = 0; i < kJobs; ++i) {
-        futures.push_back(service.submit(problem, c));
-      }
-      for (auto& f : futures) {
-        if (!f.get().success) behaviour_ok = false;
-      }
-    };
-    // Warm both modes first so the window sees the steady state:
-    // plan/field/code caches built, worker arenas' regions reserved.
-    run_batch(true);
-    run_batch(false);
-    auto allocs_per_job = [&](bool use_arena) {
-      const std::uint64_t before =
-          g_heap_allocs.load(std::memory_order_relaxed);
-      run_batch(use_arena);
-      const std::uint64_t after =
-          g_heap_allocs.load(std::memory_order_relaxed);
-      return static_cast<double>(after - before) /
-             static_cast<double>(kJobs);
-    };
-    const double arena_on = allocs_per_job(true);
-    const double arena_off = allocs_per_job(false);
-    const double reserved = static_cast<double>(
-        service.metrics()->gauge("camelot_arena_bytes_reserved").value());
-    const double in_use = static_cast<double>(
-        service.metrics()->gauge("camelot_arena_bytes_in_use").value());
-    entries.push_back(
-        {"arena_alloc",
-         {{"alloc_per_job", arena_on},
-          {"heap_alloc_per_job", arena_off},
-          {"alloc_reduction", arena_off / std::max(1.0, arena_on)},
-          {"arena_bytes_reserved", reserved},
-          {"arena_bytes_in_use_after", in_use}}});
   }
 
   // --- overload: bounded queue must shed load, accepted jobs must land ----

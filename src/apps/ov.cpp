@@ -3,7 +3,6 @@
 #include <random>
 #include <stdexcept>
 
-#include "core/arena.hpp"
 #include "poly/lagrange.hpp"
 
 namespace camelot {
@@ -49,10 +48,9 @@ class OvEvaluator : public Evaluator {
 
   u64 eval(u64 x0) override {
     const std::size_t n = a_.rows, t = a_.cols;
-    // A_j(x0) via one shared Lagrange basis over the nodes 1..n; the
-    // basis and the z accumulator are per-point arena scratch.
-    const ScratchVec basis = lagrange_.basis_scratch(x0);
-    ScratchVec z(t, 0);
+    // A_j(x0) via one shared Lagrange basis over the nodes 1..n.
+    const std::vector<u64> basis = lagrange_.basis(x0);
+    std::vector<u64> z(t, 0);
     for (std::size_t i = 0; i < n; ++i) {
       if (basis[i] == 0) continue;
       for (std::size_t j = 0; j < t; ++j) {

@@ -46,12 +46,6 @@ struct ClusterConfig {
   // symbols is the proof polynomial itself — so decode, verify and
   // the final report do not change; only who computes what does.
   bool systematic_encode = true;
-  // Routes the pipeline's function-lifetime scratch (NTT work buffers,
-  // descent remainders, decoder words) through the per-worker region
-  // arena (core/arena.hpp). Off = plain heap; every output is
-  // bit-identical either way, so A/B runs need no other change. The
-  // CAMELOT_ARENA=off environment override wins over this flag.
-  bool use_arena = true;
   // Selective-repair budget for lossy (erasure) transports: how many
   // re-prepare rounds a prime may spend re-pushing chunks the stream
   // dropped before the shortfall becomes a decode failure

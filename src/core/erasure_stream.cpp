@@ -101,15 +101,19 @@ class ErasureStream final : public SymbolStream {
   LossPlan plan_;
 };
 
+// Written so that NaN fails too: every comparison with NaN is false.
+void check_loss_rate(double rate) {
+  if (!(rate >= 0.0 && rate <= 1.0)) {
+    throw std::invalid_argument("loss rate must be in [0, 1]");
+  }
+}
+
 }  // namespace
 
 ErasureStreamingChannel::ErasureStreamingChannel(
     LossSpec loss, const StreamingSymbolChannel* inner)
     : loss_(loss), inner_(inner) {
-  if (loss_.symbol_loss_rate < 0.0 || loss_.symbol_loss_rate > 1.0) {
-    throw std::invalid_argument(
-        "ErasureStreamingChannel: loss rate must be in [0, 1]");
-  }
+  check_loss_rate(loss_.symbol_loss_rate);
 }
 
 std::unique_ptr<SymbolStream> ErasureStreamingChannel::open(
@@ -122,6 +126,7 @@ std::unique_ptr<SymbolStream> ErasureStreamingChannel::open(
 ChannelStack::ChannelStack(std::shared_ptr<const ByzantineAdversary> adversary,
                            LossSpec loss)
     : adversary_(std::move(adversary)) {
+  check_loss_rate(loss.symbol_loss_rate);
   if (adversary_ != nullptr) {
     base_ = std::make_unique<AdversarialStreamingChannel>(*adversary_);
   } else {

@@ -77,7 +77,8 @@ class ErasureStreamingChannel final : public StreamingSymbolChannel {
 // corruption when `adversary` is non-null (lossless otherwise), under
 // an erasure layer when loss.symbol_loss_rate > 0. ProofService and
 // the shard worker build their jobs' channels through this, so both
-// compose the stack identically.
+// compose the stack identically. A loss rate outside [0, 1], NaN
+// included, throws std::invalid_argument.
 class ChannelStack {
  public:
   ChannelStack(std::shared_ptr<const ByzantineAdversary> adversary,

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/arena.hpp"
 #include "core/erasure_stream.hpp"
 #include "core/proof_session.hpp"
 #include "obs/trace.hpp"
@@ -114,14 +113,6 @@ void ProofService::reap_retired() {
 }
 
 void ProofService::worker_loop(std::uint64_t worker_id) {
-  // One arena per worker thread, alive for the worker's lifetime:
-  // sessions bind nested scopes onto it per stage, so the steady state
-  // reuses the same few regions across every job this worker runs.
-  // Its gauges land in the service registry (the .prom surface).
-  // When CAMELOT_ARENA=off the binding stays empty and every session
-  // runs on the plain heap — the A/B identity leg in CI.
-  Arena arena(metrics_.get());
-  ArenaScope arena_binding(arena_env_enabled() ? &arena : nullptr);
   while (true) {
     Task task;
     {

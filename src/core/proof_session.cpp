@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/arena.hpp"
 #include "core/rng.hpp"
 #include "core/verifier.hpp"
 #include "field/crt.hpp"
@@ -194,9 +193,6 @@ std::vector<u64> ProofSession::evaluate_node_range(PrimeState& st,
                                                    std::size_t node,
                                                    std::size_t lo,
                                                    std::size_t hi) {
-  // First declaration on purpose: every scratch vector the evaluator
-  // allocates below must destruct before the scope unbinds the arena.
-  ArenaScope arena_scope(stage_arena(config_.use_arena));
   const auto t0 = std::chrono::steady_clock::now();
   // Span granularity: one prepare observation per node chunk — the
   // engine and selective repair both evaluate through here, so the
@@ -320,7 +316,6 @@ void ProofSession::transport_prime(std::size_t prime_index,
 // ---- Step 2: error-correction during preparation of the proof -----------
 
 void ProofSession::decode_prime(std::size_t prime_index) {
-  ArenaScope arena_scope(stage_arena(config_.use_arena));
   WallTimer wt(&wall_seconds_);
   state_at_least(prime_index, SessionStage::kTransported, "decode_prime");
   PrimeState& st = state_at(prime_index);
@@ -433,14 +428,14 @@ StreamSpec ProofSession::stream_spec(const PrimeState& st) const {
 
 void ProofSession::finalize_prime_stream(PrimeState& st,
                                          StreamingGaoDecoder& decoder) {
-  ArenaScope arena_scope(stage_arena(config_.use_arena));
-  st.received.assign(decoder.received().begin(), decoder.received().end());
-  st.stage = SessionStage::kTransported;
   GaoResult decoded;
   {
     obs::StageSpan span(stage_decode_, obs::kTraceSched, "decode", st.prime);
     decoded = decoder.finish();
   }
+  // finish() reads the word, so it moves out only afterwards.
+  st.received = std::move(decoder).received();
+  st.stage = SessionStage::kTransported;
   apply_decode(st, std::move(decoded));
   apply_verify(st);
   apply_recover(st);
@@ -519,10 +514,6 @@ void ProofSession::fail_prime_stream(PrimeState& st) {
 void ProofSession::run_engine(std::size_t first, std::size_t last,
                               const StreamingSymbolChannel* channel,
                               const SessionCancelFn& cancel) {
-  // Outermost declaration: the flights below hold decoders whose
-  // received-word buffers live in this scope's arena, and they must
-  // destruct before the binding is restored.
-  ArenaScope arena_scope(stage_arena(config_.use_arena));
   WallTimer wt(&wall_seconds_);
   const std::size_t k = config_.num_nodes;
   const std::size_t e = plan_->code_length;
@@ -561,9 +552,9 @@ void ProofSession::run_engine(std::size_t first, std::size_t last,
   // A prime's tail (drain, repair, decode -> verify -> recover) runs on
   // the pool while other primes still prepare — that overlap is the
   // whole point. A single prime has nothing to overlap, so its caller
-  // settles it after the join: the tail's scratch then lands in the
-  // caller's arena (a service worker's long-lived one), not in a
-  // fresh pool thread's, whose regions every call would fault in anew.
+  // settles it after the join: the tail then runs on the long-lived
+  // calling thread (a service worker), whose warm allocator caches the
+  // next job reuses, not on a pool thread that exits at the join.
   const bool tail_on_caller = num_primes == 1;
   auto absorb = [&](Flight& fl, const SymbolChunk& c) {
     obs::StageSpan span(stage_transport_, obs::kTraceSched, "absorb",
@@ -623,10 +614,6 @@ void ProofSession::run_engine(std::size_t first, std::size_t last,
   const std::size_t total_tasks = num_primes * k;
   FirstError errors;
   auto worker = [&]() {
-    // Each pool thread binds its own arena (the thread-local
-    // process_local() when no service worker arena is bound), so the
-    // chunks' scratch never contends across threads.
-    ArenaScope arena_scope(stage_arena(config_.use_arena));
     try {
       while (!errors.failed()) {
         // Chunk boundary: an expired deadline stops here instead of
@@ -686,9 +673,9 @@ void ProofSession::run_engine(std::size_t first, std::size_t last,
 
   for (std::size_t i = 0; i < num_primes; ++i) {
     if (channel == nullptr) {
-      // Nothing streams behind the parity tail, so extend it here: its
-      // scratch then lands in the caller's arena, which the following
-      // stages reuse, not in a short-lived pool thread's.
+      // Nothing streams behind the parity tail, so extend it here, on
+      // the calling thread that runs the following stages too, not on a
+      // short-lived pool thread.
       extend_parity(*flights[i].st);
       invalidate_downstream(*flights[i].st, SessionStage::kPrepared);
     } else if (!flights[i].finalized.load()) {

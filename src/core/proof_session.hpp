@@ -209,7 +209,7 @@ class ProofSession {
   // drains it, repairs any shortfall and finalizes the prime to
   // kRecovered — while later primes are still preparing. A lone prime
   // has nothing to overlap, so the caller does that after the join,
-  // in its own arena. `cancel` is
+  // on its own thread. `cancel` is
   // polled at every chunk compute/absorb boundary; once it returns
   // true the primes reset to kCreated and SessionCancelled is thrown.
   void run_engine(std::size_t first, std::size_t last,

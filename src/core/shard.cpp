@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -191,7 +192,6 @@ std::string encode_submit(const ShardJob& job,
   put_u64(p, c.seed);
   put_u8(p, static_cast<unsigned char>(c.backend));
   put_u8(p, c.systematic_encode ? 1 : 0);
-  put_u8(p, c.use_arena ? 1 : 0);
   put_u64(p, c.repair_budget);
   put_f64(p, job.loss_rate);
   put_u64(p, job.loss_seed);
@@ -220,7 +220,6 @@ SubmitFrame decode_submit(WireReader& r) {
   c.seed = r.u64v();
   c.backend = r.enum8(FieldBackend::kMontgomeryAvx512);
   c.systematic_encode = r.u8() != 0;
-  c.use_arena = r.u8() != 0;
   c.repair_budget = static_cast<std::size_t>(r.u64v());
   f.job.loss_rate = r.f64();
   f.job.loss_seed = r.u64v();
@@ -369,6 +368,42 @@ void ignore_sigpipe_once() {
 
 // ---- Problem factory -----------------------------------------------------
 
+namespace {
+
+// A spec field must be one whole unsigned decimal token. strtoull and
+// strtod alone accept leading blanks, a sign (wrapping "-5" to
+// 2^64 - 5), exponents and trailing junk ("12x" reads as 12).
+[[noreturn]] void reject_spec_field(const std::string& field) {
+  throw std::invalid_argument("problem spec: malformed field '" + field + "'");
+}
+
+u64 spec_uint(const std::string& field) {
+  if (field.empty() ||
+      field.find_first_not_of("0123456789") != std::string::npos) {
+    reject_spec_field(field);
+  }
+  errno = 0;
+  const u64 v = std::strtoull(field.c_str(), nullptr, 10);
+  if (errno == ERANGE) reject_spec_field(field);
+  return v;
+}
+
+// Digits with at most one '.'; strtod must consume all of them.
+double spec_fraction(const std::string& field) {
+  if (field.find_first_not_of("0123456789.") != std::string::npos) {
+    reject_spec_field(field);
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(field.c_str(), &end);
+  if (end == field.c_str() || *end != '\0' || errno == ERANGE) {
+    reject_spec_field(field);
+  }
+  return v;
+}
+
+}  // namespace
+
 std::unique_ptr<CamelotProblem> make_problem_from_spec(
     const std::string& spec) {
   std::vector<std::string> parts;
@@ -380,9 +415,9 @@ std::unique_ptr<CamelotProblem> make_problem_from_spec(
     start = colon + 1;
   }
   if (parts.size() == 4 && parts[0] == "triangle") {
-    const std::size_t n = std::strtoull(parts[1].c_str(), nullptr, 10);
-    const std::size_t m = std::strtoull(parts[2].c_str(), nullptr, 10);
-    const u64 seed = std::strtoull(parts[3].c_str(), nullptr, 10);
+    const std::size_t n = spec_uint(parts[1]);
+    const std::size_t m = spec_uint(parts[2]);
+    const u64 seed = spec_uint(parts[3]);
     if (n == 0 || m == 0) {
       throw std::invalid_argument("problem spec: triangle needs n, m > 0");
     }
@@ -391,10 +426,10 @@ std::unique_ptr<CamelotProblem> make_problem_from_spec(
                                                   strassen_decomposition());
   }
   if (parts.size() == 5 && parts[0] == "clique") {
-    const std::size_t n = std::strtoull(parts[1].c_str(), nullptr, 10);
-    const std::size_t m = std::strtoull(parts[2].c_str(), nullptr, 10);
-    const std::size_t k = std::strtoull(parts[3].c_str(), nullptr, 10);
-    const u64 seed = std::strtoull(parts[4].c_str(), nullptr, 10);
+    const std::size_t n = spec_uint(parts[1]);
+    const std::size_t m = spec_uint(parts[2]);
+    const std::size_t k = spec_uint(parts[3]);
+    const u64 seed = spec_uint(parts[4]);
     if (n == 0 || m == 0) {
       throw std::invalid_argument("problem spec: clique needs n, m > 0");
     }
@@ -406,10 +441,10 @@ std::unique_ptr<CamelotProblem> make_problem_from_spec(
                                                 strassen_decomposition());
   }
   if (parts.size() == 5 && parts[0] == "ov") {
-    const std::size_t n = std::strtoull(parts[1].c_str(), nullptr, 10);
-    const std::size_t t = std::strtoull(parts[2].c_str(), nullptr, 10);
-    const double density = std::strtod(parts[3].c_str(), nullptr);
-    const u64 seed = std::strtoull(parts[4].c_str(), nullptr, 10);
+    const std::size_t n = spec_uint(parts[1]);
+    const std::size_t t = spec_uint(parts[2]);
+    const double density = spec_fraction(parts[3]);
+    const u64 seed = spec_uint(parts[4]);
     if (n == 0 || t == 0) {
       throw std::invalid_argument("problem spec: ov needs n, t > 0");
     }

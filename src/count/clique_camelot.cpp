@@ -3,7 +3,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "core/arena.hpp"
 #include "poly/lagrange.hpp"
 #include "yates/yates.hpp"
 
@@ -35,7 +34,7 @@ class Form62Evaluator : public Evaluator {
     const std::size_t n = input_.size();
     // Step 1: Lambda_r(x0) for r = 1..R by the factorial trick, O(R)
     // multiplications and no inversion (cache is point-independent).
-    const ScratchVec lambda = lagrange_.basis_mont_scratch(x0);
+    const std::vector<u64> lambda = lagrange_.basis_mont(x0);
     // Step 2: interpolated coefficient matrices via Yates on the
     // Kronecker-structured tables (eq. (17)/(18)).
     Matrix alpha_mat = coefficient_matrix(alpha_table_, lambda, n);

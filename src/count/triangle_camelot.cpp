@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/arena.hpp"
 #include "yates/poly_ext.hpp"
 
 namespace camelot {
@@ -45,8 +44,7 @@ class TriangleEvaluator : public Evaluator {
     // accumulator stay in the Montgomery domain, converted exactly
     // once on return.
     const MontgomeryField& m = ext_a_->mont();
-    // Per-point arena scratch (heap when no arena is bound).
-    const ScratchVec phi = ext_a_->lagrange().basis_mont_scratch(z0);
+    const std::vector<u64> phi = ext_a_->lagrange().basis_mont(z0);
     const std::vector<u64> pa = ext_a_->evaluate_mont_with_phi(phi);
     const std::vector<u64> pb = ext_b_->evaluate_mont_with_phi(phi);
     const std::vector<u64> pc = ext_c_->evaluate_mont_with_phi(phi);

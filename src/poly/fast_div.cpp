@@ -57,13 +57,7 @@ void set_fastdiv_crossover(std::size_t divisor_degree) noexcept {
   template std::vector<u64> poly_mul_low<Field>(                            \
       std::span<const u64>, std::span<const u64>, std::size_t,              \
       const Field&, const NttTables*);                                      \
-  template ScratchVec poly_mul_low<Field, ScratchVec>(                      \
-      std::span<const u64>, std::span<const u64>, std::size_t,              \
-      const Field&, const NttTables*);                                      \
   template std::vector<u64> poly_mul_middle<Field>(                         \
-      std::span<const u64>, std::span<const u64>, std::size_t, std::size_t, \
-      const Field&, const NttTables*);                                      \
-  template ScratchVec poly_mul_middle<Field, ScratchVec>(                   \
       std::span<const u64>, std::span<const u64>, std::size_t, std::size_t, \
       const Field&, const NttTables*);                                      \
   template Poly poly_inverse_series<Field>(const Poly&, std::size_t,        \
@@ -75,9 +69,6 @@ void set_fastdiv_crossover(std::size_t divisor_degree) noexcept {
   template void monic_rem_fast_inplace<Field>(                              \
       std::vector<u64>&, const std::vector<u64>&, const Poly&,              \
       const Field&, const NttTables*);                                      \
-  template void monic_rem_fast_inplace<Field, ScratchVec>(                  \
-      ScratchVec&, const std::vector<u64>&, const Poly&, const Field&,      \
-      const NttTables*);                                                    \
   template void poly_divrem_auto<Field>(const Poly&, const Poly&,           \
                                         const Field&, Poly*, Poly*,         \
                                         const NttTables*);                  \

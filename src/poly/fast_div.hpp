@@ -98,24 +98,18 @@ std::vector<u64> mul_full(std::span<const u64> a, std::span<const u64> b,
 
 // Cyclic convolution of the (clipped) operands mod x^n - 1 through
 // the best available transform, or an empty vector when no transform
-// fits (caller falls back to the clipped full product). The result is
-// stage scratch — it never leaves the middle-product/divrem kernels —
-// so it lives in the bound arena.
+// fits (caller falls back to the clipped full product).
 template <class Field>
-ScratchVec cyclic_or_empty(std::span<const u64> a, std::span<const u64> b,
-                           std::size_t n, const Field& f,
-                           const NttTables* tables) {
+std::vector<u64> cyclic_or_empty(std::span<const u64> a, std::span<const u64> b,
+                                 std::size_t n, const Field& f,
+                                 const NttTables* tables) {
   if constexpr (!std::is_same_v<Field, PrimeField>) {
     if (tables != nullptr && tables->modulus() == f.modulus() &&
         n <= tables->capacity()) {
-      return ntt_convolve_cyclic_scratch(a, b, n, f, tables);
+      return ntt_convolve_cyclic(a, b, n, f, *tables);
     }
-    if (ntt_supports_size(f, n)) {
-      return ntt_convolve_cyclic_scratch(a, b, n, f, nullptr);
-    }
-  } else {
-    if (ntt_supports_size(f, n)) return ntt_convolve_cyclic_scratch(a, b, n, f);
   }
+  if (ntt_supports_size(f, n)) return ntt_convolve_cyclic(a, b, n, f);
   return {};
 }
 
@@ -132,11 +126,11 @@ ScratchVec cyclic_or_empty(std::span<const u64> a, std::span<const u64> b,
 // product below the NTT threshold or when the field's two-adicity
 // cannot host the transform; field arithmetic is exact, so both
 // paths return bit-identical words.
-template <class Field, class Vec = std::vector<u64>>
-Vec poly_mul_middle(std::span<const u64> a, std::span<const u64> b,
-                    std::size_t lo, std::size_t hi, const Field& f,
-                    const NttTables* tables = nullptr) {
-  Vec out(hi > lo ? hi - lo : 0, 0);
+template <class Field>
+std::vector<u64> poly_mul_middle(std::span<const u64> a, std::span<const u64> b,
+                                 std::size_t lo, std::size_t hi, const Field& f,
+                                 const NttTables* tables = nullptr) {
+  std::vector<u64> out(hi > lo ? hi - lo : 0, 0);
   if (a.empty() || b.empty() || hi <= lo) return out;
   const std::size_t la = std::min(a.size(), hi);
   const std::size_t lb = std::min(b.size(), hi);
@@ -145,15 +139,15 @@ Vec poly_mul_middle(std::span<const u64> a, std::span<const u64> b,
   if (full >= poly_detail::kNttThreshold) {
     std::size_t n = 1;
     while (n < std::max(hi, full - lo)) n <<= 1;
-    ScratchVec cyc = fastdiv_detail::cyclic_or_empty(
+    std::vector<u64> cyc = fastdiv_detail::cyclic_or_empty(
         a.subspan(0, la), b.subspan(0, lb), n, f, tables);
     if (!cyc.empty()) {
       for (std::size_t i = lo; i < hi && i < full; ++i) out[i - lo] = cyc[i];
       return out;
     }
   }
-  ScratchVec prod = poly_detail::kara<Field, ScratchVec>(
-      a.subspan(0, la), b.subspan(0, lb), f);
+  std::vector<u64> prod =
+      poly_detail::kara(a.subspan(0, la), b.subspan(0, lb), f);
   for (std::size_t i = lo; i < hi && i < prod.size(); ++i) {
     out[i - lo] = prod[i];
   }
@@ -164,12 +158,12 @@ Vec poly_mul_middle(std::span<const u64> a, std::span<const u64> b,
 // with zeros to exactly n entries — the [0, n) middle slice. The
 // Newton iteration and both products of the reverse-trick division
 // consume this shape.
-template <class Field, class Vec = std::vector<u64>>
-Vec poly_mul_low(std::span<const u64> a, std::span<const u64> b,
-                 std::size_t n, const Field& f,
-                 const NttTables* tables = nullptr) {
+template <class Field>
+std::vector<u64> poly_mul_low(std::span<const u64> a, std::span<const u64> b,
+                              std::size_t n, const Field& f,
+                              const NttTables* tables = nullptr) {
   if (n == 0) return {};
-  return poly_mul_middle<Field, Vec>(a, b, 0, n, f, tables);
+  return poly_mul_middle(a, b, 0, n, f, tables);
 }
 
 namespace fastdiv_detail {
@@ -183,18 +177,20 @@ namespace fastdiv_detail {
 // exact quotient of a by b; returns exactly db entries. Falls back
 // to the truncated product below the NTT threshold or when the field
 // lacks the root orders — identical words either way.
-template <class Field, class Vec = std::vector<u64>>
-Vec remainder_of_exact_div(std::span<const u64> a, std::span<const u64> q,
-                           std::span<const u64> b, std::size_t db,
-                           const Field& f, const NttTables* tables) {
-  Vec rem(db, 0);
+template <class Field>
+std::vector<u64> remainder_of_exact_div(std::span<const u64> a,
+                                        std::span<const u64> q,
+                                        std::span<const u64> b, std::size_t db,
+                                        const Field& f,
+                                        const NttTables* tables) {
+  std::vector<u64> rem(db, 0);
   const std::size_t full = q.size() + b.size() - 1;
   if (full >= poly_detail::kNttThreshold) {
     std::size_t n = 1;
     while (n < db) n <<= 1;
-    ScratchVec cyc = cyclic_or_empty(q, b, n, f, tables);
+    std::vector<u64> cyc = cyclic_or_empty(q, b, n, f, tables);
     if (!cyc.empty()) {
-      ScratchVec fa(n, 0);
+      std::vector<u64> fa(n, 0);
       for (std::size_t i = 0; i < a.size(); ++i) {
         fa[i & (n - 1)] = f.add(fa[i & (n - 1)], a[i]);
       }
@@ -202,7 +198,7 @@ Vec remainder_of_exact_div(std::span<const u64> a, std::span<const u64> q,
       return rem;
     }
   }
-  ScratchVec low = poly_mul_low<Field, ScratchVec>(q, b, db, f, tables);
+  std::vector<u64> low = poly_mul_low(q, b, db, f, tables);
   for (std::size_t i = 0; i < db; ++i) {
     rem[i] = f.sub(i < a.size() ? a[i] : 0, low[i]);
   }
@@ -247,10 +243,10 @@ Poly poly_inverse_series(const Poly& fp, std::size_t n, const Field& fref,
     // half is -(g*h mod x^{k2-k}). Two slice products at the block
     // size replace two full-precision low products; the inverse
     // series is unique, so the words are identical either way.
-    ScratchVec h = poly_mul_middle<Field, ScratchVec>(
+    std::vector<u64> h = poly_mul_middle(
         std::span<const u64>(fp.c.data(), std::min(fp.c.size(), k2)), g.c, k,
         k2, f, tables);
-    ScratchVec u = poly_mul_low<Field, ScratchVec>(g.c, h, k2 - k, f, tables);
+    std::vector<u64> u = poly_mul_low(g.c, h, k2 - k, f, tables);
     g.c.resize(k2);
     for (std::size_t i = k; i < k2; ++i) g.c[i] = f.neg(u[i - k]);
     k = k2;
@@ -304,11 +300,11 @@ void poly_divrem_fast(const Poly& a_in, const Poly& b_in, const Field& fref,
   }
 
   // rev(q) = rev(a) * inv(rev(b)) mod x^k.
-  ScratchVec rev_a(k);
+  std::vector<u64> rev_a(k);
   for (std::size_t i = 0; i < k; ++i) {
     rev_a[i] = a.c[static_cast<std::size_t>(da) - i];
   }
-  ScratchVec rev_q = poly_mul_low<Field, ScratchVec>(
+  std::vector<u64> rev_q = poly_mul_low(
       rev_a, std::span<const u64>(inv->c.data(), std::min(inv->c.size(), k)),
       k, f, tables);
   Poly quot;
@@ -337,11 +333,9 @@ void poly_divrem_fast(const Poly& a_in, const Poly& b_in, const Field& fref,
 // of the subproduct-tree descent's schoolbook elimination. `inv_rev`
 // must cover the quotient (inv_rev.c.size() >= r.size() - db after
 // leading-zero trim; the tree build guarantees it). Leaves r with
-// exactly db entries, the same contract as the schoolbook loop. `r`
-// may be a std::vector or a ScratchVec (the tree descent keeps its
-// per-node remainders in arena scratch).
-template <class Field, class Vec = std::vector<u64>>
-void monic_rem_fast_inplace(Vec& r, const std::vector<u64>& b,
+// exactly db entries, the same contract as the schoolbook loop.
+template <class Field>
+void monic_rem_fast_inplace(std::vector<u64>& r, const std::vector<u64>& b,
                             const Poly& inv_rev, const Field& fref,
                             const NttTables* tables) {
   const Field f = fref;
@@ -355,13 +349,13 @@ void monic_rem_fast_inplace(Vec& r, const std::vector<u64>& b,
   if (inv_rev.c.size() < k) {
     throw std::logic_error("monic_rem_fast_inplace: inverse too short");
   }
-  ScratchVec rev_a(k);
+  std::vector<u64> rev_a(k);
   for (std::size_t i = 0; i < k; ++i) rev_a[i] = r[r.size() - 1 - i];
-  ScratchVec rev_q = poly_mul_low<Field, ScratchVec>(
+  std::vector<u64> rev_q = poly_mul_low(
       rev_a, std::span<const u64>(inv_rev.c.data(), k), k, f, tables);
-  ScratchVec quot(k);
+  std::vector<u64> quot(k);
   for (std::size_t i = 0; i < k; ++i) quot[i] = rev_q[k - 1 - i];
-  r = fastdiv_detail::remainder_of_exact_div<Field, Vec>(
+  r = fastdiv_detail::remainder_of_exact_div(
       std::span<const u64>(r), quot, b, db, f, tables);
 }
 
@@ -422,21 +416,12 @@ void poly_xgcd_partial_fast(const Poly& a, const Poly& b, int stop_degree,
   if (v != nullptr) *v = v0;
 }
 
-// The supported backends are instantiated once in fast_div.cpp. The
-// slice kernels come in both vector flavours: std::vector for results
-// that escape the calling stage, ScratchVec for the arena-backed
-// internal pipeline.
+// The supported backends are instantiated once in fast_div.cpp.
 #define CAMELOT_FASTDIV_EXTERN(Field)                                       \
   extern template std::vector<u64> poly_mul_low<Field>(                     \
       std::span<const u64>, std::span<const u64>, std::size_t,              \
       const Field&, const NttTables*);                                      \
-  extern template ScratchVec poly_mul_low<Field, ScratchVec>(               \
-      std::span<const u64>, std::span<const u64>, std::size_t,              \
-      const Field&, const NttTables*);                                      \
   extern template std::vector<u64> poly_mul_middle<Field>(                  \
-      std::span<const u64>, std::span<const u64>, std::size_t, std::size_t, \
-      const Field&, const NttTables*);                                      \
-  extern template ScratchVec poly_mul_middle<Field, ScratchVec>(            \
       std::span<const u64>, std::span<const u64>, std::size_t, std::size_t, \
       const Field&, const NttTables*);                                      \
   extern template Poly poly_inverse_series<Field>(                          \
@@ -449,9 +434,6 @@ void poly_xgcd_partial_fast(const Poly& a, const Poly& b, int stop_degree,
   extern template void monic_rem_fast_inplace<Field>(                       \
       std::vector<u64>&, const std::vector<u64>&, const Poly&,              \
       const Field&, const NttTables*);                                      \
-  extern template void monic_rem_fast_inplace<Field, ScratchVec>(           \
-      ScratchVec&, const std::vector<u64>&, const Poly&, const Field&,      \
-      const NttTables*);                                                    \
   extern template void poly_divrem_auto<Field>(const Poly&, const Poly&,    \
                                                const Field&, Poly*, Poly*,  \
                                                const NttTables*);           \

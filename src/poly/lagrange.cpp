@@ -59,17 +59,17 @@ ConsecutiveLagrange::ConsecutiveLagrange(u64 start, std::size_t count,
   inv_w_ = m_.batch_inv(w);
 }
 
-ScratchVec ConsecutiveLagrange::basis_mont_scratch(u64 x0) const {
+std::vector<u64> ConsecutiveLagrange::basis_mont(u64 x0) const {
   // By-value copy keeps the Montgomery constants in registers across
   // the out/diff stores (the member reference could alias them).
   const MontgomeryField m = m_;
-  ScratchVec out(count_, 0);
+  std::vector<u64> out(count_, 0);
   const u64 x0_m = m.from_u64(x0);
   // diff[i] = x0 - node_i in the Montgomery domain; detect x0 hitting
   // a node (zero is zero in either domain).
-  ScratchVec diff(count_);
+  std::vector<u64> diff(count_);
   if (lanes()) {
-    return with_lane_field(backend_, m, [&](const auto& lf) -> ScratchVec {
+    return with_lane_field(backend_, m, [&](const auto& lf) {
       using F = std::decay_t<decltype(lf)>;
       if constexpr (FieldHasBatchKernels<F>) {
         lf.sub_from_scalar(x0_m, nodes_mont_.data(), diff.data(), count_);
@@ -82,7 +82,7 @@ ScratchVec ConsecutiveLagrange::basis_mont_scratch(u64 x0) const {
       }
       // The prefix/suffix sweeps are loop-carried product chains and
       // stay scalar; the final per-node basis products run on lanes.
-      ScratchVec suffix(count_), prefix(count_);
+      std::vector<u64> suffix(count_), prefix(count_);
       u64 acc = m.one();
       for (std::size_t i = count_; i-- > 0;) {
         suffix[i] = acc;
@@ -111,7 +111,7 @@ ScratchVec ConsecutiveLagrange::basis_mont_scratch(u64 x0) const {
   }
   // L_i = (prod_{j != i} diff_j) * inv_w_i, via prefix/suffix
   // products — no inversion at the evaluation point.
-  ScratchVec suffix(count_);
+  std::vector<u64> suffix(count_);
   u64 acc = m.one();
   for (std::size_t i = count_; i-- > 0;) {
     suffix[i] = acc;
@@ -125,32 +125,22 @@ ScratchVec ConsecutiveLagrange::basis_mont_scratch(u64 x0) const {
   return out;
 }
 
-ScratchVec ConsecutiveLagrange::basis_scratch(u64 x0) const {
-  ScratchVec out = basis_mont_scratch(x0);
+std::vector<u64> ConsecutiveLagrange::basis(u64 x0) const {
+  std::vector<u64> out = basis_mont(x0);
   m_.from_mont_inplace(out);
   return out;
-}
-
-std::vector<u64> ConsecutiveLagrange::basis_mont(u64 x0) const {
-  const ScratchVec out = basis_mont_scratch(x0);
-  return std::vector<u64>(out.begin(), out.end());
-}
-
-std::vector<u64> ConsecutiveLagrange::basis(u64 x0) const {
-  const ScratchVec out = basis_scratch(x0);
-  return std::vector<u64>(out.begin(), out.end());
 }
 
 u64 ConsecutiveLagrange::eval(std::span<const u64> values, u64 x0) const {
   if (values.size() != count_) {
     throw std::invalid_argument("ConsecutiveLagrange::eval: size mismatch");
   }
-  const ScratchVec basis = basis_mont_scratch(x0);
+  const std::vector<u64> basis = basis_mont(x0);
   // mont_mul(bR, v) = b*v with no conversion: the Montgomery factor of
   // the basis cancels against the reduction, so plain values in, plain
   // accumulator out.
   if (lanes()) {
-    ScratchVec reduced(count_);
+    std::vector<u64> reduced(count_);
     for (std::size_t i = 0; i < count_; ++i) reduced[i] = m_.reduce(values[i]);
     // Mod-q addition is exact, so the lane-reassociated dot matches
     // the sequential fold bit-for-bit.

@@ -19,7 +19,6 @@
 #include <span>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "field/field_ops.hpp"
 #include "field/montgomery.hpp"
 
@@ -44,13 +43,6 @@ class ConsecutiveLagrange {
 
   // Same values as canonical representatives.
   std::vector<u64> basis(u64 x0) const;
-
-  // Scratch variants for per-point hot loops (the problem evaluators
-  // query one basis per evaluation point): identical words, but the
-  // result and every internal sweep buffer live in the bound arena,
-  // so a chunk of points costs zero steady-state heap traffic.
-  ScratchVec basis_mont_scratch(u64 x0) const;
-  ScratchVec basis_scratch(u64 x0) const;
 
   // Value at x0 of the unique degree-<count interpolant through
   // (start+i, values[i]), canonical in/out. O(count).

@@ -31,7 +31,7 @@ SubproductTree::SubproductTree(std::span<const u64> points,
     next.reserve((prev.size() + 1) / 2);
     for (std::size_t i = 0; i < prev.size(); i += 2) {
       if (i + 1 < prev.size()) {
-        next.push_back(mul(prev[i], prev[i + 1]));
+        next.push_back(Poly{mul(prev[i].c, prev[i + 1].c)});
       } else {
         next.push_back(prev[i]);  // odd node carried up unchanged
       }
@@ -42,19 +42,11 @@ SubproductTree::SubproductTree(std::span<const u64> points,
   root_plain_ = Poly{mont_.from_mont_vec(levels_.back()[0].c)};
 }
 
-Poly SubproductTree::mul(const Poly& a, const Poly& b) const {
-  if (!a.is_zero() && !b.is_zero() && ntt_ != nullptr) {
-    const std::size_t out = a.c.size() + b.c.size() - 1;
-    if (out >= poly_detail::kNttThreshold && out <= ntt_->capacity()) {
-      Poly r{with_lane_field(backend_, mont_, [&](const auto& lf) {
-        return ntt_convolve(a.c, b.c, lf, *ntt_);
-      })};
-      r.trim();
-      return r;
-    }
-  }
-  return with_lane_field(backend_, mont_,
-                         [&](const auto& lf) { return poly_mul(a, b, lf); });
+std::vector<u64> SubproductTree::mul(std::span<const u64> a,
+                                     std::span<const u64> b) const {
+  return with_lane_field(backend_, mont_, [&](const auto& lf) {
+    return fastdiv_detail::mul_full(a, b, lf, ntt_.get());
+  });
 }
 
 const Poly& SubproductTree::root_mont() const { return levels_.back()[0]; }
@@ -105,7 +97,7 @@ namespace {
 // lane-wide (same multiplication sequence, so the remainder words are
 // bit-identical); rows shorter than two vectors stay on the scalar
 // loop, where call overhead would dominate.
-void monic_rem_inplace(ScratchVec& r, const std::vector<u64>& b,
+void monic_rem_inplace(std::vector<u64>& r, const std::vector<u64>& b,
                        const MontgomeryField& mref, FieldBackend backend) {
   const std::size_t db = b.size() - 1;  // deg b; b.back() == one()
   with_lane_field(backend, mref, [&](const auto& fref) {
@@ -140,7 +132,7 @@ void monic_rem_inplace(ScratchVec& r, const std::vector<u64>& b,
 
 }  // namespace
 
-void SubproductTree::node_rem(ScratchVec& r, std::size_t level,
+void SubproductTree::node_rem(std::vector<u64>& r, std::size_t level,
                               std::size_t idx) const {
   const Poly& b = levels_[level][idx];
   const std::size_t db = b.c.size() - 1;
@@ -186,7 +178,7 @@ void SubproductTree::node_rem(ScratchVec& r, std::size_t level,
   });
 }
 
-void SubproductTree::eval_rec(ScratchVec& r, std::size_t level,
+void SubproductTree::eval_rec(std::vector<u64>& r, std::size_t level,
                               std::size_t idx, std::size_t lo, std::size_t hi,
                               std::vector<u64>& out) const {
   if (level == 0) {
@@ -204,7 +196,7 @@ void SubproductTree::eval_rec(ScratchVec& r, std::size_t level,
     eval_rec(r, level - 1, left, lo, hi, out);
     return;
   }
-  ScratchVec rl = r;  // left-spine copy: arena scratch, freed per node
+  std::vector<u64> rl = r;  // left-spine copy, freed per node
   node_rem(rl, level - 1, left);
   eval_rec(rl, level - 1, left, lo, mid, out);
   node_rem(r, level - 1, right);
@@ -213,7 +205,7 @@ void SubproductTree::eval_rec(ScratchVec& r, std::size_t level,
 
 std::vector<u64> SubproductTree::evaluate_mont(const Poly& p_mont) const {
   std::vector<u64> out(points_.size(), 0);
-  ScratchVec r(p_mont.c.begin(), p_mont.c.end());
+  std::vector<u64> r = p_mont.c;
   node_rem(r, levels_.size() - 1, 0);
   eval_rec(r, levels_.size() - 1, 0, 0, points_.size(), out);
   return out;
@@ -229,34 +221,12 @@ std::vector<u64> SubproductTree::evaluate(const Poly& p,
   return out;
 }
 
-ScratchVec SubproductTree::mul_scratch(std::span<const u64> a,
-                                       std::span<const u64> b) const {
-  if (a.empty() || b.empty()) return {};
-  const std::size_t out = a.size() + b.size() - 1;
-  if (ntt_ != nullptr && out >= poly_detail::kNttThreshold &&
-      out <= ntt_->capacity()) {
-    return with_lane_field(backend_, mont_, [&](const auto& lf) {
-      return ntt_convolve_scratch(a, b, lf, ntt_.get());
-    });
-  }
-  if (out >= poly_detail::kNttThreshold && ntt_supports_size(mont_, out)) {
-    return with_lane_field(backend_, mont_, [&](const auto& lf) {
-      return ntt_convolve_scratch(a, b, lf);
-    });
-  }
-  // kara_rec runs the same addmul rows as schoolbook below its
-  // threshold, so one ladder covers every sub-NTT size.
-  return with_lane_field(backend_, mont_, [&](const auto& lf) {
-    using F = std::decay_t<decltype(lf)>;
-    return poly_detail::kara<F, ScratchVec>(a, b, lf);
-  });
-}
-
-ScratchVec SubproductTree::interp_rec(std::span<const u64> weighted,
-                                      std::size_t level, std::size_t idx,
-                                      std::size_t lo, std::size_t hi) const {
+std::vector<u64> SubproductTree::interp_rec(std::span<const u64> weighted,
+                                            std::size_t level, std::size_t idx,
+                                            std::size_t lo,
+                                            std::size_t hi) const {
   if (level == 0) {
-    ScratchVec p;
+    std::vector<u64> p;
     if (weighted[lo] != 0) p.push_back(weighted[lo]);
     return p;
   }
@@ -268,10 +238,10 @@ ScratchVec SubproductTree::interp_rec(std::span<const u64> weighted,
   if (right >= child_level.size()) {
     return interp_rec(weighted, level - 1, left, lo, hi);
   }
-  const ScratchVec pl = interp_rec(weighted, level - 1, left, lo, mid);
-  const ScratchVec pr = interp_rec(weighted, level - 1, right, mid, hi);
-  ScratchVec sum = mul_scratch(pl, child_level[right].c);
-  ScratchVec other = mul_scratch(pr, child_level[left].c);
+  const std::vector<u64> pl = interp_rec(weighted, level - 1, left, lo, mid);
+  const std::vector<u64> pr = interp_rec(weighted, level - 1, right, mid, hi);
+  std::vector<u64> sum = mul(pl, child_level[right].c);
+  std::vector<u64> other = mul(pr, child_level[left].c);
   if (sum.size() < other.size()) sum.swap(other);
   const MontgomeryField m = mont_;
   for (std::size_t i = 0; i < other.size(); ++i) {
@@ -290,7 +260,7 @@ Poly SubproductTree::interpolate_mont(
   const Poly dm = poly_derivative(root_mont(), mont_);
   std::vector<u64> denom = evaluate_mont(dm);
   std::vector<u64> inv_denom = mont_.batch_inv(denom);
-  ScratchVec weighted(values_mont.size());
+  std::vector<u64> weighted(values_mont.size());
   with_lane_field(backend_, mont_, [&](const auto& lf) {
     using F = std::decay_t<decltype(lf)>;
     if constexpr (FieldHasBatchKernels<F>) {
@@ -302,10 +272,7 @@ Poly SubproductTree::interpolate_mont(
       }
     }
   });
-  const ScratchVec coeffs =
-      interp_rec(weighted, levels_.size() - 1, 0, 0, points_.size());
-  Poly p;
-  p.c.assign(coeffs.begin(), coeffs.end());
+  Poly p{interp_rec(weighted, levels_.size() - 1, 0, 0, points_.size())};
   p.trim();
   return p;
 }

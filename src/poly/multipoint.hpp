@@ -31,7 +31,6 @@
 #include <span>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "field/field_ops.hpp"
 #include "field/montgomery.hpp"
 #include "poly/poly.hpp"
@@ -83,9 +82,10 @@ class SubproductTree {
   Poly interpolate_mont(std::span<const u64> values_mont) const;
 
  private:
-  // Product dispatch: cached-twiddle NTT when the tables cover the
-  // result size, the generic poly_mul ladder otherwise.
-  Poly mul(const Poly& a, const Poly& b) const;
+  // Product dispatch (fastdiv_detail::mul_full): cached-twiddle NTT
+  // when the tables cover the result size, then the generic NTT, then
+  // Karatsuba/schoolbook. Used by both the build and the ascent.
+  std::vector<u64> mul(std::span<const u64> a, std::span<const u64> b) const;
 
   // Newton inverses for every node the descent divides by at or above
   // the crossover (fast_div.hpp); built once at construction.
@@ -93,9 +93,8 @@ class SubproductTree {
 
   // r := r mod node(level, idx), dispatching between the cached-
   // inverse fast division and the schoolbook elimination. Leaves r
-  // with exactly deg(node) entries. The remainder lives in arena
-  // scratch for the duration of one descent.
-  void node_rem(ScratchVec& r, std::size_t level, std::size_t idx) const;
+  // with exactly deg(node) entries.
+  void node_rem(std::vector<u64>& r, std::size_t level, std::size_t idx) const;
 
   // levels_[0] = leaves (x - x_i); levels_.back() = {root}; all
   // coefficients Montgomery-domain.
@@ -118,21 +117,13 @@ class SubproductTree {
 
   // Tree descent on a raw (Montgomery-domain) remainder vector; the
   // caller's copy of r is consumed in place along the right spine.
-  // The per-node left copies are arena scratch — the descent's whole
-  // O(d log d) allocation churn stays inside the bound region.
-  void eval_rec(ScratchVec& r, std::size_t level, std::size_t idx,
+  void eval_rec(std::vector<u64>& r, std::size_t level, std::size_t idx,
                 std::size_t lo, std::size_t hi, std::vector<u64>& out) const;
-  // Interpolation ascent on raw coefficient buffers: every partial
-  // interpolant and product temporary is arena scratch; only the
-  // finished polynomial is copied out into the returned Poly. (Exact
-  // mod-q arithmetic makes the coefficient words independent of the
-  // product algorithm, so the scratch ladder below needs no separate
-  // golden path.)
-  ScratchVec interp_rec(std::span<const u64> weighted, std::size_t level,
-                        std::size_t idx, std::size_t lo, std::size_t hi) const;
-  // mul() for the ascent: same tabled-NTT/ladder dispatch, scratch
-  // coefficients in and out.
-  ScratchVec mul_scratch(std::span<const u64> a, std::span<const u64> b) const;
+  // Interpolation ascent on raw coefficient buffers; only the
+  // finished polynomial is wrapped into the returned Poly.
+  std::vector<u64> interp_rec(std::span<const u64> weighted, std::size_t level,
+                              std::size_t idx, std::size_t lo,
+                              std::size_t hi) const;
 };
 
 // Convenience one-shot wrappers.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <type_traits>
 
 #include "field/shoup.hpp"
 
@@ -24,11 +23,8 @@ int log2_exact(std::size_t n) {
 
 // Validation + bit-reversal permutation shared by both butterfly
 // kernels. Throws before permuting, so a failed call leaves the
-// input untouched. Templated on the vector type so the same code
-// runs on callers' std::vector buffers and on arena-backed
-// ScratchVec work buffers.
-template <class Vec>
-void check_size_and_bit_reverse(Vec& a, int max_log2) {
+// input untouched.
+void check_size_and_bit_reverse(std::vector<u64>& a, int max_log2) {
   const std::size_t n = a.size();
   if (n == 0 || (n & (n - 1)) != 0) {
     throw std::invalid_argument("ntt_inplace: size must be a power of two");
@@ -52,8 +48,8 @@ void check_size_and_bit_reverse(Vec& a, int max_log2) {
 // kernels. Every combination computes the identical multiplication
 // sequence mod q — and hence every output word — so backends and
 // butterfly flavors can be mixed freely.
-template <class Field, class Vec>
-void ntt_kernel(Vec& a, bool inverse, const Field& fref,
+template <class Field>
+void ntt_kernel(std::vector<u64>& a, bool inverse, const Field& fref,
                 const NttTables* tables) {
   // By-value copy keeps the Montgomery constants in registers across
   // the butterfly stores (a reference could alias the written data).
@@ -75,7 +71,7 @@ void ntt_kernel(Vec& a, bool inverse, const Field& fref,
   }
   const int lg = log2_exact(n);
   const bool shoup = tables != nullptr && tables->has_shoup();
-  ScratchVec tw;  // untabled twiddle chain, rebuilt per stage
+  std::vector<u64> tw;  // untabled twiddle chain, rebuilt per stage
   for (int k = 1; k <= lg; ++k) {
     const std::size_t len = std::size_t{1} << k;
     const std::size_t half = len / 2;
@@ -125,16 +121,14 @@ void ntt_kernel(Vec& a, bool inverse, const Field& fref,
   }
 }
 
-// Both convolution kernels run their transform buffers as arena
-// scratch and copy into the caller's vector type only when it
-// differs — the public std::vector overloads pay one result copy,
-// the ScratchVec pipeline none.
-template <class Vec, class Field>
-Vec convolve_kernel(std::span<const u64> a, std::span<const u64> b,
-                    const Field& f, const NttTables* tables) {
+// Both convolution kernels transform in their own buffers and return
+// the first one, so the result costs no extra copy.
+template <class Field>
+std::vector<u64> convolve_kernel(std::span<const u64> a, std::span<const u64> b,
+                                 const Field& f, const NttTables* tables) {
   const std::size_t out = a.size() + b.size() - 1;
   const std::size_t n = next_pow2(out);
-  ScratchVec fa(a.begin(), a.end()), fb(b.begin(), b.end());
+  std::vector<u64> fa(a.begin(), a.end()), fb(b.begin(), b.end());
   fa.resize(n, 0);
   fb.resize(n, 0);
   ntt_kernel(fa, false, f, tables);
@@ -146,11 +140,7 @@ Vec convolve_kernel(std::span<const u64> a, std::span<const u64> b,
   }
   ntt_kernel(fa, true, f, tables);
   fa.resize(out);
-  if constexpr (std::is_same_v<Vec, ScratchVec>) {
-    return fa;
-  } else {
-    return Vec(fa.begin(), fa.end());
-  }
+  return fa;
 }
 
 // Folds `src` into `n` slots mod x^n - 1: slot i accumulates every
@@ -158,9 +148,9 @@ Vec convolve_kernel(std::span<const u64> a, std::span<const u64> b,
 // wrap positions are exactly the aliases the middle product discards,
 // so the caller's target slice reads back exact products.
 template <class Field>
-ScratchVec fold_mod_xn(std::span<const u64> src, std::size_t n,
-                       const Field& f) {
-  ScratchVec out(n, 0);
+std::vector<u64> fold_mod_xn(std::span<const u64> src, std::size_t n,
+                             const Field& f) {
+  std::vector<u64> out(n, 0);
   const std::size_t head = std::min(src.size(), n);
   std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(head),
             out.begin());
@@ -170,15 +160,16 @@ ScratchVec fold_mod_xn(std::span<const u64> src, std::size_t n,
   return out;
 }
 
-template <class Vec, class Field>
-Vec cyclic_kernel(std::span<const u64> a, std::span<const u64> b,
-                  std::size_t n, const Field& f, const NttTables* tables) {
+template <class Field>
+std::vector<u64> cyclic_kernel(std::span<const u64> a, std::span<const u64> b,
+                               std::size_t n, const Field& f,
+                               const NttTables* tables) {
   if (n == 0 || (n & (n - 1)) != 0) {
     throw std::invalid_argument(
         "ntt_convolve_cyclic: size must be a power of two");
   }
-  ScratchVec fa = fold_mod_xn(a, n, f);
-  ScratchVec fb = fold_mod_xn(b, n, f);
+  std::vector<u64> fa = fold_mod_xn(a, n, f);
+  std::vector<u64> fb = fold_mod_xn(b, n, f);
   ntt_kernel(fa, false, f, tables);
   ntt_kernel(fb, false, f, tables);
   if constexpr (FieldHasBatchKernels<Field>) {
@@ -187,11 +178,7 @@ Vec cyclic_kernel(std::span<const u64> a, std::span<const u64> b,
     for (std::size_t i = 0; i < n; ++i) fa[i] = f.mul(fa[i], fb[i]);
   }
   ntt_kernel(fa, true, f, tables);
-  if constexpr (std::is_same_v<Vec, ScratchVec>) {
-    return fa;
-  } else {
-    return Vec(fa.begin(), fa.end());
-  }
+  return fa;
 }
 
 }  // namespace
@@ -313,7 +300,7 @@ std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
   if (a.empty() || b.empty()) return {};
   const MontgomeryField m(f);
   std::vector<u64> fa = m.to_mont_vec(a), fb = m.to_mont_vec(b);
-  std::vector<u64> r = convolve_kernel<std::vector<u64>>(fa, fb, m, nullptr);
+  std::vector<u64> r = convolve_kernel(fa, fb, m, nullptr);
   m.from_mont_inplace(r);
   return r;
 }
@@ -321,61 +308,40 @@ std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const MontgomeryField& f) {
   if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, nullptr);
+  return convolve_kernel(a, b, f, nullptr);
 }
 
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const MontgomeryAvx2Field& f) {
   if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, nullptr);
+  return convolve_kernel(a, b, f, nullptr);
 }
 
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const MontgomeryAvx512Field& f) {
   if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, nullptr);
+  return convolve_kernel(a, b, f, nullptr);
 }
 
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const MontgomeryField& f,
                               const NttTables& tables) {
   if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, &tables);
+  return convolve_kernel(a, b, f, &tables);
 }
 
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const MontgomeryAvx2Field& f,
                               const NttTables& tables) {
   if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, &tables);
+  return convolve_kernel(a, b, f, &tables);
 }
 
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const MontgomeryAvx512Field& f,
                               const NttTables& tables) {
   if (a.empty() || b.empty()) return {};
-  return convolve_kernel<std::vector<u64>>(a, b, f, &tables);
-}
-
-ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
-                                const MontgomeryField& f,
-                                const NttTables* tables) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel<ScratchVec>(a, b, f, tables);
-}
-
-ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
-                                const MontgomeryAvx2Field& f,
-                                const NttTables* tables) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel<ScratchVec>(a, b, f, tables);
-}
-
-ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
-                                const MontgomeryAvx512Field& f,
-                                const NttTables* tables) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel<ScratchVec>(a, b, f, tables);
+  return convolve_kernel(a, b, f, &tables);
 }
 
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
@@ -383,7 +349,7 @@ std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      const PrimeField& f) {
   const MontgomeryField m(f);
   std::vector<u64> fa = m.to_mont_vec(a), fb = m.to_mont_vec(b);
-  std::vector<u64> r = cyclic_kernel<std::vector<u64>>(fa, fb, n, m, nullptr);
+  std::vector<u64> r = cyclic_kernel(fa, fb, n, m, nullptr);
   m.from_mont_inplace(r);
   return r;
 }
@@ -391,73 +357,40 @@ std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
                                      const MontgomeryField& f) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, nullptr);
+  return cyclic_kernel(a, b, n, f, nullptr);
 }
 
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
                                      const MontgomeryAvx2Field& f) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, nullptr);
+  return cyclic_kernel(a, b, n, f, nullptr);
 }
 
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
                                      const MontgomeryAvx512Field& f) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, nullptr);
+  return cyclic_kernel(a, b, n, f, nullptr);
 }
 
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
                                      const MontgomeryField& f,
                                      const NttTables& tables) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, &tables);
+  return cyclic_kernel(a, b, n, f, &tables);
 }
 
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
                                      const MontgomeryAvx2Field& f,
                                      const NttTables& tables) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, &tables);
+  return cyclic_kernel(a, b, n, f, &tables);
 }
 
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
                                      const MontgomeryAvx512Field& f,
                                      const NttTables& tables) {
-  return cyclic_kernel<std::vector<u64>>(a, b, n, f, &tables);
-}
-
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const PrimeField& f) {
-  const MontgomeryField m(f);
-  ScratchVec fa(a.size()), fb(b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) fa[i] = m.to_mont(a[i]);
-  for (std::size_t i = 0; i < b.size(); ++i) fb[i] = m.to_mont(b[i]);
-  ScratchVec r = cyclic_kernel<ScratchVec>(fa, fb, n, m, nullptr);
-  for (u64& v : r) v = m.from_mont(v);
-  return r;
-}
-
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const MontgomeryField& f,
-                                       const NttTables* tables) {
-  return cyclic_kernel<ScratchVec>(a, b, n, f, tables);
-}
-
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const MontgomeryAvx2Field& f,
-                                       const NttTables* tables) {
-  return cyclic_kernel<ScratchVec>(a, b, n, f, tables);
-}
-
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const MontgomeryAvx512Field& f,
-                                       const NttTables* tables) {
-  return cyclic_kernel<ScratchVec>(a, b, n, f, tables);
+  return cyclic_kernel(a, b, n, f, &tables);
 }
 
 }  // namespace camelot

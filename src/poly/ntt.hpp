@@ -14,7 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "field/field.hpp"
 #include "field/montgomery.hpp"
 #include "field/montgomery_avx512.hpp"
@@ -165,40 +164,5 @@ std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
                                      const MontgomeryAvx512Field& f,
                                      const NttTables& tables);
-
-// Scratch-returning linear convolutions for the interpolation ascent
-// and other stage-local pipelines: same words as the std::vector
-// overloads, result lives in the bound arena (plain heap when none is
-// bound). `tables` may be null (untabled kernel).
-ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
-                                const MontgomeryField& f,
-                                const NttTables* tables = nullptr);
-ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
-                                const MontgomeryAvx2Field& f,
-                                const NttTables* tables = nullptr);
-ScratchVec ntt_convolve_scratch(std::span<const u64> a, std::span<const u64> b,
-                                const MontgomeryAvx512Field& f,
-                                const NttTables* tables = nullptr);
-
-// Scratch-returning cyclic convolutions for the middle-product/fast-
-// division internals: the result lives in the bound arena (plain heap
-// when none is bound) and never escapes the calling stage. `tables`
-// may be null (untabled kernel). Same words as the std::vector
-// overloads above — only the allocator differs.
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const PrimeField& f);
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const MontgomeryField& f,
-                                       const NttTables* tables = nullptr);
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const MontgomeryAvx2Field& f,
-                                       const NttTables* tables = nullptr);
-ScratchVec ntt_convolve_cyclic_scratch(std::span<const u64> a,
-                                       std::span<const u64> b, std::size_t n,
-                                       const MontgomeryAvx512Field& f,
-                                       const NttTables* tables = nullptr);
 
 }  // namespace camelot

@@ -19,10 +19,8 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "field/field.hpp"
 #include "field/montgomery.hpp"
 #include "field/montgomery_avx512.hpp"
@@ -134,16 +132,15 @@ namespace poly_detail {
 constexpr std::size_t kKaratsubaThreshold = 32;
 constexpr std::size_t kNttThreshold = 512;
 
-// Karatsuba recursion on raw coefficient spans; every temporary
-// (split sums, the three sub-products, the recombination buffer) is
-// arena scratch when the calling thread has one bound.
+// Karatsuba recursion on raw coefficient spans; result has n+m-1
+// entries.
 template <class Field>
-ScratchVec kara_rec(std::span<const u64> a, std::span<const u64> b,
-                    const Field& fref) {
+std::vector<u64> kara(std::span<const u64> a, std::span<const u64> b,
+                      const Field& fref) {
   if (a.empty() || b.empty()) return {};
   const Field f = fref;
   if (a.size() < kKaratsubaThreshold || b.size() < kKaratsubaThreshold) {
-    ScratchVec r(a.size() + b.size() - 1, 0);
+    std::vector<u64> r(a.size() + b.size() - 1, 0);
     for (std::size_t i = 0; i < a.size(); ++i) {
       if (a[i] == 0) continue;
       if constexpr (FieldHasBatchKernels<Field>) {
@@ -163,18 +160,18 @@ ScratchVec kara_rec(std::span<const u64> a, std::span<const u64> b,
   auto hi = [&](std::span<const u64> v) {
     return v.size() > h ? v.subspan(h) : std::span<const u64>{};
   };
-  ScratchVec z0 = kara_rec(lo(a), lo(b), f);
-  ScratchVec z2 = kara_rec(hi(a), hi(b), f);
+  std::vector<u64> z0 = kara(lo(a), lo(b), f);
+  std::vector<u64> z2 = kara(hi(a), hi(b), f);
   // (a_lo + a_hi)(b_lo + b_hi)
-  ScratchVec as(std::max(lo(a).size(), hi(a).size()), 0);
-  ScratchVec bs(std::max(lo(b).size(), hi(b).size()), 0);
+  std::vector<u64> as(std::max(lo(a).size(), hi(a).size()), 0);
+  std::vector<u64> bs(std::max(lo(b).size(), hi(b).size()), 0);
   for (std::size_t i = 0; i < lo(a).size(); ++i) as[i] = lo(a)[i];
   for (std::size_t i = 0; i < hi(a).size(); ++i) as[i] = f.add(as[i], hi(a)[i]);
   for (std::size_t i = 0; i < lo(b).size(); ++i) bs[i] = lo(b)[i];
   for (std::size_t i = 0; i < hi(b).size(); ++i) bs[i] = f.add(bs[i], hi(b)[i]);
-  ScratchVec z1 = kara_rec(as, bs, f);
+  std::vector<u64> z1 = kara(as, bs, f);
 
-  ScratchVec r(a.size() + b.size() - 1, 0);
+  std::vector<u64> r(a.size() + b.size() - 1, 0);
   for (std::size_t i = 0; i < z0.size(); ++i) r[i] = f.add(r[i], z0[i]);
   for (std::size_t i = 0; i < z2.size(); ++i) {
     r[i + 2 * h] = f.add(r[i + 2 * h], z2[i]);
@@ -186,19 +183,6 @@ ScratchVec kara_rec(std::span<const u64> a, std::span<const u64> b,
     r[i + h] = f.add(r[i + h], mid);
   }
   return r;
-}
-
-// Karatsuba product into the caller's vector type; result has
-// n+m-1 entries. Vec = ScratchVec moves the recursion's buffer out
-// directly; the std::vector default copies once at the top.
-template <class Field, class Vec = std::vector<u64>>
-Vec kara(std::span<const u64> a, std::span<const u64> b, const Field& f) {
-  ScratchVec r = kara_rec(a, b, f);
-  if constexpr (std::is_same_v<Vec, ScratchVec>) {
-    return r;
-  } else {
-    return Vec(r.begin(), r.end());
-  }
 }
 
 }  // namespace poly_detail

@@ -145,13 +145,13 @@ GaoResult gao_decode(const ReedSolomonCode& code,
     throw std::invalid_argument("gao_decode: received length mismatch");
   }
   const PrimeField& f = code.ops().prime();
-  ScratchVec canonical(received.begin(), received.end());
+  std::vector<u64> canonical(received.begin(), received.end());
   for (u64& v : canonical) v = f.reduce(v);
   if (code.ops().backend() == FieldBackend::kPrimeDivision) {
     return gao_decode_prepared(code, canonical, canonical);
   }
   const MontgomeryField& m = code.ops().mont();
-  ScratchVec domain(canonical.size(), 0);
+  std::vector<u64> domain(canonical.size(), 0);
   for (std::size_t i = 0; i < canonical.size(); ++i) {
     domain[i] = m.to_mont(canonical[i]);
   }

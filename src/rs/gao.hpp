@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "rs/reed_solomon.hpp"
 
 namespace camelot {
@@ -79,10 +78,9 @@ class StreamingGaoDecoder {
   // selective re-prepare must re-evaluate and re-push. Empty iff
   // ready().
   std::vector<std::pair<std::size_t, std::size_t>> missing_runs() const;
-  // Canonical received word (meaningful once ready()). Lives in the
-  // arena bound when the decoder was constructed; callers that keep
-  // the word past the decoder's lifetime copy it out.
-  const ScratchVec& received() const noexcept { return canonical_; }
+  // Moves the canonical received word out (meaningful once ready()).
+  // finish() reads it, so take it only after the decode.
+  std::vector<u64> received() && noexcept { return std::move(canonical_); }
 
   // Runs interpolation + remainder sequence; requires ready().
   GaoResult finish() const;
@@ -90,8 +88,8 @@ class StreamingGaoDecoder {
  private:
   const ReedSolomonCode& code_;
   bool montgomery_;
-  ScratchVec canonical_;  // received word, canonical domain
-  ScratchVec domain_;     // same word in the backend's domain
+  std::vector<u64> canonical_;  // received word, canonical domain
+  std::vector<u64> domain_;     // same word in the backend's domain
   std::vector<bool> seen_;
   std::size_t absorbed_ = 0;
 };

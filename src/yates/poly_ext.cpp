@@ -99,7 +99,7 @@ std::vector<u64> YatesPolynomialExtension::evaluate(u64 z0) const {
   // the factorial trick in O(t^{k-ell})), then the domain pipeline
   // with one boundary conversion on the way out.
   std::vector<u64> out =
-      evaluate_mont_with_phi(lagrange().basis_mont_scratch(z0));
+      evaluate_mont_with_phi(lagrange().basis_mont(z0));
   mont().from_mont_inplace(out);
   return out;
 }

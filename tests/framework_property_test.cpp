@@ -4,7 +4,10 @@
 // at the exact unique-decoding radius boundary.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <numeric>
+#include <random>
 
 #include "apps/conv3sum.hpp"
 #include "apps/csp2.hpp"
@@ -191,6 +194,86 @@ TEST(RadiusBoundary, SilentNodesAreErasuresNotCatastrophes) {
   ByzantineAdversary adversary({0, 5}, ByzantineStrategy::kSilent, 1);
   RunReport report = ProofSession(problem, cfg).run(&adversary);
   EXPECT_TRUE(report.success);
+}
+
+TEST(TraitorImplication, ImplicatedNodesAreExactlyTheCorruptedOwners) {
+  // Seeded random traitor sets whose owned symbols fit the per-prime
+  // decoding radius. For every prime, the implicated set must equal
+  // the owners of the positions where the adversarial received word
+  // differs from the lossless one. That set comes from the two words,
+  // not from the traitor list: a random or colluding symbol may
+  // coincide with the honest one.
+  TriangleCountProblem problem(gnm(10, 20, 2), strassen_decomposition());
+  ClusterConfig cfg;
+  cfg.num_nodes = 12;
+  cfg.redundancy = 3.0;
+  cfg.num_threads = 2;
+  ProofSession honest(problem, cfg);
+  const RunReport clean = honest.run();
+  ASSERT_TRUE(clean.success);
+  const std::size_t k = cfg.num_nodes;
+  const std::size_t e = clean.code_length;
+  const std::size_t radius = (e - clean.proof_symbols) / 2;
+
+  std::mt19937_64 rng(0x7a17);
+  std::size_t nonempty = 0;
+  for (ByzantineStrategy strategy :
+       {ByzantineStrategy::kOffByOne, ByzantineStrategy::kRandom,
+        ByzantineStrategy::kColludingPolynomial}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::size_t> order(k);
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::shuffle(order.begin(), order.end(), rng);
+      const std::size_t want = 1 + rng() % k;
+      std::vector<std::size_t> traitors;
+      std::size_t owned = 0;
+      for (std::size_t node : order) {
+        if (traitors.size() == want) break;
+        const auto [lo, hi] = node_chunk(node, e, k);
+        if (owned + (hi - lo) > radius) continue;
+        owned += hi - lo;
+        traitors.push_back(node);
+      }
+      ASSERT_FALSE(traitors.empty());
+      std::sort(traitors.begin(), traitors.end());
+      SCOPED_TRACE(::testing::Message()
+                   << "strategy " << static_cast<int>(strategy) << " trial "
+                   << trial << " traitors " << traitors.size());
+
+      ByzantineAdversary adversary(traitors, strategy, rng());
+      ProofSession session(problem, cfg);
+      const RunReport report = session.run(&adversary);
+      EXPECT_TRUE(report.success);
+      ASSERT_EQ(report.per_prime.size(), clean.per_prime.size());
+      for (std::size_t pi = 0; pi < report.per_prime.size(); ++pi) {
+        const std::vector<u64>& got = session.received(pi);
+        const std::vector<u64>& ref = honest.received(pi);
+        ASSERT_EQ(got.size(), e);
+        ASSERT_EQ(ref.size(), e);
+        std::vector<std::size_t> expected;
+        for (std::size_t node = 0; node < k; ++node) {
+          const auto [lo, hi] = node_chunk(node, e, k);
+          for (std::size_t i = lo; i < hi; ++i) {
+            if (got[i] != ref[i]) {
+              expected.push_back(node);
+              break;
+            }
+          }
+        }
+        std::vector<std::size_t> implicated =
+            report.per_prime[pi].implicated_nodes;
+        std::sort(implicated.begin(), implicated.end());
+        EXPECT_EQ(implicated, expected) << "prime index " << pi;
+        // Off-by-one rewrites every owned symbol, so there the words
+        // and the traitor list must agree too.
+        if (strategy == ByzantineStrategy::kOffByOne) {
+          EXPECT_EQ(expected, traitors) << "prime index " << pi;
+        }
+        if (!expected.empty()) ++nonempty;
+      }
+    }
+  }
+  EXPECT_GT(nonempty, 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -195,6 +196,19 @@ TEST(ProofService, DestructorDrainsQueuedJobs) {
 TEST(ProofService, RejectsNullProblem) {
   ProofService service({.num_workers = 1});
   EXPECT_THROW(service.submit(nullptr), std::invalid_argument);
+}
+
+TEST(ProofService, RejectsLossRateOutsideUnitInterval) {
+  // A NaN or negative rate must not run as a lossless job.
+  ProofService service({.num_workers = 1});
+  auto problem = four_problems()[0];
+  for (double rate : {std::nan(""), -0.1}) {
+    SubmitOptions options;
+    options.loss_rate = rate;
+    EXPECT_THROW(service.submit(problem, {}, nullptr, options),
+                 std::invalid_argument)
+        << "rate " << rate;
+  }
 }
 
 // Delegating problem that records the execution order of jobs: the

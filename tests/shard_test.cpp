@@ -157,6 +157,20 @@ TEST(ShardProtocol, ProblemFactoryParsesAndRejects) {
   EXPECT_THROW(make_problem_from_spec("ov:8:5:1.5:11"),
                std::invalid_argument);
   EXPECT_THROW(make_problem_from_spec("ov:8:5:0.5"), std::invalid_argument);
+
+  // Each field must be a whole unsigned decimal token: trailing junk,
+  // a sign, an empty field or an overflow is an error, not a silent
+  // prefix parse.
+  EXPECT_THROW(make_problem_from_spec("triangle:12x:30:1"),
+               std::invalid_argument);
+  EXPECT_THROW(make_problem_from_spec("ov:8:4:0.3junk:1"),
+               std::invalid_argument);
+  EXPECT_THROW(make_problem_from_spec("triangle:-5:3:1"),
+               std::invalid_argument);
+  EXPECT_THROW(make_problem_from_spec("triangle::30:1"), std::invalid_argument);
+  EXPECT_THROW(make_problem_from_spec("triangle:12:30:99999999999999999999"),
+               std::invalid_argument);
+  EXPECT_THROW(make_problem_from_spec("ov:8:4:0.3.1:1"), std::invalid_argument);
 }
 
 // ---- Untrusted wire lengths ----------------------------------------------
@@ -193,9 +207,10 @@ int run_worker_on(const std::string& input, unsigned char* reply) {
 // tests below corrupt; a corrupt-node count other than 0 is written
 // with no entries behind it.
 std::string submit_frame(double redundancy, unsigned char backend,
-                         std::uint32_t corrupt_count) {
-  std::uint64_t redundancy_bits;
+                         std::uint32_t corrupt_count, double loss_rate = 0.0) {
+  std::uint64_t redundancy_bits, loss_bits;
   std::memcpy(&redundancy_bits, &redundancy, sizeof(redundancy_bits));
+  std::memcpy(&loss_bits, &loss_rate, sizeof(loss_bits));
   std::string p;
   put_le(p, static_cast<unsigned char>(ShardFrame::kSubmit), 1);
   const std::string spec = kProblemSpec;
@@ -209,9 +224,8 @@ std::string submit_frame(double redundancy, unsigned char backend,
   put_le(p, 7, 8);                // seed
   put_le(p, backend, 1);          // backend
   put_le(p, 1, 1);                // systematic_encode
-  put_le(p, 1, 1);                // use_arena
   put_le(p, 3, 8);                // repair_budget
-  put_le(p, 0, 8);                // loss_rate (bit pattern)
+  put_le(p, loss_bits, 8);        // loss_rate (bit pattern)
   put_le(p, 0, 8);                // loss_seed
   put_le(p, 1, 1);                // adversary
   put_le(p, corrupt_count, 4);    // corrupt_nodes count
@@ -239,6 +253,14 @@ TEST(ShardProtocol, WorkerRejectsNanRedundancy) {
   // it reaches the code-length arithmetic.
   unsigned char reply = 0;
   EXPECT_EQ(run_worker_on(submit_frame(std::nan(""), 0, 0), &reply), 1);
+  EXPECT_EQ(reply, static_cast<unsigned char>(ShardFrame::kError));
+}
+
+TEST(ShardProtocol, WorkerRejectsNanLossRate) {
+  // NaN fails every comparison, so a `rate > 0` gate would run the
+  // job as lossless; the worker must refuse it instead.
+  unsigned char reply = 0;
+  EXPECT_EQ(run_worker_on(submit_frame(2.0, 0, 0, std::nan("")), &reply), 1);
   EXPECT_EQ(reply, static_cast<unsigned char>(ShardFrame::kError));
 }
 
