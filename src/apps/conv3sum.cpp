@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "poly/lagrange.hpp"
+#include "poly/multipoint.hpp"
 
 namespace camelot {
 
@@ -126,13 +127,8 @@ std::unique_ptr<Evaluator> Conv3SumProblem::make_evaluator(
 }
 
 std::vector<u64> Conv3SumProblem::recover(const Poly& proof,
-                                          const PrimeField& f) const {
-  const std::size_t n = values_.size();
-  std::vector<u64> out(n / 2);
-  for (std::size_t i = 1; i <= n / 2; ++i) {
-    out[i - 1] = poly_eval(proof, i, f);
-  }
-  return out;
+                                          const FieldOps& f) const {
+  return range_evaluate(proof, 1, values_.size() / 2, f);
 }
 
 std::vector<u64> conv3sum_brute(const std::vector<u64>& values) {

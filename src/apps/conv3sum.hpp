@@ -23,8 +23,7 @@ class Conv3SumProblem : public CamelotProblem {
   std::unique_ptr<Evaluator> make_evaluator(
       const FieldOps& f) const override;
   // Answers: c_1..c_{n/2} (witness counts per first index).
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override;
+  std::vector<u64> recover(const Poly& proof, const FieldOps& f) const override;
 
   std::size_t n() const noexcept { return values_.size(); }
 

@@ -223,25 +223,25 @@ std::unique_ptr<Evaluator> Csp2Problem::make_evaluator(
 }
 
 std::vector<u64> Csp2Problem::recover(const Poly& proof,
-                                      const PrimeField& f) const {
+                                      const FieldOps& f) const {
   const std::size_t m = inst_.constraints.size();
   const u64 d0 = 3 * (rank_ - 1);
-  // Per weight point: X(w0) = sum_{r=1..R} P_{w0}(r).
+  const PrimeField& pf = f.prime();
+  // Per weight point: X(w0) = sum_{r=1..R} P_{w0}(r), the dot product
+  // of block w0 with the power sums of 1..R.
+  const std::vector<u64> sums = range_power_sums(1, rank_, d0 + 1, f);
   std::vector<u64> xs(m + 1), values(m + 1);
   for (std::size_t w0 = 0; w0 <= m; ++w0) {
-    Poly block;
     const std::size_t off = w0 * (d0 + 1);
-    for (u64 k = 0; k <= d0; ++k) block.c.push_back(proof.coeff(off + k));
-    block.trim();
     u64 total = 0;
-    for (u64 r = 1; r <= rank_; ++r) {
-      total = f.add(total, poly_eval(block, r, f));
+    for (u64 k = 0; k <= d0; ++k) {
+      total = pf.add(total, pf.mul(proof.coeff(off + k), sums[k]));
     }
     xs[w0] = w0;
     values[w0] = total;
   }
   // Interpolate X(w) = sum_k hist_k w^k over the points 0..m.
-  Poly hist = interpolate(xs, values, f);
+  Poly hist = interpolate(xs, values, pf);
   std::vector<u64> out(m + 1);
   for (std::size_t k = 0; k <= m; ++k) out[k] = hist.coeff(k);
   return out;

@@ -48,8 +48,7 @@ class Csp2Problem : public CamelotProblem {
   ProofSpec spec() const override;
   std::unique_ptr<Evaluator> make_evaluator(
       const FieldOps& f) const override;
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override;
+  std::vector<u64> recover(const Poly& proof, const FieldOps& f) const override;
 
   u64 rank() const noexcept { return rank_; }
   std::size_t group_size() const noexcept { return group_size_; }

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "poly/lagrange.hpp"
+#include "poly/multipoint.hpp"
 
 namespace camelot {
 
@@ -92,22 +93,27 @@ std::unique_ptr<Evaluator> HammingDistributionProblem::make_evaluator(
 }
 
 std::vector<u64> HammingDistributionProblem::recover(
-    const Poly& proof, const PrimeField& f) const {
+    const Poly& proof, const FieldOps& f) const {
+  const PrimeField& pf = f.prime();
   const std::size_t n = a_.rows, t = a_.cols;
-  std::vector<u64> out(n * (t + 1));
+  // Row i's values sit at the points (i+1)(t+1) + h, h = 0..t: one
+  // consecutive range over all rows.
+  std::vector<u64> out = range_evaluate(proof, t + 1, n * (t + 1) + t, f);
   // Scale factors prod_{l != h} (h - l) = (-1)^{t-h} h! (t-h)!.
   std::vector<u64> fact(t + 2);
-  fact[0] = f.one();
+  fact[0] = pf.one();
   for (std::size_t i = 1; i <= t + 1; ++i) {
-    fact[i] = f.mul(fact[i - 1], f.reduce(i));
+    fact[i] = pf.mul(fact[i - 1], pf.reduce(i));
+  }
+  std::vector<u64> inv_scale(t + 1);
+  for (std::size_t h = 0; h <= t; ++h) {
+    u64 scale = pf.mul(fact[h], fact[t - h]);
+    if ((t - h) % 2 == 1) scale = pf.neg(scale);
+    inv_scale[h] = pf.inv(scale);
   }
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t h = 0; h <= t; ++h) {
-      const u64 point = (i + 1) * (t + 1) + h;
-      u64 scale = f.mul(fact[h], fact[t - h]);
-      if ((t - h) % 2 == 1) scale = f.neg(scale);
-      out[i * (t + 1) + h] =
-          f.mul(poly_eval(proof, point, f), f.inv(scale));
+      out[i * (t + 1) + h] = pf.mul(out[i * (t + 1) + h], inv_scale[h]);
     }
   }
   return out;

@@ -20,8 +20,7 @@ class HammingDistributionProblem : public CamelotProblem {
   std::unique_ptr<Evaluator> make_evaluator(
       const FieldOps& f) const override;
   // Answers: c_{ih} flattened as i*(t+1)+h for i = 0..n-1, h = 0..t.
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override;
+  std::vector<u64> recover(const Poly& proof, const FieldOps& f) const override;
 
   std::size_t n() const noexcept { return a_.rows; }
   std::size_t t() const noexcept { return a_.cols; }

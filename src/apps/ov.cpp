@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "poly/lagrange.hpp"
+#include "poly/multipoint.hpp"
 
 namespace camelot {
 
@@ -83,12 +84,8 @@ std::unique_ptr<Evaluator> OrthogonalVectorsProblem::make_evaluator(
 }
 
 std::vector<u64> OrthogonalVectorsProblem::recover(
-    const Poly& proof, const PrimeField& f) const {
-  std::vector<u64> out(a_.rows);
-  for (std::size_t i = 0; i < a_.rows; ++i) {
-    out[i] = poly_eval(proof, i + 1, f);
-  }
-  return out;
+    const Poly& proof, const FieldOps& f) const {
+  return range_evaluate(proof, 1, a_.rows, f);
 }
 
 std::vector<u64> count_orthogonal_brute(const BoolMatrix& a,

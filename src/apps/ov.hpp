@@ -32,8 +32,7 @@ class OrthogonalVectorsProblem : public CamelotProblem {
   std::unique_ptr<Evaluator> make_evaluator(
       const FieldOps& f) const override;
   // Answers: c_1, ..., c_n.
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override;
+  std::vector<u64> recover(const Poly& proof, const FieldOps& f) const override;
 
   std::size_t n() const noexcept { return a_.rows; }
   std::size_t t() const noexcept { return a_.cols; }

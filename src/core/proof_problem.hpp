@@ -97,7 +97,7 @@ class CamelotProblem {
   // the integer answers modulo q. Must return spec().answer_count
   // values. Called once per CRT prime; the framework combines.
   virtual std::vector<u64> recover(const Poly& proof,
-                                   const PrimeField& f) const = 0;
+                                   const FieldOps& f) const = 0;
 };
 
 }  // namespace camelot

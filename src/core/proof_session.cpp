@@ -261,8 +261,7 @@ void ProofSession::apply_recover(PrimeState& st) {
   obs::StageSpan span(stage_recover_, obs::kTraceSched, "recover", st.prime);
   st.report.answer_residues.clear();
   if (st.report.verified) {
-    st.report.answer_residues =
-        problem_.recover(st.decoded.message, st.ops.prime());
+    st.report.answer_residues = problem_.recover(st.decoded.message, st.ops);
     if (st.report.answer_residues.size() != spec_.answer_count) {
       throw std::logic_error("CamelotProblem::recover: answer count");
     }

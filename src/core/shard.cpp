@@ -39,6 +39,17 @@ namespace {
 // before the bytes behind it are known to exist.
 constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
+// A problem spec is untrusted in the same way: about 20 bytes can name
+// a graph of 10^6 vertices or a clique matrix of 10^11 rows.
+// make_problem_from_spec checks each raw field against these caps
+// before anything is built, and the built problem's degree bound
+// against kMaxSpecDegree (which bounds the code length, and with it
+// every per-prime buffer of the session).
+constexpr u64 kMaxSpecVertices = 1024;         // n: adjacency <= 128 KiB
+constexpr u64 kMaxSpecCliqueRows = 256;        // C(n, k/6) chi rows
+constexpr u64 kMaxSpecOvCells = u64{1} << 20;  // n * t bits per matrix
+constexpr u64 kMaxSpecDegree = u64{1} << 16;   // spec().degree_bound
+
 std::uint32_t checked_frame_length(const unsigned char* hdr) {
   std::uint32_t len = 0;
   for (int i = 0; i < 4; ++i) len |= std::uint32_t(hdr[i]) << (8 * i);
@@ -402,9 +413,38 @@ double spec_fraction(const std::string& field) {
   return v;
 }
 
-}  // namespace
+void check_spec_cap(u64 value, u64 cap, const char* what) {
+  if (value > cap) {
+    throw std::invalid_argument(std::string("problem spec: ") + what +
+                                " exceeds the cap of " + std::to_string(cap));
+  }
+}
 
-std::unique_ptr<CamelotProblem> make_problem_from_spec(
+// Vertex count within kMaxSpecVertices, then 0 < m <= n(n-1)/2 (no
+// overflow: n is capped first).
+void check_spec_graph(u64 n, u64 m) {
+  check_spec_cap(n, kMaxSpecVertices, "vertex count");
+  if (n == 0 || m == 0) {
+    throw std::invalid_argument("problem spec: graph needs n, m > 0");
+  }
+  check_spec_cap(m, n * (n - 1) / 2, "edge count");
+}
+
+// C(n, s), or cap + 1 as soon as it passes cap. For s <= n/2 the
+// partial products C(n, i) grow with i, so the early exit is exact,
+// and each step stays below (cap + 1) * n.
+u64 binomial_capped(u64 n, u64 s, u64 cap) {
+  if (s > n) return 0;
+  s = std::min(s, n - s);
+  u64 c = 1;
+  for (u64 i = 0; i < s; ++i) {
+    c = c * (n - i) / (i + 1);  // exact: C(n, i) (n - i) = C(n, i+1) (i+1)
+    if (c > cap) return cap + 1;
+  }
+  return c;
+}
+
+std::unique_ptr<CamelotProblem> build_problem_from_spec(
     const std::string& spec) {
   std::vector<std::string> parts;
   std::size_t start = 0;
@@ -418,9 +458,7 @@ std::unique_ptr<CamelotProblem> make_problem_from_spec(
     const std::size_t n = spec_uint(parts[1]);
     const std::size_t m = spec_uint(parts[2]);
     const u64 seed = spec_uint(parts[3]);
-    if (n == 0 || m == 0) {
-      throw std::invalid_argument("problem spec: triangle needs n, m > 0");
-    }
+    check_spec_graph(n, m);
     Graph g = gnm(n, m, seed);
     return std::make_unique<TriangleCountProblem>(g,
                                                   strassen_decomposition());
@@ -430,12 +468,15 @@ std::unique_ptr<CamelotProblem> make_problem_from_spec(
     const std::size_t m = spec_uint(parts[2]);
     const std::size_t k = spec_uint(parts[3]);
     const u64 seed = spec_uint(parts[4]);
-    if (n == 0 || m == 0) {
-      throw std::invalid_argument("problem spec: clique needs n, m > 0");
-    }
+    check_spec_graph(n, m);
     if (k == 0 || k % 6 != 0) {
       throw std::invalid_argument("problem spec: clique needs 6 | k, k > 0");
     }
+    if (k / 6 > n) {
+      throw std::invalid_argument("problem spec: clique needs k/6 <= n");
+    }
+    check_spec_cap(binomial_capped(n, k / 6, kMaxSpecCliqueRows),
+                   kMaxSpecCliqueRows, "clique row count C(n, k/6)");
     Graph g = gnm(n, m, seed);
     return std::make_unique<CliqueCountProblem>(g, k,
                                                 strassen_decomposition());
@@ -448,6 +489,9 @@ std::unique_ptr<CamelotProblem> make_problem_from_spec(
     if (n == 0 || t == 0) {
       throw std::invalid_argument("problem spec: ov needs n, t > 0");
     }
+    // n * t, saturated past the cap instead of wrapping.
+    const u64 cells = t > kMaxSpecOvCells / n ? kMaxSpecOvCells + 1 : n * t;
+    check_spec_cap(cells, kMaxSpecOvCells, "ov cell count n * t");
     if (!(density >= 0.0) || density > 1.0) {
       throw std::invalid_argument("problem spec: ov density in [0, 1]");
     }
@@ -456,6 +500,16 @@ std::unique_ptr<CamelotProblem> make_problem_from_spec(
         BoolMatrix::random(n, t, density, seed + 1));
   }
   throw std::invalid_argument("unknown problem spec: " + spec);
+}
+
+}  // namespace
+
+std::unique_ptr<CamelotProblem> make_problem_from_spec(
+    const std::string& spec) {
+  std::unique_ptr<CamelotProblem> problem = build_problem_from_spec(spec);
+  check_spec_cap(problem->spec().degree_bound, kMaxSpecDegree,
+                 "proof degree bound");
+  return problem;
 }
 
 // ---- Worker --------------------------------------------------------------

@@ -89,8 +89,11 @@ struct ShardJob {
 //   ov:<n>:<t>:<density>:<seed>   — orthogonal vectors on two random
 //                                   n x t boolean matrices (seeds
 //                                   seed and seed+1).
-// Throws std::invalid_argument on anything else. The returned problem
-// is self-contained (no reference to transient inputs).
+// Throws std::invalid_argument on anything else, and on a spec past
+// the size caps (n <= 1024 vertices, C(n, k/6) <= 256 clique rows,
+// n * t <= 2^20 OV cells, checked before anything is built; proof
+// degree bound <= 2^16, checked on the built problem). The returned
+// problem is self-contained (no reference to transient inputs).
 std::unique_ptr<CamelotProblem> make_problem_from_spec(
     const std::string& spec);
 

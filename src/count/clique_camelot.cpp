@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "poly/lagrange.hpp"
+#include "poly/multipoint.hpp"
 #include "yates/yates.hpp"
 
 namespace camelot {
@@ -95,8 +96,8 @@ Form62Problem::Form62Problem(Form62Input input, TrilinearDecomposition dec,
 ProofSpec Form62Problem::spec() const {
   ProofSpec s;
   s.degree_bound = 3 * (rank_ - 1);
-  // q must exceed R so that the recovery points 1..R are distinct
-  // mod q (the prime plan additionally forces q > e >= d+1).
+  // q must exceed R so that the evaluator's Lagrange nodes 1..R are
+  // distinct mod q (the prime plan additionally forces q > e >= d+1).
   s.min_modulus = rank_ + 1;
   s.answer_count = 1;
   s.answer_bound = value_bound_;
@@ -109,13 +110,9 @@ std::unique_ptr<Evaluator> Form62Problem::make_evaluator(
 }
 
 std::vector<u64> Form62Problem::recover(const Poly& proof,
-                                        const PrimeField& f) const {
+                                        const FieldOps& f) const {
   // X(6,2) = sum_{r=1}^{R} P(r)  (Theorem 13).
-  u64 total = 0;
-  for (u64 r = 1; r <= rank_; ++r) {
-    total = f.add(total, poly_eval(proof, r, f));
-  }
-  return {total};
+  return {range_sum(proof, 1, rank_, f)};
 }
 
 CliqueCountProblem::CliqueCountProblem(const Graph& g, std::size_t k,

@@ -34,8 +34,7 @@ class Form62Problem : public CamelotProblem {
   ProofSpec spec() const override;
   std::unique_ptr<Evaluator> make_evaluator(
       const FieldOps& f) const override;
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override;
+  std::vector<u64> recover(const Poly& proof, const FieldOps& f) const override;
 
   u64 rank() const noexcept { return rank_; }  // R = R0^t
   unsigned kron_t() const noexcept { return t_; }
@@ -63,7 +62,7 @@ class CliqueCountProblem : public CamelotProblem {
     return inner_->make_evaluator(f);
   }
   std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override {
+                           const FieldOps& f) const override {
     return inner_->recover(proof, f);
   }
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "poly/multipoint.hpp"
 #include "yates/poly_ext.hpp"
 
 namespace camelot {
@@ -90,7 +91,7 @@ TriangleCountProblem::TriangleCountProblem(const Graph& g,
 ProofSpec TriangleCountProblem::spec() const {
   ProofSpec s;
   s.degree_bound = 3 * (num_outer_ - 1);
-  // Recovery sums P over the points 1..R/m'.
+  // The Yates extension's Lagrange nodes 1..R/m' must be distinct mod q.
   s.min_modulus = num_outer_ + 1;
   s.answer_count = 1;
   // trace(A^3) <= n^3.
@@ -105,12 +106,8 @@ std::unique_ptr<Evaluator> TriangleCountProblem::make_evaluator(
 }
 
 std::vector<u64> TriangleCountProblem::recover(const Poly& proof,
-                                               const PrimeField& f) const {
-  u64 total = 0;
-  for (u64 z = 1; z <= num_outer_; ++z) {
-    total = f.add(total, poly_eval(proof, z, f));
-  }
-  return {total};
+                                               const FieldOps& f) const {
+  return {range_sum(proof, 1, num_outer_, f)};
 }
 
 BigInt TriangleCountProblem::triangles_from_answer(const BigInt& trace) {

@@ -28,8 +28,7 @@ class TriangleCountProblem : public CamelotProblem {
   ProofSpec spec() const override;
   std::unique_ptr<Evaluator> make_evaluator(
       const FieldOps& f) const override;
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override;
+  std::vector<u64> recover(const Poly& proof, const FieldOps& f) const override;
 
   // Number of proof evaluation points that recover the trace: R/m'.
   u64 num_outer() const noexcept { return num_outer_; }

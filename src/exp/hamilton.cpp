@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "poly/lagrange.hpp"
+#include "poly/multipoint.hpp"
 
 namespace camelot {
 
@@ -119,13 +120,9 @@ std::unique_ptr<Evaluator> HamiltonCycleProblem::make_evaluator(
 }
 
 std::vector<u64> HamiltonCycleProblem::recover(const Poly& proof,
-                                               const PrimeField& f) const {
+                                               const FieldOps& f) const {
   const u64 big_m = u64{1} << h1_;
-  u64 total = 0;
-  for (u64 i = 0; i < big_m; ++i) {
-    total = f.add(total, poly_eval(proof, i, f));
-  }
-  return {total};
+  return {range_sum(proof, 0, big_m - 1, f)};
 }
 
 BigInt HamiltonCycleProblem::undirected_from_answer(const BigInt& directed) {

@@ -26,8 +26,7 @@ class HamiltonCycleProblem : public CamelotProblem {
   ProofSpec spec() const override;
   std::unique_ptr<Evaluator> make_evaluator(
       const FieldOps& f) const override;
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override;
+  std::vector<u64> recover(const Poly& proof, const FieldOps& f) const override;
 
   // The answer is the number of *directed* Hamiltonian cycles
   // (2x the undirected count).

@@ -61,8 +61,7 @@ ProofSpec PartitionTemplateProblem::spec() const {
 }
 
 std::vector<u64> PartitionTemplateProblem::recover(
-    const Poly& proof, const PrimeField& f) const {
-  (void)f;
+    const Poly& proof, const FieldOps& /*f*/) const {
   std::vector<u64> out;
   const u64 blocks = num_groups_ * t_values_.size();
   out.reserve(blocks);

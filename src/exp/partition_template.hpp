@@ -53,8 +53,7 @@ class PartitionTemplateProblem : public CamelotProblem {
 
   std::string name() const override { return name_; }
   ProofSpec spec() const override;
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override;
+  std::vector<u64> recover(const Poly& proof, const FieldOps& f) const override;
 
   unsigned n_explicit() const noexcept { return ne_; }
   unsigned n_bits() const noexcept { return nb_; }

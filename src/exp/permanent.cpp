@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "poly/lagrange.hpp"
+#include "poly/multipoint.hpp"
 
 namespace camelot {
 
@@ -121,13 +122,9 @@ std::unique_ptr<Evaluator> PermanentProblem::make_evaluator(
 }
 
 std::vector<u64> PermanentProblem::recover(const Poly& proof,
-                                           const PrimeField& f) const {
+                                           const FieldOps& f) const {
   const u64 big_m = u64{1} << (m_.n / 2);
-  u64 total = 0;
-  for (u64 i = 0; i < big_m; ++i) {
-    total = f.add(total, poly_eval(proof, i, f));
-  }
-  return {total};
+  return {range_sum(proof, 0, big_m - 1, f)};
 }
 
 BigInt permanent_ryser(const IntMatrix& m) {

@@ -32,8 +32,7 @@ class PermanentProblem : public CamelotProblem {
   ProofSpec spec() const override;
   std::unique_ptr<Evaluator> make_evaluator(
       const FieldOps& f) const override;
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override;
+  std::vector<u64> recover(const Poly& proof, const FieldOps& f) const override;
 
   std::size_t n() const noexcept { return m_.n; }
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "poly/lagrange.hpp"
+#include "poly/multipoint.hpp"
 
 namespace camelot {
 
@@ -104,13 +105,9 @@ std::unique_ptr<Evaluator> SetCoverProblem::make_evaluator(
 }
 
 std::vector<u64> SetCoverProblem::recover(const Poly& proof,
-                                          const PrimeField& f) const {
+                                          const FieldOps& f) const {
   const u64 big_m = u64{1} << (n_ / 2);
-  u64 total = 0;
-  for (u64 i = 0; i < big_m; ++i) {
-    total = f.add(total, poly_eval(proof, i, f));
-  }
-  return {total};
+  return {range_sum(proof, 0, big_m - 1, f)};
 }
 
 BigInt count_set_covers_brute(std::size_t n, const std::vector<u64>& family,

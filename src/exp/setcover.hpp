@@ -23,8 +23,7 @@ class SetCoverProblem : public CamelotProblem {
   ProofSpec spec() const override;
   std::unique_ptr<Evaluator> make_evaluator(
       const FieldOps& f) const override;
-  std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override;
+  std::vector<u64> recover(const Poly& proof, const FieldOps& f) const override;
 
  private:
   std::size_t n_;

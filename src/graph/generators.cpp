@@ -19,7 +19,8 @@ Graph gnp(std::size_t n, double p, u64 seed) {
 }
 
 Graph gnm(std::size_t n, std::size_t m, u64 seed) {
-  const std::size_t max_edges = n * (n - 1) / 2;
+  // n(n-1)/2 in 128 bits: the 64-bit product wraps from n = 2^32 + 1.
+  const u128 max_edges = u128{n} * (n - 1) / 2;
   if (m > max_edges) throw std::invalid_argument("gnm: too many edges");
   std::mt19937_64 rng(seed);
   Graph g(n);

@@ -301,4 +301,92 @@ Poly interpolate(std::span<const u64> xs, std::span<const u64> ys,
   return tree.interpolate(ys, f);
 }
 
+namespace {
+
+// prod (1 - r x) over the in-domain roots, truncated to n coefficients,
+// as a balanced product tree.
+template <class Field>
+std::vector<u64> one_minus_product(std::span<const u64> roots, std::size_t n,
+                                   const Field& f, const NttTables* tables) {
+  std::vector<u64> out;
+  if (roots.size() <= 1) {
+    out.push_back(f.one());
+    if (!roots.empty()) out.push_back(f.neg(roots[0]));
+  } else {
+    const std::size_t half = roots.size() / 2;
+    const std::vector<u64> left =
+        one_minus_product(roots.first(half), n, f, tables);
+    const std::vector<u64> right =
+        one_minus_product(roots.subspan(half), n, f, tables);
+    out = fastdiv_detail::mul_full(left, right, f, tables);
+  }
+  if (out.size() > n) out.resize(n);
+  return out;
+}
+
+// range_power_sums in the field's own value domain.
+template <class Field>
+std::vector<u64> power_sums_in_domain(u64 lo, u64 hi, std::size_t n,
+                                      const Field& f,
+                                      const NttTables* tables) {
+  std::vector<u64> s(n, 0);
+  if (n == 0 || hi < lo) return s;
+  const u64 q = f.modulus();
+  // Roots r = 0 mod q contribute the factor 1.
+  std::vector<u64> roots;
+  for (u64 r = lo;; ++r) {
+    if (r % q != 0) roots.push_back(f.from_u64(r));
+    if (r == hi) break;
+  }
+  const std::vector<u64> d = one_minus_product(roots, n, f, tables);
+  s[0] = f.from_u64((hi - lo) % q + 1);
+  if (n == 1) return s;
+  // S_k = -[x^{k-1}] D'/D for k >= 1, so D' and 1/D are needed mod
+  // x^{n-1}.
+  std::vector<u64> dd(n - 1, 0);
+  for (std::size_t k = 1; k < d.size(); ++k) {
+    dd[k - 1] = f.mul(f.from_u64(k), d[k]);
+  }
+  const Poly inv = poly_inverse_series(Poly{d}, n - 1, f, tables);
+  const std::vector<u64> ratio = poly_mul_low(dd, inv.c, n - 1, f, tables);
+  for (std::size_t k = 1; k < n; ++k) s[k] = f.neg(ratio[k - 1]);
+  return s;
+}
+
+}  // namespace
+
+std::vector<u64> range_power_sums(u64 lo, u64 hi, std::size_t n,
+                                  const FieldOps& f) {
+  if (f.backend() == FieldBackend::kPrimeDivision) {
+    return power_sums_in_domain(lo, hi, n, f.prime(), nullptr);
+  }
+  std::vector<u64> s =
+      with_lane_field(f.backend(), f.mont(), [&](const auto& lf) {
+        return power_sums_in_domain(lo, hi, n, lf, f.ntt_tables().get());
+      });
+  f.mont().from_mont_inplace(s);
+  return s;
+}
+
+u64 range_sum(const Poly& p, u64 lo, u64 hi, const FieldOps& f) {
+  const std::vector<u64> s = range_power_sums(lo, hi, p.c.size(), f);
+  const PrimeField& pf = f.prime();
+  u64 total = 0;
+  for (std::size_t k = 0; k < s.size(); ++k) {
+    total = pf.add(total, pf.mul(p.c[k], s[k]));
+  }
+  return total;
+}
+
+std::vector<u64> range_evaluate(const Poly& p, u64 lo, u64 hi,
+                                const FieldOps& f) {
+  if (hi < lo) return {};
+  std::vector<u64> xs;
+  for (u64 r = lo;; ++r) {
+    xs.push_back(r);
+    if (r == hi) break;
+  }
+  return SubproductTree(xs, f).evaluate(p, f.prime());
+}
+
 }  // namespace camelot

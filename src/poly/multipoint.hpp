@@ -132,4 +132,28 @@ std::vector<u64> multipoint_evaluate(const Poly& p, std::span<const u64> xs,
 Poly interpolate(std::span<const u64> xs, std::span<const u64> ys,
                  const PrimeField& f);
 
+// ---- Recovery kernels ----------------------------------------------------
+// Nearly every CamelotProblem::recover either sums the decoded proof
+// over a run of consecutive integers (Theorem 13: X(6,2) =
+// sum_{r=1}^{R} P(r)) or reads it at one. Both kernels run on the
+// handle's resolved backend and return canonical residues; an empty
+// range (hi < lo) sums to zero and reads nothing.
+
+// Power sums S_k = sum_{r=lo}^{hi} r^k mod q for k < n (0^0 = 1), as
+// the power series (hi-lo+1) - x D'(x)/D(x) with D(x) = prod (1 - r x):
+// one balanced product of the linear factors, one Newton inverse and
+// one low product, O(N log^2 N + n log n) for N = hi-lo+1 points. No
+// step divides by k, so it holds in any characteristic, for lo = 0 and
+// for ranges longer than q.
+std::vector<u64> range_power_sums(u64 lo, u64 hi, std::size_t n,
+                                  const FieldOps& f);
+
+// sum_{r=lo}^{hi} p(r) mod q: the dot product of p's coefficients
+// with range_power_sums(lo, hi, p.c.size(), f).
+u64 range_sum(const Poly& p, u64 lo, u64 hi, const FieldOps& f);
+
+// p(lo), p(lo+1), ..., p(hi) through a SubproductTree on f.
+std::vector<u64> range_evaluate(const Poly& p, u64 lo, u64 hi,
+                                const FieldOps& f);
+
 }  // namespace camelot

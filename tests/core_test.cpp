@@ -53,8 +53,8 @@ class ToyProblem : public CamelotProblem {
   }
 
   std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override {
-    return {poly_eval(proof, 1, f)};
+                           const FieldOps& f) const override {
+    return {poly_eval(proof, 1, f.prime())};
   }
 
  private:

@@ -140,6 +140,35 @@ TEST_P(AllProblems, HonestProofVerifiesAndRecoverCountMatchesSpec) {
   EXPECT_EQ(problem->recover(proof, f).size(), spec.answer_count);
 }
 
+TEST_P(AllProblems, RecoverIsBackendIndependent) {
+  // recover runs its kernels on the session's resolved backend; the
+  // residues must not depend on which one that is.
+  auto problem = all_problems()[GetParam()].make();
+  const ProofSpec spec = problem->spec();
+  const u64 q = find_ntt_prime(
+      std::max<u64>(spec.min_modulus, 2 * (spec.degree_bound + 2)), 8);
+  PrimeField f(q);
+  ReedSolomonCode code(f, spec.degree_bound, spec.degree_bound + 1);
+  auto ev = problem->make_evaluator(f);
+  std::vector<u64> word(code.length());
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    word[i] = ev->eval(code.points()[i]);
+  }
+  const Poly proof = code.interpolate_received(word);
+  const std::vector<u64> scalar = problem->recover(proof, FieldOps(f));
+  ASSERT_EQ(scalar.size(), spec.answer_count);
+  // Lane requests the host cannot run resolve downward, so the
+  // comparison degrades gracefully instead of skipping.
+  const FieldBackend backends[] = {
+      FieldBackend::kPrimeDivision, FieldBackend::kMontgomery,
+      FieldBackend::kMontgomeryAvx2, FieldBackend::kMontgomeryAvx512};
+  for (const FieldBackend b : backends) {
+    const FieldOps ops(f, b);
+    EXPECT_EQ(problem->recover(proof, ops), scalar)
+        << all_problems()[GetParam()].label << " backend=" << int(b);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Catalog, AllProblems,
                          ::testing::Range<std::size_t>(0, 12));
 

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <random>
 
+#include "field/field_cache.hpp"
 #include "field/primes.hpp"
 #include "poly/lagrange.hpp"
 
@@ -96,6 +97,99 @@ TEST(SubproductTree, RejectsEmptyAndMismatch) {
   SubproductTree tree(std::vector<u64>{1, 2}, f);
   std::vector<u64> vals = {1};
   EXPECT_THROW(tree.interpolate(vals, f), std::invalid_argument);
+}
+
+// ---- Recovery kernels ----------------------------------------------------
+
+// Each backend the host can run for q, with cached twiddle tables so
+// the tabled transforms are exercised too; rungs that resolve downward
+// (no AVX2 / AVX-512, or forced off) are skipped.
+std::vector<FieldOps> runnable_backends(u64 q, FieldCache& cache) {
+  const FieldBackend backends[] = {
+      FieldBackend::kPrimeDivision, FieldBackend::kMontgomery,
+      FieldBackend::kMontgomeryAvx2, FieldBackend::kMontgomeryAvx512};
+  std::vector<FieldOps> out;
+  for (const FieldBackend b : backends) {
+    const FieldOps ops = cache.ops(q, std::size_t{1} << 15, b);
+    if (ops.backend() == b) out.push_back(ops);
+  }
+  return out;
+}
+
+// Seeded random proofs of degree 0, 1, 7200 and 8192, plus the empty
+// proof.
+std::vector<Poly> recovery_proofs(const PrimeField& f) {
+  std::mt19937_64 rng(0x5EC0);
+  std::vector<Poly> out = {Poly{}};
+  for (const std::size_t deg : {0, 1, 7200, 8192}) {
+    out.push_back(random_poly(deg, f, rng));
+  }
+  return out;
+}
+
+// range_sum against sum_r poly_eval and range_evaluate against
+// per-point poly_eval, bit-identical on every runnable backend.
+void expect_kernels_match_horner(u64 q, u64 lo, u64 hi) {
+  SCOPED_TRACE(testing::Message() << "q=" << q << " lo=" << lo << " hi=" << hi);
+  const PrimeField f(q);
+  FieldCache cache;
+  const std::vector<FieldOps> backends = runnable_backends(q, cache);
+  ASSERT_GE(backends.size(), 2u);  // division and scalar Montgomery
+  for (const Poly& p : recovery_proofs(f)) {
+    SCOPED_TRACE(testing::Message() << "deg=" << p.degree());
+    u64 sum = 0;
+    std::vector<u64> reads;
+    for (u64 r = lo;; ++r) {
+      reads.push_back(poly_eval(p, r, f));
+      sum = f.add(sum, reads.back());
+      if (r == hi) break;
+    }
+    for (const FieldOps& ops : backends) {
+      SCOPED_TRACE(testing::Message() << "backend=" << int(ops.backend()));
+      EXPECT_EQ(range_sum(p, lo, hi, ops), sum);
+      EXPECT_EQ(range_evaluate(p, lo, hi, ops), reads);
+    }
+  }
+}
+
+TEST(RecoveryKernels, MatchHornerOnTheFormRange) {
+  // The 6-clique session's range: R = 7^4 points for a degree-7200
+  // proof.
+  expect_kernels_match_horner(find_ntt_prime(1 << 20, 16), 1, 2401);
+}
+
+TEST(RecoveryKernels, MatchHornerFromZero) {
+  // r = 0 contributes P(0) = c_0 (0^0 = 1) but no factor to D.
+  expect_kernels_match_horner(find_ntt_prime(1 << 20, 16), 0, 63);
+}
+
+TEST(RecoveryKernels, MatchHornerOnOnePoint) {
+  expect_kernels_match_horner(find_ntt_prime(1 << 20, 16), 777, 777);
+}
+
+TEST(RecoveryKernels, MatchHornerOnRangesLongerThanTheModulus) {
+  // q = 97: the points wrap around Z_q several times (multiples of q
+  // included), the count hi-lo+1 is reduced mod q, and no transform
+  // fits the field, so every product runs on Karatsuba.
+  expect_kernels_match_horner(97, 0, 300);
+  expect_kernels_match_horner(97, 5, 392);  // exactly 4q points
+}
+
+TEST(RecoveryKernels, EmptyRangeAndTopOfU64) {
+  const u64 q = find_ntt_prime(1 << 20, 16);
+  const PrimeField f(q);
+  std::mt19937_64 rng(3);
+  const Poly p = random_poly(40, f, rng);
+  EXPECT_EQ(range_sum(p, 9, 8, f), 0u);
+  EXPECT_TRUE(range_evaluate(p, 9, 8, f).empty());
+  EXPECT_EQ(range_power_sums(9, 8, 5, f), std::vector<u64>(5, 0));
+  // The last representable points: the range loop must not wrap.
+  const u64 top = ~u64{0};
+  const u64 want =
+      f.add(f.add(poly_eval(p, top - 2, f), poly_eval(p, top - 1, f)),
+            poly_eval(p, top, f));
+  EXPECT_EQ(range_sum(p, top - 2, top, f), want);
+  EXPECT_EQ(range_evaluate(p, top - 2, top, f).size(), 3u);
 }
 
 TEST(Lagrange, BasisIsIndicatorOnNodes) {

@@ -235,7 +235,7 @@ class TaggedProblem final : public CamelotProblem {
     return inner_->make_evaluator(f);
   }
   std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override {
+                           const FieldOps& f) const override {
     return inner_->recover(proof, f);
   }
 
@@ -312,7 +312,7 @@ class SlowProblem final : public CamelotProblem {
                                            per_chunk_, f);
   }
   std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override {
+                           const FieldOps& f) const override {
     return inner_->recover(proof, f);
   }
 
@@ -415,7 +415,7 @@ class ThrowingProblem final : public CamelotProblem {
     throw std::runtime_error("ThrowingProblem: evaluator construction");
   }
   std::vector<u64> recover(const Poly& proof,
-                           const PrimeField& f) const override {
+                           const FieldOps& f) const override {
     return inner_->recover(proof, f);
   }
 

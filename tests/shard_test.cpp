@@ -171,6 +171,28 @@ TEST(ShardProtocol, ProblemFactoryParsesAndRejects) {
   EXPECT_THROW(make_problem_from_spec("triangle:12:30:99999999999999999999"),
                std::invalid_argument);
   EXPECT_THROW(make_problem_from_spec("ov:8:4:0.3.1:1"), std::invalid_argument);
+
+  // Size caps, checked before anything is built: an n^2-bit adjacency
+  // of ~125 GB, C(64, 10) clique subsets, 2016 chi rows padded to 2048
+  // (R = 7^11), and an n whose n(n-1)/2 overflows 64 bits.
+  EXPECT_THROW(make_problem_from_spec("triangle:1000000:1:1"),
+               std::invalid_argument);
+  EXPECT_THROW(make_problem_from_spec("clique:64:100:60:1"),
+               std::invalid_argument);
+  EXPECT_THROW(make_problem_from_spec("clique:64:2000:12:1"),
+               std::invalid_argument);
+  EXPECT_THROW(make_problem_from_spec("triangle:4294967297:1:1"),
+               std::invalid_argument);
+  EXPECT_THROW(make_problem_from_spec("triangle:10:46:1"),  // > C(10, 2)
+               std::invalid_argument);
+  EXPECT_THROW(make_problem_from_spec("ov:1048576:2:0.5:1"),
+               std::invalid_argument);
+  // Within every raw cap, but the built proof's degree bound is past
+  // its cap: one edge on 1024 vertices leaves R = 7^10 outer points.
+  EXPECT_THROW(make_problem_from_spec("triangle:1024:1:1"),
+               std::invalid_argument);
+  // The benchmark fleet's spec stays admitted.
+  EXPECT_NO_THROW(make_problem_from_spec("triangle:128:1200:1"));
 }
 
 // ---- Untrusted wire lengths ----------------------------------------------
@@ -202,18 +224,18 @@ int run_worker_on(const std::string& input, unsigned char* reply) {
   return rc;
 }
 
-// A submit frame for kProblemSpec, field by field in encode_submit
-// order, with no primes assigned. The arguments are the fields the
-// tests below corrupt; a corrupt-node count other than 0 is written
-// with no entries behind it.
+// A submit frame (for kProblemSpec by default), field by field in
+// encode_submit order, with no primes assigned. The arguments are the
+// fields the tests below corrupt; a corrupt-node count other than 0 is
+// written with no entries behind it.
 std::string submit_frame(double redundancy, unsigned char backend,
-                         std::uint32_t corrupt_count, double loss_rate = 0.0) {
+                         std::uint32_t corrupt_count, double loss_rate = 0.0,
+                         const std::string& spec = kProblemSpec) {
   std::uint64_t redundancy_bits, loss_bits;
   std::memcpy(&redundancy_bits, &redundancy, sizeof(redundancy_bits));
   std::memcpy(&loss_bits, &loss_rate, sizeof(loss_bits));
   std::string p;
   put_le(p, static_cast<unsigned char>(ShardFrame::kSubmit), 1);
-  const std::string spec = kProblemSpec;
   put_le(p, spec.size(), 4);
   p += spec;
   put_le(p, 6, 8);                // num_nodes
@@ -261,6 +283,15 @@ TEST(ShardProtocol, WorkerRejectsNanLossRate) {
   // job as lossless; the worker must refuse it instead.
   unsigned char reply = 0;
   EXPECT_EQ(run_worker_on(submit_frame(2.0, 0, 0, std::nan("")), &reply), 1);
+  EXPECT_EQ(reply, static_cast<unsigned char>(ShardFrame::kError));
+}
+
+TEST(ShardProtocol, WorkerRejectsOversizedProblemSpec) {
+  // A well-formed submit whose spec pads 2016 chi rows to R = 7^11:
+  // the worker must answer kError from the spec caps, before building.
+  const std::string frame = submit_frame(2.0, 0, 0, 0.0, "clique:64:2000:12:1");
+  unsigned char reply = 0;
+  EXPECT_EQ(run_worker_on(frame, &reply), 1);
   EXPECT_EQ(reply, static_cast<unsigned char>(ShardFrame::kError));
 }
 

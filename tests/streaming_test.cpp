@@ -364,7 +364,7 @@ TEST(StreamingPipeline, WorkerExceptionsReachTheCaller) {
     std::unique_ptr<Evaluator> make_evaluator(const FieldOps&) const override {
       throw std::runtime_error("ThrowingProblem: evaluator construction");
     }
-    std::vector<u64> recover(const Poly&, const PrimeField&) const override {
+    std::vector<u64> recover(const Poly&, const FieldOps&) const override {
       return {0};
     }
   };
