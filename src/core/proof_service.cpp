@@ -7,7 +7,6 @@
 
 #include "core/erasure_stream.hpp"
 #include "core/proof_session.hpp"
-#include "obs/trace.hpp"
 
 namespace camelot {
 
@@ -25,11 +24,41 @@ struct ProofService::Job {
   // Set exactly once, by whichever task completes the job, expires it,
   // or (at submit) rejects it; guards the promise.
   std::atomic<bool> settled{false};
-  int priority = 0;
   std::chrono::steady_clock::time_point submitted_at{};
-  bool has_deadline = false;
+  // time_point::max() when the job carries no deadline.
   std::chrono::steady_clock::time_point deadline{};
 };
+
+namespace {
+
+// Evaluation threads per session when the submitted ClusterConfig
+// leaves num_threads at 0: the worker pool is the scaling axis.
+constexpr unsigned kThreadsPerSession = 1;
+
+// The instant `deadline` after `from`, or time_point::max() (never)
+// for a zero deadline. Rejects what the steady clock cannot hold: a
+// negative deadline would silently mean "none", and one past the
+// clock's range would overflow into the past.
+std::chrono::steady_clock::time_point deadline_after(
+    std::chrono::steady_clock::time_point from,
+    std::chrono::milliseconds deadline) {
+  using Clock = std::chrono::steady_clock;
+  if (deadline.count() < 0) {
+    throw std::invalid_argument("ProofService::submit: negative deadline");
+  }
+  if (deadline.count() == 0) return Clock::time_point::max();
+  // Compare in milliseconds: converting `deadline` to the clock's finer
+  // tick first could itself overflow.
+  const auto headroom = std::chrono::floor<std::chrono::milliseconds>(
+      Clock::time_point::max() - from);
+  if (deadline > headroom) {
+    throw std::invalid_argument(
+        "ProofService::submit: deadline beyond the steady clock's range");
+  }
+  return from + deadline;
+}
+
+}  // namespace
 
 ProofService::ProofService(ProofServiceConfig config)
     : config_(config),
@@ -39,8 +68,6 @@ ProofService::ProofService(ProofServiceConfig config)
   jobs_submitted_ = &metrics_->counter("camelot_jobs_submitted_total");
   jobs_completed_ = &metrics_->counter("camelot_jobs_completed_total");
   jobs_rejected_ = &metrics_->counter("camelot_jobs_rejected_total");
-  jobs_shed_infeasible_ =
-      &metrics_->counter("camelot_jobs_shed_infeasible_total");
   jobs_expired_queued_ =
       &metrics_->counter("camelot_jobs_expired_queued_total");
   jobs_cancelled_inflight_ =
@@ -55,92 +82,41 @@ ProofService::ProofService(ProofServiceConfig config)
   queue_depth_ = &metrics_->gauge("camelot_queue_depth");
   queue_depth_high_water_ =
       &metrics_->gauge("camelot_queue_depth_high_water");
-  workers_active_gauge_ = &metrics_->gauge("camelot_workers_active");
-  workers_peak_ = &metrics_->gauge("camelot_workers_peak");
   job_latency_ = &metrics_->histogram("camelot_job_latency_seconds");
 
-  unsigned n;
-  if (config_.max_workers != 0) {
-    config_.min_workers = std::max(1u, config_.min_workers);
-    config_.max_workers =
-        std::max(config_.max_workers, config_.min_workers);
-    n = config_.num_workers != 0
-            ? std::clamp(config_.num_workers, config_.min_workers,
-                         config_.max_workers)
-            : config_.min_workers;
-  } else {
-    n = config_.num_workers != 0
-            ? config_.num_workers
-            : std::max(1u, std::thread::hardware_concurrency());
+  const unsigned n = config_.num_workers != 0
+                         ? config_.num_workers
+                         : std::max(1u, std::thread::hardware_concurrency());
+  workers_.reserve(n);
+  try {
+    for (unsigned i = 0; i < n; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // No destructor runs for a half-built service: join the workers
+    // already started before their `this` goes away.
+    stop_workers();
+    throw;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  for (unsigned i = 0; i < n; ++i) spawn_worker_locked();
 }
 
-ProofService::~ProofService() {
-  std::vector<std::thread> to_join;
+ProofService::~ProofService() { stop_workers(); }
+
+void ProofService::stop_workers() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
-    // No worker retires itself after stopping_ is set (the retire
-    // check runs under mu_), so this collection is complete.
-    for (auto& [id, t] : workers_) to_join.push_back(std::move(t));
-    workers_.clear();
-    for (std::thread& t : retired_) to_join.push_back(std::move(t));
-    retired_.clear();
   }
   cv_.notify_all();
-  for (std::thread& t : to_join) t.join();
+  for (std::thread& t : workers_) t.join();
 }
 
-void ProofService::spawn_worker_locked() {
-  const std::uint64_t id = next_worker_id_++;
-  workers_.emplace(id, std::thread([this, id] { worker_loop(id); }));
-  ++active_workers_;
-  workers_active_gauge_->set(static_cast<std::int64_t>(active_workers_));
-  workers_peak_->max_of(static_cast<std::int64_t>(active_workers_));
-  CAMELOT_TRACE_MSG(obs::kTraceSched, "worker spawn id=%llu active=%zu",
-                    static_cast<unsigned long long>(id), active_workers_);
-}
-
-void ProofService::reap_retired() {
-  std::vector<std::thread> to_join;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    to_join.swap(retired_);
-  }
-  for (std::thread& t : to_join) t.join();
-}
-
-void ProofService::worker_loop(std::uint64_t worker_id) {
+void ProofService::worker_loop() {
   while (true) {
     Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (config_.max_workers != 0) {
-        // Autoscaling pool: an idle wait that times out retires this
-        // worker, down to min_workers. The retired thread object moves
-        // to retired_ for an off-thread join (submit()/dtor).
-        while (!stopping_ && tasks_.empty()) {
-          const auto status = cv_.wait_for(lock, config_.autoscale_idle);
-          if (status == std::cv_status::timeout && tasks_.empty() &&
-              !stopping_ && active_workers_ > config_.min_workers) {
-            auto it = workers_.find(worker_id);
-            retired_.push_back(std::move(it->second));
-            workers_.erase(it);
-            --active_workers_;
-            workers_active_gauge_->set(
-                static_cast<std::int64_t>(active_workers_));
-            CAMELOT_TRACE_MSG(obs::kTraceSched,
-                              "worker retire id=%llu active=%zu",
-                              static_cast<unsigned long long>(worker_id),
-                              active_workers_);
-            return;
-          }
-        }
-      } else {
-        cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      }
+      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
       if (tasks_.empty()) return;  // stopping_ && drained
       task = tasks_.top();
       tasks_.pop();
@@ -150,12 +126,9 @@ void ProofService::worker_loop(std::uint64_t worker_id) {
   }
 }
 
-void ProofService::settle_pending_locked(int priority) {
+void ProofService::release_pending() {
+  std::lock_guard<std::mutex> lock(mu_);
   --pending_jobs_;
-  auto it = pending_by_priority_.find(priority);
-  if (it != pending_by_priority_.end() && --it->second == 0) {
-    pending_by_priority_.erase(it);
-  }
 }
 
 void ProofService::run_task(const Task& task) {
@@ -167,10 +140,7 @@ void ProofService::run_task(const Task& task) {
   const auto settle_expired = [this, &job](bool queued) {
     if (!job.settled.exchange(true)) {
       (queued ? jobs_expired_queued_ : jobs_cancelled_inflight_)->inc();
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        settle_pending_locked(job.priority);
-      }
+      release_pending();
       RunReport report;
       report.status = JobStatus::kDeadlineExpired;
       job.promise.set_value(std::move(report));
@@ -179,7 +149,7 @@ void ProofService::run_task(const Task& task) {
   // A settled job's remaining tasks are no-ops (it expired, or a
   // concurrent task already finished it).
   if (job.settled.load(std::memory_order_acquire)) return;
-  if (job.has_deadline && std::chrono::steady_clock::now() > job.deadline) {
+  if (std::chrono::steady_clock::now() > job.deadline) {
     settle_expired(/*queued=*/true);
     return;
   }
@@ -191,8 +161,7 @@ void ProofService::run_task(const Task& task) {
     Job* jp = &job;
     SessionCancelFn cancel = [jp] {
       return jp->settled.load(std::memory_order_acquire) ||
-             (jp->has_deadline &&
-              std::chrono::steady_clock::now() > jp->deadline);
+             std::chrono::steady_clock::now() > jp->deadline;
     };
     job.session->run_prime_streaming(task.prime_index, job.channel->top(),
                                      cancel);
@@ -205,10 +174,7 @@ void ProofService::run_task(const Task& task) {
     // never escape a worker thread. The job's other tasks become
     // no-ops via the settled flag; the service keeps serving.
     if (!job.settled.exchange(true)) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        settle_pending_locked(job.priority);
-      }
+      release_pending();
       job.promise.set_exception(std::current_exception());
     }
     return;
@@ -225,16 +191,12 @@ void ProofService::run_task(const Task& task) {
         repair_rounds_->inc(pr.repair_rounds);
         repaired_symbols_->inc(pr.repaired_symbols);
       }
-      // Submit-to-settle latency: the distribution the predictive
-      // shedder reads, so it only ever learns from completions.
+      // Submit-to-settle latency of completed jobs.
       job_latency_->observe(
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         job.submitted_at)
               .count());
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        settle_pending_locked(job.priority);
-      }
+      release_pending();
       job.promise.set_value(std::move(report));
     }
   }
@@ -280,11 +242,8 @@ std::future<RunReport> ProofService::submit(
     throw std::invalid_argument("ProofService::submit: null problem");
   }
   if (config.num_threads == 0) {
-    config.num_threads = std::max(1u, config_.threads_per_session);
+    config.num_threads = kThreadsPerSession;
   }
-  // Join workers the autoscaler retired since the last submit (cheap:
-  // those threads already returned from worker_loop).
-  reap_retired();
   // Resolve the plan and build the session on the submitting thread:
   // cheap on cache hits, and it surfaces spec errors to the caller
   // synchronously.
@@ -300,86 +259,32 @@ std::future<RunReport> ProofService::submit(
       *job->problem, config, cache_, std::move(plan), codes_, metrics_);
   const std::size_t num_primes = job->session->num_primes();
   job->primes_left.store(num_primes);
-  job->priority = options.priority;
   job->submitted_at = std::chrono::steady_clock::now();
-  if (options.deadline.count() > 0) {
-    job->has_deadline = true;
-    job->deadline = job->submitted_at + options.deadline;
-  }
+  job->deadline = deadline_after(job->submitted_at, options.deadline);
   std::future<RunReport> future = job->promise.get_future();
 
-  // The shedder's latency profile is read outside mu_ (snapshotting a
-  // histogram never locks); the admission decision below uses it
-  // together with the queue pressure read under mu_.
-  obs::Histogram::Snapshot latency_profile;
-  const bool may_shed = config_.latency_shedding && job->has_deadline;
-  if (may_shed) latency_profile = job_latency_->snapshot();
-
   bool rejected = false;
-  bool shed = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       throw std::runtime_error("ProofService::submit: service is stopping");
     }
-    const auto bound_it =
-        config_.max_pending_by_priority.find(options.priority);
-    const bool priority_full =
-        bound_it != config_.max_pending_by_priority.end() &&
-        pending_by_priority_[options.priority] >= bound_it->second;
-    const bool globally_full = config_.max_pending_jobs != 0 &&
-                               pending_jobs_ >= config_.max_pending_jobs;
-    if (priority_full || globally_full) {
-      rejected = true;
-    } else if (may_shed &&
-               latency_profile.count() >= config_.shed_min_samples) {
-      // Predicted completion: the calibrated p95 inflated by how many
-      // jobs already share the pool. A job that cannot make its
-      // deadline even optimistically is cheaper to refuse now than to
-      // expire mid-decode later.
-      const double p95 = latency_profile.quantile(0.95);
-      const double pressure =
-          1.0 + static_cast<double>(pending_jobs_) /
-                    static_cast<double>(std::max<std::size_t>(
-                        1, active_workers_));
-      const double predicted = p95 * pressure;
-      const double budget =
-          std::chrono::duration<double>(options.deadline).count();
-      if (predicted > budget) {
-        rejected = true;
-        shed = true;
-        CAMELOT_TRACE_MSG(obs::kTraceSched,
-                          "shed job priority=%d predicted=%.3fs "
-                          "budget=%.3fs p95=%.3fs pending=%zu",
-                          options.priority, predicted, budget, p95,
-                          pending_jobs_);
-      }
-    }
+    rejected = config_.max_pending_jobs != 0 &&
+               pending_jobs_ >= config_.max_pending_jobs;
     if (!rejected) {
       jobs_submitted_->inc();
       ++pending_jobs_;
-      ++pending_by_priority_[options.priority];
       const std::uint64_t seq = next_seq_++;
       for (std::size_t pi = 0; pi < num_primes; ++pi) {
-        tasks_.push(Task{options.priority, seq, job->has_deadline,
-                         job->deadline, pi, job});
+        tasks_.push(Task{seq, job->deadline, pi, job});
       }
       queue_depth_->set(static_cast<std::int64_t>(tasks_.size()));
       queue_depth_high_water_->max_of(
           static_cast<std::int64_t>(tasks_.size()));
-      if (config_.max_workers != 0) {
-        // Scale up while queued tasks outnumber the active pool. The
-        // new threads block on mu_ until this submit releases it.
-        while (active_workers_ < config_.max_workers &&
-               tasks_.size() > active_workers_) {
-          spawn_worker_locked();
-        }
-      }
     }
   }
   if (rejected) {
     jobs_rejected_->inc();
-    if (shed) jobs_shed_infeasible_->inc();
     job->settled.store(true);
     RunReport report;
     report.status = JobStatus::kRejected;
@@ -395,10 +300,8 @@ ProofService::Stats ProofService::stats() const {
   out.submitted = jobs_submitted_->value();
   out.completed = jobs_completed_->value();
   out.rejected = jobs_rejected_->value();
-  out.shed_infeasible = jobs_shed_infeasible_->value();
   out.expired_queued = jobs_expired_queued_->value();
   out.cancelled_inflight = jobs_cancelled_inflight_->value();
-  out.expired = out.expired_queued + out.cancelled_inflight;
   out.plan_cache_hits = plan_cache_hits_->value();
   out.plan_cache_misses = plan_cache_misses_->value();
   out.decode_quotient_steps = decode_quotient_steps_->value();
@@ -407,8 +310,6 @@ ProofService::Stats ProofService::stats() const {
   out.repaired_symbols = repaired_symbols_->value();
   out.queue_depth_high_water =
       static_cast<std::size_t>(queue_depth_high_water_->value());
-  out.workers_active = static_cast<std::size_t>(workers_active_gauge_->value());
-  out.workers_peak = static_cast<std::size_t>(workers_peak_->value());
   // Cache snapshots are taken outside mu_ (each cache has its own
   // lock; nesting them under mu_ would order the locks needlessly).
   out.field_cache = cache_->stats();

@@ -1,7 +1,7 @@
 // Concurrent proof-preparation service — the traffic-serving facade.
 //
-// A ProofService owns a pool of worker threads plus the keyed caches
-// that make repeated jobs cheap:
+// A ProofService owns a fixed pool of worker threads plus the keyed
+// caches that make repeated jobs cheap:
 //
 //   * a FieldCache (MontgomeryField + NTT twiddle tables per prime),
 //     shared by every session the service runs;
@@ -12,31 +12,21 @@
 //     tree instead of rebuilding both per session.
 //
 // Scheduling is *prime-granular*: submit() splits a job into one task
-// per CRT prime, and every worker pulls tasks from one shared priority
-// queue — so the primes of a single job run on several workers, and a
-// worker that finishes its job's primes immediately steals another
-// job's. Each task drives the full streaming pipeline for its prime
-// (prepare -> streaming transport -> incremental Gao decode -> verify
-// -> recover) through a StreamingSymbolChannel, overlapping stages
-// that the barrier pipeline serialized.
+// per CRT prime, and every worker pulls tasks from one shared
+// deadline-ordered queue — so the primes of a single job run on
+// several workers, and a worker that finishes its job's primes
+// immediately steals another job's. Each task drives the full
+// streaming pipeline for its prime (prepare -> streaming transport ->
+// incremental Gao decode -> verify -> recover) through a
+// StreamingSymbolChannel, overlapping stages that the barrier pipeline
+// serialized.
 //
-// Backpressure: the submit queue can be bounded globally
-// (max_pending_jobs) and per priority class (max_pending_by_priority);
+// Backpressure: the submit queue can be bounded (max_pending_jobs);
 // an overflowing submit() resolves its future immediately with
 // JobStatus::kRejected rather than queueing unboundedly. Jobs may
 // carry a deadline; a job whose deadline passes before it finishes
-// resolves with JobStatus::kDeadlineExpired. Priorities order the
-// queue (higher first, FIFO within a priority).
-//
-// Adaptive admission: once enough jobs have completed to calibrate the
-// camelot_job_latency_seconds histogram, a deadline-carrying submit is
-// checked against the histogram's p95 scaled by the current queue
-// pressure; a job that is predicted to miss its deadline is shed at
-// submit (JobStatus::kRejected) instead of burning a worker on work
-// the submitter will never observe. Setting max_workers > 0 turns the
-// fixed pool into an autoscaler: submit grows the pool while the task
-// queue outruns the active workers, and workers that stay idle for
-// autoscale_idle retire themselves down to min_workers.
+// resolves with JobStatus::kDeadlineExpired. The queue runs
+// earliest-deadline-first, FIFO within a deadline.
 //
 // Every counter the service maintains lives in an obs::Registry (one
 // per service, reachable via metrics()); Stats is a point-in-time view
@@ -55,7 +45,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <queue>
@@ -77,50 +66,25 @@ namespace camelot {
 struct ProofServiceConfig {
   // Worker threads (0 = hardware concurrency).
   unsigned num_workers = 0;
-  // Evaluation threads per session when the submitted ClusterConfig
-  // leaves num_threads at 0 (the pool is the scaling axis).
-  unsigned threads_per_session = 1;
   // Upper bound on jobs admitted but not yet finished (0 = unbounded).
   // When the bound is reached, submit() resolves the returned future
   // immediately with JobStatus::kRejected.
   std::size_t max_pending_jobs = 0;
-  // Per-priority pending bounds: a priority with an entry here is
-  // capped at that many admitted-but-unsettled jobs of the same
-  // priority, so a flood of low-priority work cannot exhaust the
-  // global bound and starve urgent submits. Priorities without an
-  // entry fall back to max_pending_jobs alone; the global bound (when
-  // nonzero) still caps the total across all priorities.
-  std::map<int, std::size_t> max_pending_by_priority;
-  // Latency-aware shedding: when a submit carries a deadline and the
-  // job-latency histogram holds at least shed_min_samples completions,
-  // reject at submit if p95 * (1 + pending/workers) already exceeds
-  // the deadline. Calibration-gated so a fresh service (no history)
-  // never sheds.
-  bool latency_shedding = true;
-  std::size_t shed_min_samples = 8;
-  // Worker autoscaling. 0 = fixed pool of num_workers (the default);
-  // otherwise the pool starts at min_workers (or num_workers, clamped
-  // into [min_workers, max_workers], when num_workers is set), submit
-  // grows it while queued tasks outnumber active workers, and a worker
-  // idle for autoscale_idle retires itself down to min_workers.
-  unsigned max_workers = 0;
-  unsigned min_workers = 1;
-  std::chrono::milliseconds autoscale_idle{200};
 };
 
 // Per-job scheduling knobs for ProofService::submit.
 struct SubmitOptions {
-  // Higher-priority jobs' tasks are scheduled first. Within a
-  // priority, tasks run earliest-deadline-first (a job without a
-  // deadline sorts as deadline = infinity), and FIFO by submission
-  // order when deadlines tie or no job in the queue carries one.
-  int priority = 0;
-  // Zero = no deadline. Measured from submit() on the steady clock; a
-  // job that has not finished when its deadline passes resolves with
+  // Zero = no deadline. Measured from submit() on the steady clock;
+  // tasks run earliest-deadline-first (a job without a deadline sorts
+  // as deadline = infinity), and FIFO by submission order when
+  // deadlines tie or no job in the queue carries one. A job that has
+  // not finished when its deadline passes resolves with
   // JobStatus::kDeadlineExpired — checked when one of its tasks
   // reaches a worker *and* at every chunk boundary of its in-flight
   // primes (SessionCancelled propagation), so an expired job stops
-  // burning workers mid-prime.
+  // burning workers mid-prime. A negative deadline, or one longer than
+  // the steady clock can represent from now, throws
+  // std::invalid_argument.
   std::chrono::milliseconds deadline{0};
   // Lossy-transport simulation: when > 0 the job's streaming channel
   // runs through an ErasureStreamingChannel at this marginal
@@ -142,8 +106,11 @@ class ProofService {
   ProofService& operator=(const ProofService&) = delete;
 
   // Enqueues one problem. The problem (and adversary, if any) are
-  // held alive by the job via shared_ptr. Throws std::runtime_error
-  // after shutdown began. Never throws on overload: a rejected job's
+  // held alive by the job via shared_ptr. A config that leaves
+  // num_threads at 0 runs one evaluation thread per session (the pool
+  // is the scaling axis). Throws std::runtime_error after shutdown
+  // began, std::invalid_argument on a null problem or an out-of-range
+  // loss rate or deadline. Never throws on overload: a rejected job's
   // future resolves at once with JobStatus::kRejected (success=false).
   std::future<RunReport> submit(
       std::shared_ptr<const CamelotProblem> problem,
@@ -166,9 +133,7 @@ class ProofService {
   struct Stats {
     std::size_t submitted = 0;  // admitted jobs (excludes rejections)
     std::size_t completed = 0;  // jobs that ran to completion
-    std::size_t rejected = 0;   // bound or shed rejections (total)
-    std::size_t expired = 0;    // legacy view: expired_queued +
-                                // cancelled_inflight
+    std::size_t rejected = 0;   // max_pending_jobs rejections
     std::size_t plan_cache_hits = 0;
     std::size_t plan_cache_misses = 0;
     // Largest number of per-prime tasks ever resident in the queue —
@@ -176,16 +141,9 @@ class ProofService {
     std::size_t queue_depth_high_water = 0;
     // Deadline expiries split by where the job was caught: still
     // queued (no work lost) vs cancelled mid-prime (partial work
-    // thrown away). Their sum is the legacy `expired`.
+    // thrown away).
     std::size_t expired_queued = 0;
     std::size_t cancelled_inflight = 0;
-    // Rejections from predictive shedding specifically (also counted
-    // in `rejected`).
-    std::size_t shed_infeasible = 0;
-    // Autoscaler observability: current pool size and the largest it
-    // ever grew.
-    std::size_t workers_active = 0;
-    std::size_t workers_peak = 0;
     // Gao-decoder work aggregated over completed jobs' primes:
     // genuine Euclidean quotient steps, and entries into the half-GCD
     // routine (one per decode when the remainder sequence stays below
@@ -208,8 +166,8 @@ class ProofService {
   Stats stats() const;
 
   // The service's metrics registry: admission/queue counters, the
-  // camelot_job_latency_seconds histogram the shedder predicts from,
-  // and the per-stage span histograms of every session this service
+  // camelot_job_latency_seconds submit-to-settle histogram, and the
+  // per-stage span histograms of every session this service
   // runs. Render it with obs::render_prometheus / obs::render_json.
   const std::shared_ptr<obs::Registry>& metrics() const noexcept {
     return metrics_;
@@ -218,24 +176,18 @@ class ProofService {
  private:
   struct Job;
   struct Task {
-    int priority = 0;
-    std::uint64_t seq = 0;  // admission order (FIFO within priority)
-    bool has_deadline = false;
+    std::uint64_t seq = 0;  // admission order
+    // time_point::max() when the job carries no deadline.
     std::chrono::steady_clock::time_point deadline{};
     std::size_t prime_index = 0;
     std::shared_ptr<Job> job;
   };
   struct TaskOrder {
     bool operator()(const Task& a, const Task& b) const {
-      // priority_queue pops the *largest*: highest priority first;
-      // within a priority, earliest deadline first (no deadline =
-      // infinitely late, so a pure-FIFO workload stays FIFO); then
-      // earliest admission, then ascending prime index.
-      if (a.priority != b.priority) return a.priority < b.priority;
-      if (a.has_deadline != b.has_deadline) return !a.has_deadline;
-      if (a.has_deadline && a.deadline != b.deadline) {
-        return a.deadline > b.deadline;
-      }
+      // priority_queue pops the *largest*: earliest deadline first (no
+      // deadline = infinitely late, so a pure-FIFO workload stays
+      // FIFO); then earliest admission, then ascending prime index.
+      if (a.deadline != b.deadline) return a.deadline > b.deadline;
       if (a.seq != b.seq) return a.seq > b.seq;
       return a.prime_index > b.prime_index;
     }
@@ -243,11 +195,11 @@ class ProofService {
 
   std::shared_ptr<const PrimePlan> plan_for(const ProofSpec& spec,
                                             const ClusterConfig& config);
-  void worker_loop(std::uint64_t worker_id);
+  // Drains the queue, then joins every worker.
+  void stop_workers();
+  void worker_loop();
   void run_task(const Task& task);
-  void spawn_worker_locked();
-  void settle_pending_locked(int priority);
-  void reap_retired();
+  void release_pending();
 
   ProofServiceConfig config_;
   std::shared_ptr<FieldCache> cache_;
@@ -259,7 +211,6 @@ class ProofService {
   obs::Counter* jobs_submitted_ = nullptr;
   obs::Counter* jobs_completed_ = nullptr;
   obs::Counter* jobs_rejected_ = nullptr;
-  obs::Counter* jobs_shed_infeasible_ = nullptr;
   obs::Counter* jobs_expired_queued_ = nullptr;
   obs::Counter* jobs_cancelled_inflight_ = nullptr;
   obs::Counter* plan_cache_hits_ = nullptr;
@@ -270,8 +221,6 @@ class ProofService {
   obs::Counter* repaired_symbols_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
   obs::Gauge* queue_depth_high_water_ = nullptr;
-  obs::Gauge* workers_active_gauge_ = nullptr;
-  obs::Gauge* workers_peak_ = nullptr;
   obs::Histogram* job_latency_ = nullptr;
 
   mutable std::mutex mu_;
@@ -280,16 +229,9 @@ class ProofService {
   std::priority_queue<Task, std::vector<Task>, TaskOrder> tasks_;
   std::uint64_t next_seq_ = 0;
   std::size_t pending_jobs_ = 0;  // admitted, not yet settled
-  std::map<int, std::size_t> pending_by_priority_;
   std::unordered_map<std::string, std::shared_ptr<const PrimePlan>> plans_;
 
-  // Worker pool. Keyed by id so an autoscaled worker can retire its
-  // own thread object into retired_ (joined later off-thread by
-  // submit()/the dtor); a fixed pool (max_workers == 0) never retires.
-  std::uint64_t next_worker_id_ = 0;
-  std::size_t active_workers_ = 0;
-  std::unordered_map<std::uint64_t, std::thread> workers_;
-  std::vector<std::thread> retired_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace camelot

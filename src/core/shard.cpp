@@ -991,8 +991,16 @@ obs::Registry::Snapshot ShardCoordinator::fleet_snapshot() {
       last_scrapes_[i].clear();
       mark_dead(s);
     }
-    if (!last_scrapes_[i].empty()) {
+    if (last_scrapes_[i].empty()) continue;
+    // A scrape that does not parse, or whose histograms do not fit the
+    // fleet's buckets, is a malformed frame too: that worker dies, the
+    // rollup goes on without it. merge_snapshot commits all or nothing,
+    // so a rejected scrape leaves `fleet` as it was.
+    try {
       obs::merge_snapshot(fleet, obs::parse_json_snapshot(last_scrapes_[i]));
+    } catch (const std::exception&) {
+      last_scrapes_[i].clear();
+      mark_dead(s);
     }
   }
   return fleet;

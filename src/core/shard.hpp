@@ -145,7 +145,9 @@ class ShardCoordinator {
   // Fleet scrape: the coordinator's own snapshot with every live
   // worker's scrape (requested over the wire, parsed from JSON)
   // merged in. The merged histograms' bins are the element-wise sums
-  // of the per-process bins.
+  // of the per-process bins. A worker whose scrape is malformed (does
+  // not parse, or a histogram's bucket count differs) is marked dead
+  // and left out; the call itself does not throw for it.
   obs::Registry::Snapshot fleet_snapshot();
   std::string fleet_prometheus();
   std::string fleet_json();

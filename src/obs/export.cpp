@@ -1,11 +1,12 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdarg>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
-#include <cstdio>
 
 namespace camelot {
 namespace obs {
@@ -161,6 +162,28 @@ class JsonCursor {
     return v;
   }
 
+  // An exact decimal integer, as render_json prints counters, gauges,
+  // bins and counts. A double detour would round above 2^53, and a
+  // token the type cannot hold (negative for unsigned, fractional,
+  // non-finite, out of range) fails the frame instead of reaching an
+  // undefined double-to-integer cast.
+  template <typename Int>
+  Int integer_value() {
+    skip_ws();
+    const char* begin = s_.data() + pos_;
+    const char* end = s_.data() + s_.size();
+    Int v{};
+    const auto [ptr, ec] = std::from_chars(begin, end, v);
+    if (ec != std::errc{} ||
+        (ptr != end && (*ptr == '.' || *ptr == 'e' || *ptr == 'E'))) {
+      throw std::runtime_error(
+          "obs snapshot parse: expected integer at offset " +
+          std::to_string(pos_));
+    }
+    pos_ += std::size_t(ptr - begin);
+    return v;
+  }
+
   void finish() {
     skip_ws();
     if (pos_ != s_.size()) {
@@ -209,7 +232,7 @@ Registry::Snapshot parse_json_snapshot(const std::string& json) {
   cur.expect(':');
   parse_object(cur, [&](std::string name) {
     snap.counters.emplace_back(std::move(name),
-                               std::uint64_t(cur.number_value()));
+                               cur.integer_value<std::uint64_t>());
   });
   cur.expect(',');
 
@@ -219,7 +242,7 @@ Registry::Snapshot parse_json_snapshot(const std::string& json) {
   cur.expect(':');
   parse_object(cur, [&](std::string name) {
     snap.gauges.emplace_back(std::move(name),
-                             std::int64_t(cur.number_value()));
+                             cur.integer_value<std::int64_t>());
   });
   cur.expect(',');
 
@@ -249,7 +272,7 @@ Registry::Snapshot parse_json_snapshot(const std::string& json) {
     cur.expect('[');
     if (!cur.consume(']')) {
       do {
-        h.bins.push_back(std::uint64_t(cur.number_value()));
+        h.bins.push_back(cur.integer_value<std::uint64_t>());
       } while (cur.consume(','));
       cur.expect(']');
     }
@@ -264,7 +287,7 @@ Registry::Snapshot parse_json_snapshot(const std::string& json) {
       throw std::runtime_error("obs snapshot parse: expected \"count\"");
     }
     cur.expect(':');
-    const auto declared = std::uint64_t(cur.number_value());
+    const auto declared = cur.integer_value<std::uint64_t>();
     cur.expect('}');
     if (h.bins.size() != h.bounds.size() + 1) {
       throw std::runtime_error("obs snapshot parse: histogram \"" + name +
@@ -285,35 +308,38 @@ Registry::Snapshot parse_json_snapshot(const std::string& json) {
 }
 
 void merge_snapshot(Registry::Snapshot& dst, const Registry::Snapshot& src) {
-  // Scrapes are small (dozens of metrics); linear find keeps the
+  // Scrapes are small (dozens of metrics): folding into a copy costs
+  // little and commits all or nothing, and linear find keeps the
   // containers in render order without imposing a map on callers.
+  Registry::Snapshot out = dst;
   for (const auto& [name, value] : src.counters) {
-    auto it = std::find_if(dst.counters.begin(), dst.counters.end(),
+    auto it = std::find_if(out.counters.begin(), out.counters.end(),
                            [&](const auto& e) { return e.first == name; });
-    if (it == dst.counters.end()) {
-      dst.counters.emplace_back(name, value);
+    if (it == out.counters.end()) {
+      out.counters.emplace_back(name, value);
     } else {
       it->second += value;
     }
   }
   for (const auto& [name, value] : src.gauges) {
-    auto it = std::find_if(dst.gauges.begin(), dst.gauges.end(),
+    auto it = std::find_if(out.gauges.begin(), out.gauges.end(),
                            [&](const auto& e) { return e.first == name; });
-    if (it == dst.gauges.end()) {
-      dst.gauges.emplace_back(name, value);
+    if (it == out.gauges.end()) {
+      out.gauges.emplace_back(name, value);
     } else {
       it->second += value;
     }
   }
   for (const auto& [name, h] : src.histograms) {
-    auto it = std::find_if(dst.histograms.begin(), dst.histograms.end(),
+    auto it = std::find_if(out.histograms.begin(), out.histograms.end(),
                            [&](const auto& e) { return e.first == name; });
-    if (it == dst.histograms.end()) {
-      dst.histograms.emplace_back(name, h);
+    if (it == out.histograms.end()) {
+      out.histograms.emplace_back(name, h);
     } else {
       it->second.merge(h);
     }
   }
+  dst = std::move(out);
 }
 
 std::string render_prometheus(const Registry& registry) {

@@ -42,7 +42,9 @@ Registry::Snapshot parse_json_snapshot(const std::string& json);
 // (bounds must agree); metrics absent from `dst` are inserted. The
 // result of merging N per-shard scrapes is the scrape one process
 // running all N workloads would have produced (equal counts; equal
-// bins wherever observations are deterministic).
+// bins wherever observations are deterministic). A histogram whose
+// bucket count differs throws std::invalid_argument and leaves `dst`
+// untouched.
 void merge_snapshot(Registry::Snapshot& dst, const Registry::Snapshot& src);
 
 }  // namespace obs

@@ -6,8 +6,8 @@
 //
 // Categories: field (Montgomery/NTT context builds), poly (crossover
 // dispatch decisions), rs (Gao decode outcomes), stream (symbol
-// transport lifecycle), sched (service scheduling + session stage
-// markers). `all` enables everything.
+// transport lifecycle), sched (session stage markers + shard
+// coordinator lifecycle). `all` enables everything.
 //
 // Cost model: with tracing disabled (the default) a trace site is one
 // relaxed atomic load, a mask test and a predictable branch — no

@@ -274,6 +274,9 @@ TEST(Export, JsonRoundTripsThroughParser) {
   Registry reg;
   reg.counter("camelot_jobs_total").inc(41);
   reg.counter("camelot_errors_total");
+  // Above 2^53 a double cannot hold every integer: the parser must not
+  // take a detour through one.
+  reg.counter("camelot_big_total").inc((std::uint64_t{1} << 53) + 1);
   reg.gauge("camelot_queue_depth").set(-3);
   Histogram& h = reg.histogram("camelot_job_latency_seconds");
   h.observe(0.0002);
@@ -323,6 +326,37 @@ TEST(Export, ParserRejectsMalformedSnapshots) {
           "    \"h\": {\"bounds\": [1], \"bins\": [2, 0], \"sum\": 0.5, "
           "\"count\": 7}\n  }\n}\n"),
       std::runtime_error);
+
+  // Counters, gauges, bins and counts are integers on the wire. A
+  // token the field's type cannot hold exactly fails the frame rather
+  // than reaching an undefined double-to-integer cast.
+  const auto frame = [](const std::string& counter, const std::string& gauge,
+                        const std::string& bin, const std::string& count) {
+    return "{\"counters\": {\"c\": " + counter + "}, \"gauges\": {\"g\": " +
+           gauge + "}, \"histograms\": {\"h\": {\"bounds\": [1], \"bins\": [" +
+           bin + ", 0], \"sum\": 0.5, \"count\": " + count + "}}}";
+  };
+  const Registry::Snapshot ok = parse_json_snapshot(frame("1", "-1", "2", "2"));
+  ASSERT_EQ(ok.gauges.size(), 1u);
+  EXPECT_EQ(ok.gauges[0].second, -1);  // gauges may be negative
+  for (const std::string bad :
+       {"-1", "1e300", "nan", "1.5", "18446744073709551616"}) {
+    EXPECT_THROW(parse_json_snapshot(frame(bad, "0", "2", "2")),
+                 std::runtime_error)
+        << "counter " << bad;
+    EXPECT_THROW(parse_json_snapshot(frame("1", "0", bad, "2")),
+                 std::runtime_error)
+        << "bin " << bad;
+    EXPECT_THROW(parse_json_snapshot(frame("1", "0", "2", bad)),
+                 std::runtime_error)
+        << "count " << bad;
+  }
+  for (const std::string bad :
+       {"1e300", "nan", "1.5", "9223372036854775808"}) {
+    EXPECT_THROW(parse_json_snapshot(frame("1", bad, "2", "2")),
+                 std::runtime_error)
+        << "gauge " << bad;
+  }
 }
 
 TEST(Export, MergeSnapshotSumsAndInserts) {
@@ -358,6 +392,24 @@ TEST(Export, MergeSnapshotSumsAndInserts) {
   for (std::size_t i = 0; i < sa.bins.size(); ++i) {
     EXPECT_EQ(dst.histograms[0].second.bins[i], sa.bins[i] + sb.bins[i]);
   }
+}
+
+TEST(Export, MergeSnapshotIsAllOrNothing) {
+  // The counter precedes the mismatched histogram in merge order, yet
+  // a rejected merge must not leave it folded in.
+  Registry a;
+  a.counter("shared_total").inc(5);
+  a.histogram("lat_seconds").observe(0.001);
+  Registry b;
+  b.counter("shared_total").inc(7);
+  b.histogram("lat_seconds", {1.0, 2.0}).observe(0.5);
+
+  Registry::Snapshot dst = a.snapshot();
+  EXPECT_THROW(merge_snapshot(dst, b.snapshot()), std::invalid_argument);
+  EXPECT_EQ(dst.counters, a.snapshot().counters);
+  ASSERT_EQ(dst.histograms.size(), 1u);
+  EXPECT_EQ(dst.histograms[0].second.bins,
+            a.snapshot().histograms[0].second.bins);
 }
 
 TEST(Trace, StageSpanObservesHistogram) {

@@ -1,8 +1,8 @@
 // Tests for the concurrent ProofService facade: several distinct
 // problems in flight at once, shared per-prime field state, prime
 // plan and code caching, adversarial submissions, shutdown draining,
-// and the backpressure scheduler (bounded queue, priorities, per-job
-// deadlines).
+// and the backpressure scheduler (bounded queue, earliest-deadline-
+// first order, per-job deadlines and their range check).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -211,6 +211,24 @@ TEST(ProofService, RejectsLossRateOutsideUnitInterval) {
   }
 }
 
+TEST(ProofService, RejectsDeadlineOutsideClockRange) {
+  // A negative deadline must not run as a deadline-free job, and one
+  // the steady clock cannot represent must not overflow into the past
+  // (and so expire at once).
+  ProofService service({.num_workers = 1});
+  auto problem = four_problems()[0];
+  for (std::chrono::milliseconds deadline :
+       {std::chrono::milliseconds(-1), std::chrono::milliseconds::max(),
+        std::chrono::milliseconds(std::chrono::hours(24 * 365 * 300))}) {
+    SubmitOptions options;
+    options.deadline = deadline;
+    EXPECT_THROW(service.submit(problem, {}, nullptr, options),
+                 std::invalid_argument)
+        << "deadline " << deadline.count() << " ms";
+  }
+  EXPECT_EQ(service.stats().submitted, 0u);
+}
+
 // Delegating problem that records the execution order of jobs: the
 // first make_evaluator call of a job happens when a worker starts its
 // first prime task, so first-occurrence order in the log is the
@@ -247,8 +265,7 @@ class TaggedProblem final : public CamelotProblem {
 };
 
 TEST(ProofService, BoundedQueueRejectsOverload) {
-  ProofService service(
-      {.num_workers = 1, .threads_per_session = 1, .max_pending_jobs = 2});
+  ProofService service({.num_workers = 1, .max_pending_jobs = 2});
   ClusterConfig cfg;
   cfg.num_nodes = 4;
   cfg.redundancy = 2.0;
@@ -356,7 +373,7 @@ TEST(ProofService, DeadlineExpiresQueuedJob) {
     EXPECT_TRUE(f.get().success);  // deadline never harms other jobs
   }
   const ProofService::Stats stats = service.stats();
-  EXPECT_EQ(stats.expired, 1u);
+  EXPECT_EQ(stats.expired_queued + stats.cancelled_inflight, 1u);
   EXPECT_EQ(stats.completed, 3u);
 
   // A generous deadline does not interfere with completion.
@@ -365,42 +382,6 @@ TEST(ProofService, DeadlineExpiresQueuedJob) {
   RunReport fine = service.submit(problems[3], cfg, nullptr, relaxed).get();
   EXPECT_EQ(fine.status, JobStatus::kOk);
   EXPECT_TRUE(fine.success);
-}
-
-TEST(ProofService, HigherPriorityJobsDispatchFirst) {
-  auto log = std::make_shared<std::vector<std::string>>();
-  auto mu = std::make_shared<std::mutex>();
-  auto problems = four_problems();
-  ClusterConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.redundancy = 2.0;
-
-  ProofService service({.num_workers = 1});
-  // Blockers keep the single worker busy while low/high sit queued
-  // (the worker may race ahead and grab one of them as its very first
-  // task — which is why only the high-before-low order is asserted).
-  std::vector<std::future<RunReport>> blockers;
-  for (int i = 0; i < 3; ++i) {
-    blockers.push_back(service.submit(
-        std::make_shared<TaggedProblem>(problems[0], "blocker", log, mu),
-        cfg));
-  }
-  auto low = std::make_shared<TaggedProblem>(problems[1], "low", log, mu);
-  auto high = std::make_shared<TaggedProblem>(problems[2], "high", log, mu);
-  auto f_low = service.submit(low, cfg, nullptr, SubmitOptions{.priority = 0});
-  auto f_high =
-      service.submit(high, cfg, nullptr, SubmitOptions{.priority = 7});
-  for (auto& f : blockers) ASSERT_TRUE(f.get().success);
-  ASSERT_TRUE(f_low.get().success);
-  ASSERT_TRUE(f_high.get().success);
-
-  auto first_of = [&](const std::string& tag) {
-    for (std::size_t i = 0; i < log->size(); ++i) {
-      if ((*log)[i] == tag) return i;
-    }
-    return log->size();
-  };
-  EXPECT_LT(first_of("high"), first_of("low"));
 }
 
 // Problem whose evaluators throw: job failures must surface through
@@ -462,7 +443,8 @@ TEST(ProofService, DeadlineExpiryStopsInFlightPrimes) {
   // The job aborted at a chunk boundary shortly after its deadline,
   // far before the 800 ms an uncancelled run would sleep.
   EXPECT_LT(elapsed, std::chrono::milliseconds(650));
-  EXPECT_EQ(service.stats().expired, 1u);
+  const ProofService::Stats stats = service.stats();
+  EXPECT_EQ(stats.expired_queued + stats.cancelled_inflight, 1u);
 }
 
 TEST(ProofSession, CancelProbeAbortsPrimeAndResets) {
@@ -523,118 +505,6 @@ TEST(ProofService, EqualPriorityTasksRunEarliestDeadlineFirst) {
     return log->size();
   };
   EXPECT_LT(first_of("edf"), first_of("fifo"));
-}
-
-TEST(ProofService, PredictiveSheddingRejectsInfeasibleDeadline) {
-  ProofServiceConfig svc;
-  svc.num_workers = 1;
-  svc.shed_min_samples = 4;  // shorter calibration than the default 8
-  ProofService service(svc);
-  ClusterConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.redundancy = 2.0;
-  auto problems = four_problems();
-  auto slow = std::make_shared<SlowProblem>(problems[0],
-                                            std::chrono::milliseconds(20));
-
-  // Calibrate the job-latency histogram with completions well above
-  // the doomed deadline (4 chunks x 20 ms each).
-  for (std::size_t i = 0; i < svc.shed_min_samples; ++i) {
-    ASSERT_TRUE(service.submit(slow, cfg).get().success);
-  }
-
-  // Infeasible: 1 ms deadline against a calibrated p95 of ~100 ms.
-  // Shed at submit — the future is ready immediately, no worker ran.
-  SubmitOptions tight;
-  tight.deadline = std::chrono::milliseconds(1);
-  std::future<RunReport> doomed =
-      service.submit(slow, cfg, nullptr, tight);
-  ASSERT_EQ(doomed.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  RunReport report = doomed.get();
-  EXPECT_EQ(report.status, JobStatus::kRejected);
-  EXPECT_FALSE(report.success);
-  ProofService::Stats stats = service.stats();
-  EXPECT_EQ(stats.shed_infeasible, 1u);
-  EXPECT_EQ(stats.rejected, 1u);  // sheds count as rejections
-
-  // The same job with a generous deadline passes the predictor and
-  // completes.
-  SubmitOptions generous;
-  generous.deadline = std::chrono::minutes(10);
-  RunReport fine = service.submit(slow, cfg, nullptr, generous).get();
-  EXPECT_EQ(fine.status, JobStatus::kOk);
-  EXPECT_TRUE(fine.success);
-  stats = service.stats();
-  EXPECT_EQ(stats.shed_infeasible, 1u);
-  EXPECT_EQ(stats.completed, svc.shed_min_samples + 1);
-}
-
-TEST(ProofService, PerPriorityBoundIsolatesPriorityClasses) {
-  ProofServiceConfig svc;
-  svc.num_workers = 1;
-  svc.max_pending_by_priority = {{0, 1}};  // priority 0: one job at a time
-  ProofService service(svc);
-  ClusterConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.redundancy = 2.0;
-  auto problems = four_problems();
-  auto slow = std::make_shared<SlowProblem>(problems[0],
-                                            std::chrono::milliseconds(50));
-
-  // First priority-0 job fills that priority's bound while it runs.
-  auto running = service.submit(slow, cfg);
-  // Second priority-0 submit bounces off the per-priority bound...
-  RunReport bounced = service.submit(slow, cfg).get();
-  EXPECT_EQ(bounced.status, JobStatus::kRejected);
-  // ...while an unbounded priority class is still admitted.
-  auto urgent =
-      service.submit(problems[1], cfg, nullptr, SubmitOptions{.priority = 5});
-  EXPECT_TRUE(running.get().success);
-  EXPECT_TRUE(urgent.get().success);
-  const ProofService::Stats stats = service.stats();
-  EXPECT_EQ(stats.rejected, 1u);
-  EXPECT_EQ(stats.shed_infeasible, 0u);
-  EXPECT_EQ(stats.completed, 2u);
-}
-
-TEST(ProofService, AutoscalerGrowsUnderLoadAndConvergesToMin) {
-  ProofServiceConfig svc;
-  svc.max_workers = 4;
-  svc.min_workers = 1;
-  svc.autoscale_idle = std::chrono::milliseconds(50);
-  ProofService service(svc);
-  EXPECT_EQ(service.stats().workers_active, 1u);  // starts at min
-
-  ClusterConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.redundancy = 2.0;
-  auto problems = four_problems();
-  std::vector<std::future<RunReport>> futures;
-  for (int rep = 0; rep < 3; ++rep) {
-    for (const auto& p : problems) {
-      futures.push_back(service.submit(
-          std::make_shared<SlowProblem>(p, std::chrono::milliseconds(10)),
-          cfg));
-    }
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get().success);
-
-  ProofService::Stats stats = service.stats();
-  // The backlog grew the pool, but never past max_workers.
-  EXPECT_GT(stats.workers_peak, 1u);
-  EXPECT_LE(stats.workers_peak, 4u);
-  EXPECT_LE(stats.workers_active, 4u);
-  EXPECT_EQ(stats.completed, futures.size());
-
-  // Idle workers retire back down to min_workers.
-  for (int i = 0; i < 200 && service.stats().workers_active > 1; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  EXPECT_EQ(service.stats().workers_active, 1u);
-
-  // The shrunken pool still serves.
-  EXPECT_TRUE(service.submit(problems[0], cfg).get().success);
 }
 
 TEST(ProofService, SharesCodeCacheAcrossJobs) {

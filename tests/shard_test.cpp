@@ -5,7 +5,7 @@
 // (merged scrape == element-wise sum of the per-process scrapes;
 // deterministic counts match the single-process run), the worker's
 // rejection of untrusted wire lengths and field values, and the
-// coordinator's treatment of a malformed worker frame as that
+// coordinator's treatment of a malformed worker frame or scrape as that
 // worker's death.
 //
 // Requires the shardd binary; ctest points CAMELOT_SHARDD at the
@@ -567,6 +567,69 @@ TEST(ShardFleetObs, DeterministicCountsMatchSingleProcessScrape) {
     EXPECT_EQ(fleet_h->count(), single_h->count()) << name;
   }
 }
+
+// A kObsSnapshot frame carrying `json`: a worker's answer to a scrape.
+std::string obs_snapshot_frame(const std::string& json) {
+  std::string p;
+  put_le(p, static_cast<unsigned char>(ShardFrame::kObsSnapshot), 1);
+  put_le(p, json.size(), 4);
+  return framed(p + json);
+}
+
+class ShardMalformedScrape : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ShardMalformedScrape, WorkerDiesAndTheRollupGoesOn) {
+  REQUIRE_SHARDD();
+  // The broken worker's answer is already in the pipe when the scrape
+  // asks for it.
+  const BadFrameWorker worker(obs_snapshot_frame(GetParam()));
+  ASSERT_TRUE(worker.ok());
+  ShardOptions options;
+  options.num_shards = 2;
+  options.shardd_path = worker.script();
+  ShardCoordinator fleet(options);
+
+  obs::Registry::Snapshot merged;
+  ASSERT_NO_THROW(merged = fleet.fleet_snapshot());
+  EXPECT_EQ(fleet.live_shards(), 1u);
+  EXPECT_EQ(counter_value(fleet.metrics().snapshot(),
+                          "camelot_shard_deaths_total"),
+            1u);
+
+  const auto has_counter = [&](const std::string& name) {
+    for (const auto& [n, v] : merged.counters) {
+      if (n == name) return true;
+    }
+    return false;
+  };
+  // Nothing of the rejected scrape was merged...
+  EXPECT_FALSE(has_counter("camelot_bad_scrape_total"));
+  // ...while the survivor's scrape was, counter by counter.
+  std::size_t live = 0;
+  for (const std::string& scrape : fleet.last_shard_scrapes()) {
+    if (scrape.empty()) continue;
+    ++live;
+    const obs::Registry::Snapshot survivor = obs::parse_json_snapshot(scrape);
+    EXPECT_FALSE(survivor.counters.empty());
+    for (const auto& [name, value] : survivor.counters) {
+      EXPECT_TRUE(has_counter(name)) << name;
+    }
+  }
+  EXPECT_EQ(live, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BadScrapes, ShardMalformedScrape,
+    ::testing::Values(
+        // JSON cut short.
+        std::string("{\"counters\": {\"camelot_bad_scrape_total\": 7}, "
+                    "\"gauges\": "),
+        // Parses, but the latency histogram has fewer buckets than the
+        // coordinator's: it cannot merge.
+        std::string("{\"counters\": {\"camelot_bad_scrape_total\": 7}, "
+                    "\"gauges\": {}, \"histograms\": "
+                    "{\"camelot_job_latency_seconds\": {\"bounds\": [1], "
+                    "\"bins\": [0, 0], \"sum\": 0, \"count\": 0}}}")));
 
 }  // namespace
 }  // namespace camelot
