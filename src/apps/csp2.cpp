@@ -1,13 +1,13 @@
 #include "apps/csp2.hpp"
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
 
+#include "count/form62_block.hpp"
 #include "field/crt.hpp"
 #include "field/primes.hpp"
-#include "poly/lagrange.hpp"
 #include "poly/multipoint.hpp"
-#include "yates/yates.hpp"
 
 namespace camelot {
 
@@ -153,64 +153,51 @@ namespace {
 
 class Csp2Evaluator : public Evaluator {
  public:
+  // One coefficient interpolation per block of points, shared by the
+  // circuits of every weight point w0 = 0..m.
   Csp2Evaluator(const FieldOps& f, const Csp2Problem& p,
                 const TrilinearDecomposition& dec, unsigned t, u64 rank,
-                std::size_t num_weights, std::size_t n_pad)
+                std::size_t num_weights)
       : Evaluator(f),
-        problem_(p),
-        dec_(dec),
-        t_(t),
-        rank_(rank),
-        n_pad_(n_pad) {
-    alpha_table_ = dec_.alpha_mod(field_);
-    beta_table_ = dec_.beta_mod(field_);
-    gamma_table_ = dec_.gamma_mod(field_);
-    // The 15 matrices per weight point, shared across evaluations.
+        coefficients_(dec, t, f),
+        degree_step_(3 * (rank - 1) + 1) {
+    circuits_.reserve(num_weights);
     for (std::size_t w0 = 0; w0 < num_weights; ++w0) {
-      inputs_.push_back(problem_.build_input(w0, field_));
+      circuits_.emplace_back(p.build_input(w0, field_), f);
     }
   }
 
-  u64 eval(u64 x0) override {
-    // Coefficient matrices, once per point (shared by all weights).
-    std::vector<u64> lambda = lagrange_basis_consecutive(
-        1, static_cast<std::size_t>(rank_), x0, field_);
-    Matrix am = coeff_matrix(alpha_table_, lambda);
-    Matrix bm = coeff_matrix(beta_table_, lambda);
-    Matrix gm = coeff_matrix(gamma_table_, lambda);
-    // P(x0) = sum_{w0} x0^{w0 (d0+1)} P_{w0}(x0).
-    const u64 step =
-        field_.pow(field_.reduce(x0), 3 * (rank_ - 1) + 1);
-    u64 acc = 0;
-    for (std::size_t w0 = inputs_.size(); w0-- > 0;) {
-      acc = field_.add(field_.mul(acc, step),
-                       form62_circuit_term(inputs_[w0], am, bm, gm, field_));
-    }
-    return acc;
-  }
+  u64 eval(u64 x0) override { return evaluate_points({&x0, 1})[0]; }
 
- private:
-  Matrix coeff_matrix(const std::vector<u64>& table,
-                      const std::vector<u64>& lambda) const {
-    const std::size_t nn = dec_.n0 * dec_.n0;
-    std::vector<u64> vec =
-        yates_apply(field_, table, nn, dec_.rank, lambda, t_);
-    Matrix out(n_pad_, n_pad_);
-    for (u64 d = 0; d < n_pad_; ++d) {
-      for (u64 e = 0; e < n_pad_; ++e) {
-        out.at(d, e) = vec[interleave_pair_index(d, e, dec_.n0, t_)];
+  std::vector<u64> evaluate_points(std::span<const u64> xs) override {
+    const MontgomeryField& m = ops_.mont();
+    std::vector<u64> out(xs.size(), 0);
+    Form62Blocks blocks;
+    std::vector<u64> scratch, term(kForm62Block), step(kForm62Block);
+    for (std::size_t lo = 0; lo < xs.size(); lo += kForm62Block) {
+      const std::span<const u64> block =
+          xs.subspan(lo, std::min(kForm62Block, xs.size() - lo));
+      coefficients_.interpolate(block, blocks);
+      for (std::size_t b = 0; b < block.size(); ++b) {
+        step[b] = m.pow(m.from_u64(block[b]), degree_step_);
+      }
+      // P(x0) = sum_{w0} x0^{w0 (d0+1)} P_{w0}(x0), by Horner.
+      u64* acc = out.data() + lo;
+      for (std::size_t w0 = circuits_.size(); w0-- > 0;) {
+        circuits_[w0].evaluate(blocks, term.data(), scratch);
+        for (std::size_t b = 0; b < block.size(); ++b) {
+          acc[b] = m.add(m.mul(acc[b], step[b]), term[b]);
+        }
       }
     }
+    m.from_mont_inplace(out);
     return out;
   }
 
-  const Csp2Problem& problem_;
-  const TrilinearDecomposition& dec_;
-  unsigned t_;
-  u64 rank_;
-  std::size_t n_pad_;
-  std::vector<u64> alpha_table_, beta_table_, gamma_table_;
-  std::vector<Form62Input> inputs_;
+ private:
+  Form62Coefficients coefficients_;
+  u64 degree_step_;  // d0 + 1
+  std::vector<Form62BlockCircuit> circuits_;
 };
 
 }  // namespace
@@ -218,8 +205,7 @@ class Csp2Evaluator : public Evaluator {
 std::unique_ptr<Evaluator> Csp2Problem::make_evaluator(
     const FieldOps& f) const {
   return std::make_unique<Csp2Evaluator>(f, *this, dec_, t_, rank_,
-                                         inst_.constraints.size() + 1,
-                                         padded_);
+                                         inst_.constraints.size() + 1);
 }
 
 std::vector<u64> Csp2Problem::recover(const Poly& proof,

@@ -1,11 +1,11 @@
 #include "count/clique_camelot.hpp"
 
+#include <algorithm>
 #include <span>
 #include <stdexcept>
 
-#include "poly/lagrange.hpp"
+#include "count/form62_block.hpp"
 #include "poly/multipoint.hpp"
-#include "yates/yates.hpp"
 
 namespace camelot {
 
@@ -13,68 +13,31 @@ namespace {
 
 class Form62Evaluator : public Evaluator {
  public:
+  // Per-node precomputation, shared by every evaluation point: the
+  // Lagrange cache and coefficient tables, and the 15 input matrices
+  // in the Montgomery domain.
   Form62Evaluator(const FieldOps& f, const Form62Input& input,
-                  const TrilinearDecomposition& dec, unsigned t, u64 rank)
-      : Evaluator(f),
-        input_(input),
-        dec_(dec),
-        t_(t),
-        rank_(rank),
-        // Per-node precomputation, shared by every evaluation point:
-        // the Lagrange factorial cache for the nodes 1..R ...
-        lagrange_(1, static_cast<std::size_t>(rank), f) {
-    // ... and the coefficient tables, in the Montgomery domain so the
-    // Yates passes below run division-free.
-    const MontgomeryField& m = lagrange_.mont();
-    alpha_table_ = m.to_mont_vec(dec_.alpha_mod(field_));
-    beta_table_ = m.to_mont_vec(dec_.beta_mod(field_));
-    gamma_table_ = m.to_mont_vec(dec_.gamma_mod(field_));
-  }
+                  const TrilinearDecomposition& dec, unsigned t)
+      : Evaluator(f), coefficients_(dec, t, f), circuit_(input, f) {}
 
-  u64 eval(u64 x0) override {
-    const std::size_t n = input_.size();
-    // Step 1: Lambda_r(x0) for r = 1..R by the factorial trick, O(R)
-    // multiplications and no inversion (cache is point-independent).
-    const std::vector<u64> lambda = lagrange_.basis_mont(x0);
-    // Step 2: interpolated coefficient matrices via Yates on the
-    // Kronecker-structured tables (eq. (17)/(18)).
-    Matrix alpha_mat = coefficient_matrix(alpha_table_, lambda, n);
-    Matrix beta_mat = coefficient_matrix(beta_table_, lambda, n);
-    Matrix gamma_mat = coefficient_matrix(gamma_table_, lambda, n);
-    // Step 3: the circuit (15)-(16) with fast matrix multiplication.
-    return form62_circuit_term(input_, alpha_mat, beta_mat, gamma_mat,
-                               field_);
-  }
-  // evaluate_points: the inherited per-point loop already amortizes
-  // the factorial cache and the Montgomery-domain tables built at
-  // construction.
+  u64 eval(u64 x0) override { return evaluate_points({&x0, 1})[0]; }
 
- private:
-  Matrix coefficient_matrix(const std::vector<u64>& table_mont,
-                            std::span<const u64> lambda_mont,
-                            std::size_t n) const {
-    const MontgomeryField& m = lagrange_.mont();
-    const std::size_t nn = dec_.n0 * dec_.n0;
-    std::vector<u64> vec =
-        yates_apply(m, table_mont, nn, dec_.rank, lambda_mont, t_);
-    // The circuit's matrix products run on canonical representatives;
-    // convert the n^2 interpolated coefficients once.
-    m.from_mont_inplace(vec);
-    Matrix out(n, n);
-    for (u64 d = 0; d < n; ++d) {
-      for (u64 e = 0; e < n; ++e) {
-        out.at(d, e) = vec[interleave_pair_index(d, e, dec_.n0, t_)];
-      }
+  std::vector<u64> evaluate_points(std::span<const u64> xs) override {
+    std::vector<u64> out(xs.size());
+    Form62Blocks blocks;
+    std::vector<u64> scratch;
+    for (std::size_t lo = 0; lo < xs.size(); lo += kForm62Block) {
+      coefficients_.interpolate(
+          xs.subspan(lo, std::min(kForm62Block, xs.size() - lo)), blocks);
+      circuit_.evaluate(blocks, out.data() + lo, scratch);
     }
+    ops_.mont().from_mont_inplace(out);
     return out;
   }
 
-  const Form62Input& input_;
-  const TrilinearDecomposition& dec_;
-  unsigned t_;
-  u64 rank_;
-  ConsecutiveLagrange lagrange_;
-  std::vector<u64> alpha_table_, beta_table_, gamma_table_;
+ private:
+  Form62Coefficients coefficients_;
+  Form62BlockCircuit circuit_;
 };
 
 }  // namespace
@@ -85,6 +48,11 @@ Form62Problem::Form62Problem(Form62Input input, TrilinearDecomposition dec,
       dec_(std::move(dec)),
       value_bound_(std::move(value_bound)),
       name_(std::move(name)) {
+  if (!input_.well_formed()) {
+    throw std::invalid_argument(
+        "Form62Problem: the 15 matrices must be square, non-empty and of "
+        "one size");
+  }
   t_ = kronecker_exponent(dec_.n0, input_.size());
   const std::size_t n_pad = ipow(dec_.n0, t_);
   if (input_.size() != n_pad) {
@@ -106,7 +74,7 @@ ProofSpec Form62Problem::spec() const {
 
 std::unique_ptr<Evaluator> Form62Problem::make_evaluator(
     const FieldOps& f) const {
-  return std::make_unique<Form62Evaluator>(f, input_, dec_, t_, rank_);
+  return std::make_unique<Form62Evaluator>(f, input_, dec_, t_);
 }
 
 std::vector<u64> Form62Problem::recover(const Poly& proof,

@@ -8,11 +8,21 @@
 // and substitute into the circuit (15)-(16); P(x) then has degree at
 // most 3(R-1), and X(6,2) = sum_{r=1}^{R} P(r) (Theorem 13).
 //
-// Evaluation algorithm (§5.3): a node computes P(x0) by
-//   1. the factorial trick for Lambda_r(x0), r = 1..R, in O(R);
+// Evaluation algorithm (§5.3), run by a node over its chunk of points
+// in blocks of B = kForm62Block points (count/form62_block.hpp), the
+// point index innermost so each lane call covers the whole block:
+//   1. the factorial trick for Lambda_r(x_b), r = 1..R, as one R x B
+//      block: prefix and suffix product chains along r, lanes across
+//      the B points, O(R) per point and no inversion;
 //   2. Yates's algorithm on the Kronecker-structured coefficient
-//      table (eq. (17)) to get alpha_de(x0) for all d,e in O(R t);
-//   3. eight fast N x N matrix multiplications for the circuit.
+//      tables (eq. (17)) with B columns, giving alpha_de(x_b),
+//      beta_ef(x_b), gamma_df(x_b) for all d,e,f as n x n x B blocks
+//      in O(R t) per point;
+//   3. the circuit's eight N x N matrix products (15)-(16) on those
+//      blocks, in the Montgomery domain on the prime's lanes; each
+//      point's value is converted out once.
+// eval(x0) is a one-point block. The input matrices are checked and
+// converted to the Montgomery domain once per evaluator.
 #pragma once
 
 #include "core/proof_problem.hpp"
@@ -26,7 +36,8 @@ namespace camelot {
 class Form62Problem : public CamelotProblem {
  public:
   // `input` is padded to n0^t as needed. `value_bound` must bound the
-  // integer value of X(6,2) (drives CRT prime selection).
+  // integer value of X(6,2) (drives CRT prime selection). Throws
+  // std::invalid_argument unless input.well_formed().
   Form62Problem(Form62Input input, TrilinearDecomposition dec,
                 BigInt value_bound, std::string name = "form62");
 

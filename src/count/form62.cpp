@@ -19,6 +19,15 @@ Form62Input Form62Input::uniform(const Matrix& chi) {
   return in;
 }
 
+bool Form62Input::well_formed() const {
+  const std::size_t n = size();
+  if (n == 0) return false;
+  for (const Matrix& m : mats) {
+    if (m.rows() != n || m.cols() != n) return false;
+  }
+  return true;
+}
+
 Form62Input form62_padded(const Form62Input& in, std::size_t target) {
   Form62Input out;
   for (std::size_t i = 0; i < in.mats.size(); ++i) {

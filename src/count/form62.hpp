@@ -34,6 +34,9 @@ struct Form62Input {
     return mats[form62_pair_index(s, t)];
   }
   std::size_t size() const { return mats[0].rows(); }
+
+  // True iff all 15 matrices are square, non-empty and of one size.
+  bool well_formed() const;
 };
 
 // Direct O(N^6) evaluation.

@@ -1,5 +1,6 @@
 #include "poly/lagrange.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <type_traits>
 
@@ -18,13 +19,11 @@ ConsecutiveLagrange::ConsecutiveLagrange(u64 start, std::size_t count,
   if (count >= f.modulus()) {
     throw std::invalid_argument("lagrange_basis: more nodes than field");
   }
-  if (lanes()) {
-    nodes_mont_.resize(count);
-    u64 node = m_.to_mont(start_);
-    for (std::size_t i = 0; i < count; ++i) {
-      nodes_mont_[i] = node;
-      node = m_.add(node, m_.one());
-    }
+  nodes_mont_.resize(count);
+  u64 node = m_.to_mont(start_);
+  for (std::size_t i = 0; i < count; ++i) {
+    nodes_mont_[i] = node;
+    node = m_.add(node, m_.one());
   }
   // Factorials F_0..F_{count-1} in the Montgomery domain.
   std::vector<u64> fact(count);
@@ -100,14 +99,12 @@ std::vector<u64> ConsecutiveLagrange::basis_mont(u64 x0) const {
       return std::move(out);
     });
   }
-  u64 node = m.to_mont(start_);
   for (std::size_t i = 0; i < count_; ++i) {
-    diff[i] = m.sub(x0_m, node);
+    diff[i] = m.sub(x0_m, nodes_mont_[i]);
     if (diff[i] == 0) {
       out[i] = m.one();
       return out;  // basis collapses to an indicator
     }
-    node = m.add(node, m.one());  // next integer node
   }
   // L_i = (prod_{j != i} diff_j) * inv_w_i, via prefix/suffix
   // products — no inversion at the evaluation point.
@@ -122,6 +119,61 @@ std::vector<u64> ConsecutiveLagrange::basis_mont(u64 x0) const {
     out[i] = m.mul(m.mul(prefix, suffix[i]), inv_w_[i]);
     prefix = m.mul(prefix, diff[i]);
   }
+  return out;
+}
+
+std::vector<u64> ConsecutiveLagrange::basis_mont_block(
+    std::span<const u64> xs) const {
+  const MontgomeryField m = m_;
+  const std::size_t width = xs.size();
+  std::vector<u64> out(count_ * width);
+  if (width == 0) return out;
+  // diff row i = x_b - node_i = (-node_i) - (-x_b), so the lanes can
+  // take it as one scalar-minus-vector sweep.
+  std::vector<u64> neg_x(width), diff(width), prefix(width, m.one());
+  for (std::size_t b = 0; b < width; ++b) {
+    neg_x[b] = m.neg(m.from_u64(xs[b]));
+  }
+  with_lane_field(backend_, m, [&](const auto& lf) {
+    using F = std::decay_t<decltype(lf)>;
+    const auto diff_row = [&](std::size_t i) {
+      const u64 neg_node = m.neg(nodes_mont_[i]);
+      if constexpr (FieldHasBatchKernels<F>) {
+        lf.sub_from_scalar(neg_node, neg_x.data(), diff.data(), width);
+      } else {
+        for (std::size_t b = 0; b < width; ++b) {
+          diff[b] = m.sub(neg_node, neg_x[b]);
+        }
+      }
+    };
+    const auto mul = [&](const u64* a, const u64* b, u64* r) {
+      if constexpr (FieldHasBatchKernels<F>) {
+        lf.mul_vec(a, b, r, width);
+      } else {
+        for (std::size_t j = 0; j < width; ++j) r[j] = m.mul(a[j], b[j]);
+      }
+    };
+    // Backward sweep: row i becomes prod_{j > i} diff_j.
+    u64* row = out.data() + (count_ - 1) * width;
+    std::fill(row, row + width, m.one());
+    for (std::size_t i = count_ - 1; i > 0; --i, row -= width) {
+      diff_row(i);
+      mul(row, diff.data(), row - width);
+    }
+    // Forward sweep: times prod_{j < i} diff_j and the inverse weight.
+    for (std::size_t i = 0; i < count_; ++i, row += width) {
+      mul(row, prefix.data(), row);
+      if constexpr (FieldHasBatchKernels<F>) {
+        lf.scale_vec(row, inv_w_[i], row, width);
+      } else {
+        for (std::size_t j = 0; j < width; ++j) {
+          row[j] = m.mul(row[j], inv_w_[i]);
+        }
+      }
+      diff_row(i);
+      mul(prefix.data(), diff.data(), prefix.data());
+    }
+  });
   return out;
 }
 

@@ -12,8 +12,9 @@
 // the evaluation point (the factorial products and their inverses, in
 // the Montgomery domain) once; each subsequent basis query is then a
 // single O(R) prefix/suffix product sweep with *no* field inversion.
-// Batched proof evaluation (core/cluster, count/*) amortizes the
-// precomputation across a node's whole chunk of points.
+// Batched proof evaluation (count/*) amortizes the precomputation
+// across a node's whole chunk of points, and basis_mont_block shares
+// each sweep across a block of points.
 #pragma once
 
 #include <span>
@@ -44,6 +45,14 @@ class ConsecutiveLagrange {
   // Same values as canonical representatives.
   std::vector<u64> basis(u64 x0) const;
 
+  // basis_mont for a block of points at once, point index innermost:
+  // L_i(xs[b]) at i * xs.size() + b, the same words as basis_mont(xs[b]).
+  // The prefix/suffix product chains run along i with the resolved
+  // backend's lanes across the points: six lane calls of width B per
+  // node for a block of B points. Node hits need no special case:
+  // prod_{j != i}(node_i - node_j) * inv_w_i is 1.
+  std::vector<u64> basis_mont_block(std::span<const u64> xs) const;
+
   // Value at x0 of the unique degree-<count interpolant through
   // (start+i, values[i]), canonical in/out. O(count).
   u64 eval(std::span<const u64> values, u64 x0) const;
@@ -61,9 +70,7 @@ class ConsecutiveLagrange {
   // Montgomery-domain inverses of the point-independent denominator
   // parts (-1)^{count-1-i} * i! * (count-1-i)!.
   std::vector<u64> inv_w_;
-  // Montgomery form of the nodes start..start+count-1, precomputed
-  // when a SIMD backend is selected so basis_mont can take the node
-  // differences and the final basis products on u64 lanes.
+  // Montgomery form of the nodes start..start+count-1.
   std::vector<u64> nodes_mont_;
 };
 

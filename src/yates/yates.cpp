@@ -10,34 +10,40 @@ template <class Field>
 std::vector<u64> yates_apply_impl(const Field& fref,
                                   std::span<const u64> base,
                                   std::size_t t_dim, std::size_t s_dim,
-                                  std::span<const u64> x, unsigned k) {
+                                  std::span<const u64> x, unsigned k,
+                                  std::size_t batch) {
   // By-value copy keeps the field constants in registers across the
   // dst[] stores (a reference could alias the written data).
   const Field f = fref;
   if (base.size() != t_dim * s_dim) {
     throw std::invalid_argument("yates_apply: base shape mismatch");
   }
-  if (x.size() != ipow(s_dim, k)) {
-    throw std::invalid_argument("yates_apply: input size != s^k");
+  if (batch == 0 || x.size() != ipow(s_dim, k) * batch) {
+    throw std::invalid_argument("yates_apply: input size != s^k * batch");
   }
   // Trilinear decompositions are dominated by 0/±1 weights, so the
   // unit-weight fast path matters; f.one() is the in-domain unit (the
   // Montgomery form of 1 for that backend).
   const u64 unit = f.one();
-  std::vector<u64> cur(x.begin(), x.end());
+  if (k == 0) return std::vector<u64>(x.begin(), x.end());
+  // Level 0 reads x in place; later levels read the previous output.
+  std::vector<u64> cur;
+  const u64* in = x.data();
   // After level L the array is indexed by
-  // (i_1..i_L, j_{L+1}..j_k)  ->  prefix * s^{k-L} + suffix,
-  // prefix in [t^L] (base t), suffix in [s^{k-L}] (base s).
+  // (i_1..i_L, j_{L+1}..j_k, c)  ->  (prefix * s^{k-L} + suffix) * batch + c,
+  // prefix in [t^L] (base t), suffix in [s^{k-L}] (base s), c in
+  // [batch]: the batch column rides along as the innermost suffix
+  // digit, so every push covers all columns at once.
   for (unsigned level = 0; level < k; ++level) {
     const u64 prefix_count = ipow(t_dim, level);
-    const u64 suffix_count = ipow(s_dim, k - 1 - level);
+    const u64 suffix_count = ipow(s_dim, k - 1 - level) * batch;
     std::vector<u64> next(prefix_count * t_dim * suffix_count, 0);
     for (u64 p = 0; p < prefix_count; ++p) {
       for (std::size_t i = 0; i < t_dim; ++i) {
         for (std::size_t j = 0; j < s_dim; ++j) {
           const u64 w = base[i * s_dim + j];
           if (w == 0) continue;
-          const u64* src = cur.data() + (p * s_dim + j) * suffix_count;
+          const u64* src = in + (p * s_dim + j) * suffix_count;
           u64* dst = next.data() + (p * t_dim + i) * suffix_count;
           if (w == unit) {
             if constexpr (FieldHasBatchKernels<Field>) {
@@ -60,6 +66,7 @@ std::vector<u64> yates_apply_impl(const Field& fref,
       }
     }
     cur = std::move(next);
+    in = cur.data();
   }
   return cur;
 }
@@ -68,29 +75,30 @@ std::vector<u64> yates_apply_impl(const Field& fref,
 
 std::vector<u64> yates_apply(const PrimeField& f, std::span<const u64> base,
                              std::size_t t_dim, std::size_t s_dim,
-                             std::span<const u64> x, unsigned k) {
-  return yates_apply_impl(f, base, t_dim, s_dim, x, k);
+                             std::span<const u64> x, unsigned k,
+                             std::size_t batch) {
+  return yates_apply_impl(f, base, t_dim, s_dim, x, k, batch);
 }
 
 std::vector<u64> yates_apply(const MontgomeryField& f,
                              std::span<const u64> base, std::size_t t_dim,
                              std::size_t s_dim, std::span<const u64> x,
-                             unsigned k) {
-  return yates_apply_impl(f, base, t_dim, s_dim, x, k);
+                             unsigned k, std::size_t batch) {
+  return yates_apply_impl(f, base, t_dim, s_dim, x, k, batch);
 }
 
 std::vector<u64> yates_apply(const MontgomeryAvx2Field& f,
                              std::span<const u64> base, std::size_t t_dim,
                              std::size_t s_dim, std::span<const u64> x,
-                             unsigned k) {
-  return yates_apply_impl(f, base, t_dim, s_dim, x, k);
+                             unsigned k, std::size_t batch) {
+  return yates_apply_impl(f, base, t_dim, s_dim, x, k, batch);
 }
 
 std::vector<u64> yates_apply(const MontgomeryAvx512Field& f,
                              std::span<const u64> base, std::size_t t_dim,
                              std::size_t s_dim, std::span<const u64> x,
-                             unsigned k) {
-  return yates_apply_impl(f, base, t_dim, s_dim, x, k);
+                             unsigned k, std::size_t batch) {
+  return yates_apply_impl(f, base, t_dim, s_dim, x, k, batch);
 }
 
 std::vector<u64> yates_apply_naive(const PrimeField& f,

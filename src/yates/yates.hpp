@@ -29,21 +29,28 @@ namespace camelot {
 // AVX2, 8 for AVX-512) — the hot path of batched proof evaluation
 // (Evaluator::evaluate_points over count/ problems) — with
 // bit-identical output.
+//
+// `batch` transforms that many vectors at once: x holds s_dim^k rows
+// of `batch` columns (entry j of column c at j * batch + c) and the
+// result holds t_dim^k rows laid out the same way. Column c equals
+// the batch = 1 transform of column c; the column index is the
+// innermost digit, so each push runs over suffix * batch words.
 std::vector<u64> yates_apply(const PrimeField& f, std::span<const u64> base,
                              std::size_t t_dim, std::size_t s_dim,
-                             std::span<const u64> x, unsigned k);
+                             std::span<const u64> x, unsigned k,
+                             std::size_t batch = 1);
 std::vector<u64> yates_apply(const MontgomeryField& f,
                              std::span<const u64> base, std::size_t t_dim,
                              std::size_t s_dim, std::span<const u64> x,
-                             unsigned k);
+                             unsigned k, std::size_t batch = 1);
 std::vector<u64> yates_apply(const MontgomeryAvx2Field& f,
                              std::span<const u64> base, std::size_t t_dim,
                              std::size_t s_dim, std::span<const u64> x,
-                             unsigned k);
+                             unsigned k, std::size_t batch = 1);
 std::vector<u64> yates_apply(const MontgomeryAvx512Field& f,
                              std::span<const u64> base, std::size_t t_dim,
                              std::size_t s_dim, std::span<const u64> x,
-                             unsigned k);
+                             unsigned k, std::size_t batch = 1);
 
 // Reference implementation by the defining sum (3): O((st)^k k) — used
 // only for differential testing.

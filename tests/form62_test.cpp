@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
+#include "count/clique_camelot.hpp"
+#include "count/form62_block.hpp"
 #include "field/primes.hpp"
+#include "poly/lagrange.hpp"
 
 namespace camelot {
 namespace {
@@ -124,6 +128,118 @@ TEST(Form62, NewCircuitRejectsUnpaddedInput) {
   TrilinearDecomposition dec = strassen_decomposition();
   Form62Input in = random_input(3, f, 1);
   EXPECT_THROW(form62_new_circuit(in, dec, 2, f), std::invalid_argument);
+}
+
+TEST(Form62, RaggedInputRejectedAtConstruction) {
+  PrimeField f(97);
+  const BigInt bound = BigInt::from_u64(1);
+  // mats[0] is already n0^t-sized, so nothing would be padded and the
+  // odd matrix would only surface inside an evaluator.
+  Form62Input ragged = random_input(4, f, 3);
+  ragged.mats[7] = Matrix(3, 3);
+  EXPECT_THROW(Form62Problem(ragged, strassen_decomposition(), bound),
+               std::invalid_argument);
+  EXPECT_THROW(Form62BlockCircuit(ragged, f), std::invalid_argument);
+  Form62Input non_square = random_input(4, f, 4);
+  non_square.mats[14] = Matrix(4, 3);
+  EXPECT_THROW(Form62Problem(non_square, strassen_decomposition(), bound),
+               std::invalid_argument);
+  EXPECT_THROW(Form62Problem(Form62Input{}, strassen_decomposition(), bound),
+               std::invalid_argument);
+  EXPECT_FALSE(Form62Input{}.well_formed());
+  // Square and uniform but not n0^t-sized is fine: it gets padded.
+  EXPECT_NO_THROW(
+      Form62Problem(random_input(3, f, 5), strassen_decomposition(), bound));
+}
+
+// Per-point oracle for the proof polynomial, independent of Yates and
+// of the block kernels: alpha_de(x) = sum_r alpha_de(r) L_r(x) from
+// alpha_power and the one-point Lagrange basis (likewise beta,
+// gamma), then the reference circuit form62_circuit_term.
+u64 proof_oracle(const Form62Input& padded, const TrilinearDecomposition& dec,
+                 unsigned t, u64 x, const PrimeField& f) {
+  const u64 n = padded.size();
+  const u64 rank = ipow(dec.rank, t);
+  const std::vector<u64> lambda = lagrange_basis_consecutive(1, rank, x, f);
+  Matrix am(n, n), bm(n, n), gm(n, n);
+  for (u64 d = 0; d < n; ++d) {
+    for (u64 e = 0; e < n; ++e) {
+      for (u64 r = 0; r < rank; ++r) {
+        am.at(d, e) = f.add(am.at(d, e),
+                            f.mul(dec.alpha_power(d, e, r, t, f), lambda[r]));
+        bm.at(d, e) = f.add(bm.at(d, e),
+                            f.mul(dec.beta_power(d, e, r, t, f), lambda[r]));
+        gm.at(d, e) = f.add(gm.at(d, e),
+                            f.mul(dec.gamma_power(d, e, r, t, f), lambda[r]));
+      }
+    }
+  }
+  return form62_circuit_term(padded, am, bm, gm, f);
+}
+
+TEST(Form62Block, EvaluatePointsMatchesPerPointOracle) {
+  const std::size_t b = kForm62Block;
+  // N = 3: padded to 4 (t = 2) under the 2x2 decompositions, unpadded
+  // (t = 1, an odd fold in the circuit) under the naive 3x3 one.
+  for (const TrilinearDecomposition& dec :
+       {strassen_decomposition(), naive_decomposition(2),
+        naive_decomposition(3)}) {
+    const unsigned t = kronecker_exponent(dec.n0, 3);
+    const u64 rank = ipow(dec.rank, t);
+    // A lane prime and one at or above 2^31, which the lanes refuse,
+    // so every backend request runs the scalar fallback.
+    for (const u64 q :
+         {find_ntt_prime(1 << 20, 6), next_prime(u64{1} << 31)}) {
+      const PrimeField f(q);
+      const bool binary = dec.rank == 8;  // 0/1 masks on the naive 2x2 run
+      const Form62Input in = random_input(3, f, q % 1000 + dec.rank, binary);
+      const Form62Input padded = form62_padded(in, ipow(dec.n0, t));
+      const Form62Problem problem(in, dec, BigInt::from_u64(1));
+      std::map<u64, u64> want;
+      const auto oracle = [&](u64 x) {
+        auto it = want.find(x);
+        if (it == want.end()) {
+          it = want.emplace(x, proof_oracle(padded, dec, t, x, f)).first;
+        }
+        return it->second;
+      };
+      // The Lagrange nodes 1 and R, points past R, 0 and q - 1, then
+      // random points; rotated per chunk so they land at different
+      // offsets within a block.
+      const std::vector<u64> special = {1, rank, rank + 1, 0, q - 1, 2 * rank};
+      std::mt19937_64 rng(q);
+      for (const FieldBackend backend :
+           {FieldBackend::kMontgomery, FieldBackend::kPrimeDivision,
+            FieldBackend::kMontgomeryAvx2, FieldBackend::kMontgomeryAvx512}) {
+        const FieldOps ops(f, backend);
+        if ((q >> 31) != 0) EXPECT_FALSE(ops.simd());
+        auto ev = problem.make_evaluator(ops);
+        for (const std::size_t chunk :
+             {std::size_t{1}, b - 1, b, b + 1, 2 * b + 3}) {
+          std::vector<u64> xs;
+          for (std::size_t i = 0; i < chunk; ++i) {
+            xs.push_back(i < special.size()
+                             ? special[(i + chunk) % special.size()]
+                             : rng() % q);
+          }
+          const std::vector<u64> got = ev->evaluate_points(xs);
+          ASSERT_EQ(got.size(), chunk);
+          for (std::size_t i = 0; i < chunk; ++i) {
+            EXPECT_EQ(got[i], oracle(xs[i]))
+                << "R=" << rank << " q=" << q
+                << " backend=" << static_cast<int>(backend)
+                << " chunk=" << chunk << " x=" << xs[i];
+          }
+        }
+        for (const u64 x : special) {
+          const u64 one_point = ev->evaluate_points(std::vector<u64>{x})[0];
+          EXPECT_EQ(ev->eval(x), one_point);
+          EXPECT_EQ(one_point, oracle(x));
+        }
+        EXPECT_TRUE(ev->evaluate_points({}).empty());
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -246,5 +246,42 @@ TEST(Lagrange, StartOffsetConsistency) {
   EXPECT_EQ(a, b);
 }
 
+TEST(Lagrange, BlockBasisMatchesPerPointOnEveryBackend) {
+  for (const u64 q : {u64{7681}, next_prime(u64{1} << 31)}) {
+    const PrimeField f(q);
+    std::mt19937_64 rng(q);
+    for (const FieldBackend backend :
+         {FieldBackend::kMontgomery, FieldBackend::kPrimeDivision,
+          FieldBackend::kMontgomeryAvx2, FieldBackend::kMontgomeryAvx512}) {
+      const FieldOps ops(f, backend);
+      for (const std::size_t count : {1u, 6u, 49u}) {
+        const u64 start = 5;
+        const ConsecutiveLagrange lag(start, count, ops);
+        // Node hits (first, middle, last), 0, q - 1 and random points.
+        std::vector<u64> pool = {start, start + count / 2, start + count - 1,
+                                 0, q - 1};
+        for (const std::size_t width : {1u, 3u, 8u, 16u, 17u}) {
+          std::vector<u64> xs;
+          for (std::size_t b = 0; b < width; ++b) {
+            xs.push_back(b < pool.size() ? pool[(b + width) % pool.size()]
+                                         : rng() % q);
+          }
+          const std::vector<u64> block = lag.basis_mont_block(xs);
+          ASSERT_EQ(block.size(), count * width);
+          for (std::size_t b = 0; b < width; ++b) {
+            const std::vector<u64> want = lag.basis_mont(xs[b]);
+            for (std::size_t i = 0; i < count; ++i) {
+              EXPECT_EQ(block[i * width + b], want[i])
+                  << "q=" << q << " backend=" << static_cast<int>(backend)
+                  << " count=" << count << " x=" << xs[b] << " i=" << i;
+            }
+          }
+        }
+      }
+      EXPECT_TRUE(ConsecutiveLagrange(1, 4, ops).basis_mont_block({}).empty());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace camelot

@@ -6,6 +6,7 @@
 
 #include <random>
 
+#include "field/backend_dispatch.hpp"
 #include "field/primes.hpp"
 #include "poly/lagrange.hpp"
 
@@ -81,6 +82,52 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple<std::size_t, std::size_t, unsigned>{2, 1, 5},
                       std::tuple<std::size_t, std::size_t, unsigned>{5, 5,
                                                                      2}));
+
+// Column c of a batched transform is the batch = 1 transform of
+// column c, on the reference field and on every Montgomery backend.
+TEST_P(YatesShapes, BatchedMatchesPerColumnAndNaive) {
+  auto [t, s, k] = GetParam();
+  const PrimeField f(7681);
+  std::mt19937_64 rng(t * 1000 + s * 10 + k);
+  const auto base = random_base(t, s, f, rng);
+  const std::size_t rows_in = ipow(s, k), rows_out = ipow(t, k);
+  for (const std::size_t batch : {2u, 3u, 16u}) {
+    const auto x = random_vector(rows_in * batch, f, rng);
+    const auto column = [&](const std::vector<u64>& v, std::size_t rows,
+                            std::size_t c) {
+      std::vector<u64> out(rows);
+      for (std::size_t j = 0; j < rows; ++j) out[j] = v[j * batch + c];
+      return out;
+    };
+    const auto fast = yates_apply(f, base, t, s, x, k, batch);
+    ASSERT_EQ(fast.size(), rows_out * batch);
+    for (std::size_t c = 0; c < batch; ++c) {
+      const auto xc = column(x, rows_in, c);
+      EXPECT_EQ(column(fast, rows_out, c), yates_apply(f, base, t, s, xc, k));
+      EXPECT_EQ(column(fast, rows_out, c),
+                yates_apply_naive(f, base, t, s, xc, k));
+    }
+    for (const FieldBackend backend :
+         {FieldBackend::kMontgomery, FieldBackend::kMontgomeryAvx2,
+          FieldBackend::kMontgomeryAvx512}) {
+      const FieldOps ops(f, backend);
+      const MontgomeryField& m = ops.mont();
+      const auto base_m = m.to_mont_vec(base);
+      const auto x_m = m.to_mont_vec(x);
+      with_lane_field(ops.backend(), m, [&](const auto& lf) {
+        const auto got = yates_apply(lf, base_m, t, s, x_m, k, batch);
+        EXPECT_EQ(m.from_mont_vec(got), fast)
+            << "backend=" << static_cast<int>(ops.backend());
+        for (std::size_t c = 0; c < batch; ++c) {
+          EXPECT_EQ(column(got, rows_out, c),
+                    yates_apply(lf, base_m, t, s, column(x_m, rows_in, c), k));
+        }
+      });
+    }
+  }
+  EXPECT_THROW(yates_apply(f, base, t, s, random_vector(rows_in, f, rng), k, 2),
+               std::invalid_argument);
+}
 
 TEST(Yates, SubsetZetaTransform) {
   // Base [[1,0],[1,1]] computes the subset-sum (zeta) transform; check
