@@ -173,10 +173,10 @@ class Csp2Evaluator : public Evaluator {
     const MontgomeryField& m = ops_.mont();
     std::vector<u64> out(xs.size(), 0);
     Form62Blocks blocks;
-    std::vector<u64> scratch, term(kForm62Block), step(kForm62Block);
-    for (std::size_t lo = 0; lo < xs.size(); lo += kForm62Block) {
+    std::vector<u64> scratch, term(kPointBlock), step(kPointBlock);
+    for (std::size_t lo = 0; lo < xs.size(); lo += kPointBlock) {
       const std::span<const u64> block =
-          xs.subspan(lo, std::min(kForm62Block, xs.size() - lo));
+          xs.subspan(lo, std::min(kPointBlock, xs.size() - lo));
       coefficients_.interpolate(block, blocks);
       for (std::size_t b = 0; b < block.size(); ++b) {
         step[b] = m.pow(m.from_u64(block[b]), degree_step_);

@@ -26,9 +26,9 @@ class Form62Evaluator : public Evaluator {
     std::vector<u64> out(xs.size());
     Form62Blocks blocks;
     std::vector<u64> scratch;
-    for (std::size_t lo = 0; lo < xs.size(); lo += kForm62Block) {
+    for (std::size_t lo = 0; lo < xs.size(); lo += kPointBlock) {
       coefficients_.interpolate(
-          xs.subspan(lo, std::min(kForm62Block, xs.size() - lo)), blocks);
+          xs.subspan(lo, std::min(kPointBlock, xs.size() - lo)), blocks);
       circuit_.evaluate(blocks, out.data() + lo, scratch);
     }
     ops_.mont().from_mont_inplace(out);

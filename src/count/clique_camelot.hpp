@@ -9,7 +9,7 @@
 // most 3(R-1), and X(6,2) = sum_{r=1}^{R} P(r) (Theorem 13).
 //
 // Evaluation algorithm (§5.3), run by a node over its chunk of points
-// in blocks of B = kForm62Block points (count/form62_block.hpp), the
+// in blocks of B = kPointBlock points (count/form62_block.hpp), the
 // point index innermost so each lane call covers the whole block:
 //   1. the factorial trick for Lambda_r(x_b), r = 1..R, as one R x B
 //      block: prefix and suffix product chains along r, lanes across

@@ -2,7 +2,7 @@
 // points (paper §5.2-§5.3, Theorem 1).
 //
 // A node evaluates P at its whole chunk of points. The kernels below
-// take the chunk kForm62Block points at a time and keep the point
+// take the chunk kPointBlock points at a time and keep the point
 // index innermost, so every lane call of the resolved backend covers
 // the whole block:
 //   * Form62Coefficients: the R x B Lagrange basis by the factorial
@@ -25,10 +25,6 @@
 #include "poly/lagrange.hpp"
 
 namespace camelot {
-
-// Points per block. A chunk's last block takes whatever is left, so a
-// lone point costs one point, not kForm62Block.
-inline constexpr std::size_t kForm62Block = 16;
 
 // Three n x n matrices for `width` points, Montgomery domain: entry
 // (i, j) of point b sits at (i * n + j) * width + b.

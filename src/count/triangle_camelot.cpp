@@ -1,7 +1,10 @@
 #include "count/triangle_camelot.hpp"
 
+#include <algorithm>
+#include <span>
 #include <stdexcept>
 
+#include "field/backend_dispatch.hpp"
 #include "poly/multipoint.hpp"
 #include "yates/poly_ext.hpp"
 
@@ -22,46 +25,63 @@ std::vector<u64> transpose_table(const std::vector<u64>& tab, std::size_t nn,
 
 class TriangleEvaluator : public Evaluator {
  public:
+  // Per-node precomputation, shared by every evaluation point: the
+  // three extensions' Montgomery tables and the outer Lagrange cache.
   TriangleEvaluator(const FieldOps& f, const TrilinearDecomposition& dec,
                     unsigned t, unsigned ell,
                     const std::vector<SparseEntry>& entries)
-      : Evaluator(f) {
-    const std::size_t nn = dec.n0 * dec.n0;
-    ext_a_ = std::make_unique<YatesPolynomialExtension>(
-        f, transpose_table(dec.alpha_mod(f.prime()), nn, dec.rank), dec.rank,
-        nn, t, entries, static_cast<int>(ell));
-    ext_b_ = std::make_unique<YatesPolynomialExtension>(
-        f, transpose_table(dec.beta_mod(f.prime()), nn, dec.rank), dec.rank,
-        nn, t, entries, static_cast<int>(ell));
-    ext_c_ = std::make_unique<YatesPolynomialExtension>(
-        f, transpose_table(dec.gamma_mod(f.prime()), nn, dec.rank), dec.rank,
-        nn, t, entries, static_cast<int>(ell));
-  }
+      : Evaluator(f),
+        ext_a_(extension(f, dec.alpha_mod(f.prime()), dec, t, ell, entries)),
+        ext_b_(extension(f, dec.beta_mod(f.prime()), dec, t, ell, entries)),
+        ext_c_(extension(f, dec.gamma_mod(f.prime()), dec, t, ell, entries)) {}
 
-  u64 eval(u64 z0) override {
-    // P(z0) = sum_{r'} A_{r'}(z0) B_{r'}(z0) C_{r'}(z0). The three
-    // extensions share the outer Lagrange basis (same decomposition
-    // parameters), so Phi(z0) is computed once; products and the
-    // accumulator stay in the Montgomery domain, converted exactly
-    // once on return.
-    const MontgomeryField& m = ext_a_->mont();
-    const std::vector<u64> phi = ext_a_->lagrange().basis_mont(z0);
-    const std::vector<u64> pa = ext_a_->evaluate_mont_with_phi(phi);
-    const std::vector<u64> pb = ext_b_->evaluate_mont_with_phi(phi);
-    const std::vector<u64> pc = ext_c_->evaluate_mont_with_phi(phi);
-    u64 acc = 0;
-    for (std::size_t i = 0; i < pa.size(); ++i) {
-      acc = m.add(acc, m.mul(pa[i], m.mul(pb[i], pc[i])));
+  u64 eval(u64 x0) override { return evaluate_points({&x0, 1})[0]; }
+
+  // P(x_b) = sum_{r'} A_{r'}(x_b) B_{r'}(x_b) C_{r'}(x_b), kPointBlock
+  // points at a time. The three extensions share the outer basis (same
+  // decomposition parameters), so it is computed once per block; the
+  // products and the row sum stay in the Montgomery domain, converted
+  // once per point on return.
+  std::vector<u64> evaluate_points(std::span<const u64> xs) override {
+    std::vector<u64> out(xs.size());
+    const std::size_t rows = ext_a_.part_size();
+    for (std::size_t lo = 0; lo < xs.size(); lo += kPointBlock) {
+      const std::span<const u64> block =
+          xs.subspan(lo, std::min(kPointBlock, xs.size() - lo));
+      const std::size_t w = block.size();
+      const std::vector<u64> phi = ext_a_.lagrange().basis_mont_block(block);
+      std::vector<u64> pa = ext_a_.evaluate_block_mont(phi, w);
+      const std::vector<u64> pb = ext_b_.evaluate_block_mont(phi, w);
+      const std::vector<u64> pc = ext_c_.evaluate_block_mont(phi, w);
+      with_lane_field(ops_.backend(), ops_.mont(), [&](const auto& lf) {
+        vec_mul(lf, pa.data(), pb.data(), pa.data(), rows * w);
+        vec_mul(lf, pa.data(), pc.data(), pa.data(), rows * w);
+        // Row sum by a halving fold: each step adds the top rows onto
+        // the bottom ones in one lane call.
+        for (std::size_t len = rows; len > 1;) {
+          const std::size_t half = len / 2;
+          vec_add(lf, pa.data(), pa.data() + (len - half) * w, half * w);
+          len -= half;
+        }
+      });
+      std::copy_n(pa.data(), w, out.data() + lo);
     }
-    return m.from_mont(acc);
+    ops_.mont().from_mont_inplace(out);
+    return out;
   }
-  // evaluate_points: the inherited per-point loop already amortizes
-  // everything point-independent (Lagrange factorial cache, Montgomery
-  // tables), because that state lives in the extensions built at
-  // construction.
 
  private:
-  std::unique_ptr<YatesPolynomialExtension> ext_a_, ext_b_, ext_c_;
+  static YatesPolynomialExtension extension(
+      const FieldOps& f, const std::vector<u64>& table,
+      const TrilinearDecomposition& dec, unsigned t, unsigned ell,
+      const std::vector<SparseEntry>& entries) {
+    const std::size_t nn = dec.n0 * dec.n0;
+    return YatesPolynomialExtension(f, transpose_table(table, nn, dec.rank),
+                                    dec.rank, nn, t, entries,
+                                    static_cast<int>(ell));
+  }
+
+  YatesPolynomialExtension ext_a_, ext_b_, ext_c_;
 };
 
 }  // namespace

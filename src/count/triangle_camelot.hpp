@@ -8,8 +8,15 @@
 //   P(z) = sum_{r'=1}^{m'} A_{r'}(z) B_{r'}(z) C_{r'}(z),
 // of degree <= 3(R/m' - 1), with
 //   sum_{z0 in [R/m']} P(z0) = trace(ABC) = 6 * #triangles  (eq. 21).
-// Per-node evaluation cost is ~O(m + R/m) — essentially linear in the
-// input for m >= n^{omega/2}; the proof has O(R/m) symbols.
+// Evaluation costs ~O(m + R/m) per point — essentially linear in the
+// input for m >= n^{omega/2}; the proof has O(R/m) symbols. A node
+// walks its chunk in blocks of B = kPointBlock points, point index
+// innermost: per block one (R/m') x B outer basis by the factorial
+// trick, then per extension the transposed-base Yates pass, the sparse
+// scatter and the dense inner Yates pass, each with B columns, and the
+// products summed over r'. A block costs B times the per-point work,
+// done in lane calls B words wide instead of the 1-64 words of a
+// single point.
 #pragma once
 
 #include "core/proof_problem.hpp"

@@ -43,4 +43,48 @@ decltype(auto) with_lane_field(FieldBackend backend, const MontgomeryField& m,
   }
 }
 
+// Lane helpers for with_lane_field visitors: the backend's batch
+// kernel when it has one, the scalar loop otherwise (the plain
+// MontgomeryField, e.g. for q >= 2^31). Same words either way.
+
+// r += a
+template <class F>
+void vec_add(const F& f, u64* r, const u64* a, std::size_t n) {
+  if constexpr (FieldHasBatchKernels<F>) {
+    f.add_inplace(r, a, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) r[i] = f.add(r[i], a[i]);
+  }
+}
+
+// r += s * a
+template <class F>
+void vec_addmul(const F& f, u64* r, u64 s, const u64* a, std::size_t n) {
+  if constexpr (FieldHasBatchKernels<F>) {
+    f.addmul_inplace(r, s, a, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) r[i] = f.add(r[i], f.mul(s, a[i]));
+  }
+}
+
+// r = a o b (r may alias a)
+template <class F>
+void vec_mul(const F& f, const u64* a, const u64* b, u64* r, std::size_t n) {
+  if constexpr (FieldHasBatchKernels<F>) {
+    f.mul_vec(a, b, r, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) r[i] = f.mul(a[i], b[i]);
+  }
+}
+
+// r = s * a (r may alias a)
+template <class F>
+void vec_scale(const F& f, const u64* a, u64 s, u64* r, std::size_t n) {
+  if constexpr (FieldHasBatchKernels<F>) {
+    f.scale_vec(a, s, r, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) r[i] = f.mul(a[i], s);
+  }
+}
+
 }  // namespace camelot

@@ -146,32 +146,19 @@ std::vector<u64> ConsecutiveLagrange::basis_mont_block(
         }
       }
     };
-    const auto mul = [&](const u64* a, const u64* b, u64* r) {
-      if constexpr (FieldHasBatchKernels<F>) {
-        lf.mul_vec(a, b, r, width);
-      } else {
-        for (std::size_t j = 0; j < width; ++j) r[j] = m.mul(a[j], b[j]);
-      }
-    };
     // Backward sweep: row i becomes prod_{j > i} diff_j.
     u64* row = out.data() + (count_ - 1) * width;
     std::fill(row, row + width, m.one());
     for (std::size_t i = count_ - 1; i > 0; --i, row -= width) {
       diff_row(i);
-      mul(row, diff.data(), row - width);
+      vec_mul(lf, row, diff.data(), row - width, width);
     }
     // Forward sweep: times prod_{j < i} diff_j and the inverse weight.
     for (std::size_t i = 0; i < count_; ++i, row += width) {
-      mul(row, prefix.data(), row);
-      if constexpr (FieldHasBatchKernels<F>) {
-        lf.scale_vec(row, inv_w_[i], row, width);
-      } else {
-        for (std::size_t j = 0; j < width; ++j) {
-          row[j] = m.mul(row[j], inv_w_[i]);
-        }
-      }
+      vec_mul(lf, row, prefix.data(), row, width);
+      vec_scale(lf, row, inv_w_[i], row, width);
       diff_row(i);
-      mul(prefix.data(), diff.data(), prefix.data());
+      vec_mul(lf, prefix.data(), diff.data(), prefix.data(), width);
     }
   });
   return out;

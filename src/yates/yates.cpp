@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "field/backend_dispatch.hpp"
+
 namespace camelot {
 
 namespace {
@@ -46,21 +48,9 @@ std::vector<u64> yates_apply_impl(const Field& fref,
           const u64* src = in + (p * s_dim + j) * suffix_count;
           u64* dst = next.data() + (p * t_dim + i) * suffix_count;
           if (w == unit) {
-            if constexpr (FieldHasBatchKernels<Field>) {
-              f.add_inplace(dst, src, suffix_count);
-            } else {
-              for (u64 s = 0; s < suffix_count; ++s) {
-                dst[s] = f.add(dst[s], src[s]);
-              }
-            }
+            vec_add(f, dst, src, suffix_count);
           } else {
-            if constexpr (FieldHasBatchKernels<Field>) {
-              f.addmul_inplace(dst, w, src, suffix_count);
-            } else {
-              for (u64 s = 0; s < suffix_count; ++s) {
-                dst[s] = f.add(dst[s], f.mul(w, src[s]));
-              }
-            }
+            vec_addmul(f, dst, w, src, suffix_count);
           }
         }
       }

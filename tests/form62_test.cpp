@@ -178,7 +178,7 @@ u64 proof_oracle(const Form62Input& padded, const TrilinearDecomposition& dec,
 }
 
 TEST(Form62Block, EvaluatePointsMatchesPerPointOracle) {
-  const std::size_t b = kForm62Block;
+  const std::size_t b = kPointBlock;
   // N = 3: padded to 4 (t = 2) under the 2x2 decompositions, unpadded
   // (t = 1, an odd fold in the circuit) under the naive 3x3 one.
   for (const TrilinearDecomposition& dec :

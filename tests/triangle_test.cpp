@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/proof_session.hpp"
 #include "field/primes.hpp"
 #include "graph/brute.hpp"
 #include "graph/generators.hpp"
+#include "poly/lagrange.hpp"
 
 namespace camelot {
 namespace {
@@ -96,6 +99,102 @@ TEST(TriangleCamelot, ProofEvaluationsSumToTrace) {
     sum = f.add(sum, ev->eval(z));
   }
   EXPECT_EQ(sum, f.reduce(6 * count_triangles_brute(g)));
+}
+
+std::vector<u64> transposed(const std::vector<u64>& tab, std::size_t rows,
+                            std::size_t cols) {
+  std::vector<u64> out(rows * cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) out[j * rows + i] = tab[i * cols + j];
+  }
+  return out;
+}
+
+TEST(TriangleCamelot, EvaluatePointsMatchesPerPointOracle) {
+  // The oracle builds P(z) from its definition, one point at a time:
+  // A_{r'}(z) = sum_o part_A(o)[r'] L_o(z) from the split/sparse parts
+  // and a one-shot Lagrange basis over the outer nodes 1..R/m',
+  // likewise B and C, then P(z) = sum_{r'} A B C. No extension, no
+  // block, no lanes.
+  const Graph g = gnm(32, 60, 11);
+  const TrilinearDecomposition dec = strassen_decomposition();
+  const TriangleCountProblem problem(g, dec);
+  const u64 outer = problem.num_outer();
+  const u64 inner = problem.part_size();
+  ASSERT_GT(outer, kPointBlock);  // the basis spans several blocks' rows
+  const unsigned t = kronecker_exponent(dec.n0, g.num_vertices());
+  const std::vector<SparseEntry> entries =
+      adjacency_sparse_interleaved(g, dec.n0, t);
+  const std::size_t nn = dec.n0 * dec.n0;
+  const std::size_t b = kPointBlock;
+  for (u64 q : {next_prime(u64{1} << 20), next_prime(u64{1} << 31)}) {
+    const PrimeField f(q);
+    // parts[s][o * inner + r'] = part o of table s (alpha, beta, gamma).
+    std::vector<std::vector<u64>> parts;
+    for (const std::vector<u64>& table :
+         {dec.alpha_mod(f), dec.beta_mod(f), dec.gamma_mod(f)}) {
+      const SplitSparseYates ss(f, transposed(table, nn, dec.rank), dec.rank,
+                                nn, t, entries,
+                                static_cast<int>(problem.ell()));
+      ASSERT_EQ(ss.num_parts(), outer);
+      std::vector<u64>& flat = parts.emplace_back();
+      for (u64 o = 0; o < outer; ++o) {
+        const std::vector<u64> part = ss.part(o);
+        flat.insert(flat.end(), part.begin(), part.end());
+      }
+    }
+    const auto oracle = [&](u64 z) {
+      const std::vector<u64> l = lagrange_basis_consecutive(1, outer, z, f);
+      u64 sum = 0;
+      for (u64 r = 0; r < inner; ++r) {
+        u64 abc = f.one();
+        for (const std::vector<u64>& flat : parts) {
+          u64 v = 0;
+          for (u64 o = 0; o < outer; ++o) {
+            v = f.add(v, f.mul(flat[o * inner + r], l[o]));
+          }
+          abc = f.mul(abc, v);
+        }
+        sum = f.add(sum, abc);
+      }
+      return sum;
+    };
+    // The node boundaries 1 and R/m', the points just outside the
+    // outer domain, the field's ends, then pseudo-random points.
+    std::vector<u64> pool = {0, 1, outer, outer + 1, q - 1, 2 * outer};
+    std::mt19937_64 rng(q);
+    while (pool.size() < 2 * b + 3) pool.push_back(rng() % q);
+    std::vector<u64> want(pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) want[i] = oracle(pool[i]);
+
+    for (FieldBackend backend :
+         {FieldBackend::kMontgomery, FieldBackend::kPrimeDivision,
+          FieldBackend::kMontgomeryAvx2, FieldBackend::kMontgomeryAvx512}) {
+      const auto ev = problem.make_evaluator(FieldOps(f, backend));
+      // Every pool point at every position of chunks of each length
+      // (wrapping around the pool).
+      for (std::size_t len : {std::size_t{1}, b - 1, b, b + 1, 2 * b + 3}) {
+        for (std::size_t start = 0; start < pool.size(); start += len) {
+          std::vector<u64> chunk(len);
+          for (std::size_t i = 0; i < len; ++i) {
+            chunk[i] = pool[(start + i) % pool.size()];
+          }
+          const std::vector<u64> got = ev->evaluate_points(chunk);
+          ASSERT_EQ(got.size(), len);
+          for (std::size_t i = 0; i < len; ++i) {
+            EXPECT_EQ(got[i], want[(start + i) % pool.size()])
+                << "q=" << q << " backend=" << static_cast<int>(backend)
+                << " len=" << len << " x=" << chunk[i];
+          }
+        }
+      }
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        const u64 x = pool[i];
+        EXPECT_EQ(ev->eval(x), ev->evaluate_points({&x, 1})[0]) << "x=" << x;
+        EXPECT_EQ(ev->eval(x), want[i]) << "x=" << x;
+      }
+    }
+  }
 }
 
 TEST(TriangleCamelot, SessionRunCountsTriangles) {

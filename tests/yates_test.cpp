@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <span>
 
 #include "field/backend_dispatch.hpp"
 #include "field/primes.hpp"
@@ -235,6 +237,86 @@ TEST(PolyExt, MatchesSplitSparseOnOuterDomain) {
       EXPECT_EQ(pe.evaluate(outer + 1), ss.part(outer))
           << "ell=" << ell << " outer=" << outer;
     }
+  }
+}
+
+TEST(PolyExt, BlockMatchesPerPoint) {
+  // Every column of a block equals the split/sparse oracle of
+  // MatchesSplitSparseOnOuterDomain: the part itself on the outer
+  // domain, the parts' Lagrange interpolant off it.
+  PrimeField f(find_ntt_prime(1 << 10, 6));
+  std::mt19937_64 rng(62);
+  const std::size_t t = 3, s = 3;
+  const unsigned k = 3;
+  auto base = random_base(t, s, f, rng);
+  std::vector<u64> x(ipow(s, k), 0);
+  for (u64 i = 0; i < x.size(); ++i) {
+    if (rng() % 3 == 0) x[i] = 1 + rng() % (f.modulus() - 1);
+  }
+  x[0] = 5;
+  x[1] = 1;  // a unit entry takes the scatter's add path
+  auto d = sparsify(x);
+  for (int ell : {0, 1, 2}) {
+    SplitSparseYates ss(f, base, t, s, k, d, ell);
+    YatesPolynomialExtension pe(f, base, t, s, k, d, ell);
+    const u64 outer = pe.num_outer();
+    std::vector<std::vector<u64>> parts(outer);
+    for (u64 o = 0; o < outer; ++o) parts[o] = ss.part(o);
+    const auto expected = [&](u64 z) {
+      const std::vector<u64> l = lagrange_basis_consecutive(1, outer, z, f);
+      std::vector<u64> u(pe.part_size(), 0);
+      for (u64 o = 0; o < outer; ++o) {
+        for (u64 i = 0; i < u.size(); ++i) {
+          u[i] = f.add(u[i], f.mul(parts[o][i], l[o]));
+        }
+      }
+      return u;
+    };
+    // The outer domain backwards, then points off it.
+    std::vector<u64> xs;
+    for (u64 z = outer; z >= 1; --z) xs.push_back(z);
+    for (u64 z : {u64{0}, outer + 1, f.modulus() - 1}) xs.push_back(z);
+    for (std::size_t width : {std::size_t{1}, std::size_t{5}, xs.size()}) {
+      for (std::size_t lo = 0; lo < xs.size(); lo += width) {
+        const std::span<const u64> block(
+            xs.data() + lo, std::min(width, xs.size() - lo));
+        const std::size_t w = block.size();
+        std::vector<u64> got =
+            pe.evaluate_block_mont(pe.lagrange().basis_mont_block(block), w);
+        ASSERT_EQ(got.size(), pe.part_size() * w);
+        pe.mont().from_mont_inplace(got);
+        for (std::size_t c = 0; c < w; ++c) {
+          const std::vector<u64> want = expected(block[c]);
+          for (u64 i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i * w + c], want[i])
+                << "ell=" << ell << " width=" << width << " z=" << block[c]
+                << " inner=" << i;
+          }
+          if (block[c] >= 1 && block[c] <= outer) {
+            EXPECT_EQ(want, ss.part(block[c] - 1));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PolyExt, RejectsOutOfRangeEntry) {
+  // An index >= s^k has no digit pattern in [s^k]: its scatter row
+  // index / s^{k-ell} lies past the end of x^(ell). Construction must
+  // refuse it, as SplitSparseYates does.
+  PrimeField f(97);
+  const std::vector<u64> base = {1, 1, 2, 3};  // t = s = 2
+  const unsigned k = 3;
+  for (u64 index : {ipow(2, k), ~u64{0}}) {
+    const std::vector<SparseEntry> d = {{0, 1}, {index, 4}};
+    EXPECT_THROW(
+        {
+          YatesPolynomialExtension pe(f, base, 2, 2, k, d, 1);
+          pe.evaluate(5);
+        },
+        std::invalid_argument)
+        << "index=" << index;
   }
 }
 
