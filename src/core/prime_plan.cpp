@@ -29,19 +29,37 @@ PrimePlan plan_primes(const ProofSpec& spec, double redundancy,
   }
   ++two_adicity;  // slack for product-tree internals
 
-  u64 min_q = std::max<u64>(spec.min_modulus, plan.code_length + 1);
+  const u64 min_q = std::max<u64>(spec.min_modulus, plan.code_length + 1);
 
-  // Add primes until the CRT modulus covers 2*answer_bound (signed
-  // reconstruction needs the factor 2; harmless for unsigned).
+  // The CRT modulus must cover 2*answer_bound (signed reconstruction
+  // needs the factor 2; harmless for unsigned).
   const BigInt target = spec.answer_bound.mul_u64(2) + BigInt(1);
+  const auto enough = [&](const std::vector<u64>& primes,
+                          const BigInt& prod) {
+    return num_primes != 0 ? primes.size() >= num_primes
+                           : (!primes.empty() && prod > target);
+  };
+
+  // Fewest primes: take the largest lane primes (q < 2^31) from the
+  // top down, as long as they stay >= min_q.
   BigInt prod = BigInt::from_u64(1);
-  u64 lo = min_q;
-  while (true) {
-    const bool enough_primes =
-        num_primes != 0 ? plan.primes.size() >= num_primes
-                        : (!plan.primes.empty() && prod > target);
-    if (enough_primes) break;
-    u64 q = find_ntt_prime(lo, two_adicity);
+  for (u64 below = u64{1} << 31; !enough(plan.primes, prod);) {
+    const u64 q = find_ntt_prime_below(below, two_adicity);
+    if (q < min_q) break;  // also q == 0: none left in range
+    plan.primes.push_back(q);
+    prod = prod.mul_u64(q);
+    below = q;
+  }
+  if (enough(plan.primes, prod)) {
+    std::reverse(plan.primes.begin(), plan.primes.end());
+    return plan;
+  }
+
+  // [min_q, 2^31) holds too few: walk upward from min_q instead.
+  plan.primes.clear();
+  prod = BigInt::from_u64(1);
+  for (u64 lo = min_q; !enough(plan.primes, prod);) {
+    const u64 q = find_ntt_prime(lo, two_adicity);
     plan.primes.push_back(q);
     prod = prod.mul_u64(q);
     lo = q + 1;

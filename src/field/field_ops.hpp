@@ -35,9 +35,9 @@ enum class FieldBackend {
   // bit-identical results; only the instruction mix differs.
   // Requesting it constructs a handle that *resolves* at runtime:
   // without AVX2, with CAMELOT_FORCE_SCALAR set, or for primes the
-  // lanes do not implement (q >= 2^31 or q == 2; the framework's CRT
-  // primes sit far below 2^31), the handle silently degrades to
-  // kMontgomery, so it is always safe to ask for.
+  // lanes do not implement (q >= 2^31 or q == 2; the framework plans
+  // its CRT primes just below 2^31 whenever they fit), the handle
+  // silently degrades to kMontgomery, so it is always safe to ask for.
   kMontgomeryAvx2,
   // The same pipeline on AVX-512 8xu64 lanes
   // (field/montgomery_avx512.hpp). Resolution degrades a request to

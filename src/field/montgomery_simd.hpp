@@ -15,9 +15,10 @@
 // Montgomery), which costs only 5 vpmuludq per 4 products — a large
 // speedup over 4 scalar mulx-based multiplies — while computing
 // exactly the same t*R^{-1} mod q function, so the output words
-// match the scalar backend bit for bit. The framework's CRT primes
-// are chosen just above the code length (core/prime_plan.cpp), so
-// every real session runs on this path; the constructor throws
+// match the scalar backend bit for bit. The framework plans its CRT
+// primes from the top of this range, just below 2^31
+// (core/prime_plan.cpp), so a session leaves this path only when its
+// problem demands q >= 2^31; the constructor throws
 // std::invalid_argument for q >= 2^31.
 //
 // The batch definitions live in field/montgomery_simd.cpp — the only

@@ -103,6 +103,9 @@ bool is_prime_u64(u64 n) {
 }
 
 u64 next_prime(u64 n) {
+  if (n > (u64{1} << 62)) {
+    throw std::invalid_argument("next_prime: n must be <= 2^62");
+  }
   if (n <= 2) return 2;
   if (n % 2 == 0) ++n;
   while (!is_prime_u64(n)) n += 2;
@@ -162,6 +165,21 @@ u64 find_ntt_prime(u64 min_value, int two_adicity) {
     }
     if (is_prime_u64(q)) return q;
   }
+}
+
+u64 find_ntt_prime_below(u64 limit, int two_adicity) {
+  if (two_adicity < 0 || two_adicity > 60) {
+    throw std::invalid_argument("find_ntt_prime_below: bad two_adicity");
+  }
+  const u64 step = u64{1} << two_adicity;
+  if (limit <= 2) return 0;
+  // Candidates are k*step + 1 for k >= 1; start at the largest below
+  // `limit`.
+  for (u64 k = (limit - 2) / step; k >= 1; --k) {
+    const u64 q = k * step + 1;
+    if (is_prime_u64(q)) return q;
+  }
+  return 0;
 }
 
 std::vector<u64> find_ntt_primes(u64 min_value, int two_adicity,

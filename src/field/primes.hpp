@@ -17,7 +17,8 @@ namespace camelot {
 // Deterministic primality test, correct for all n < 2^64.
 bool is_prime_u64(u64 n);
 
-// Smallest prime >= n. Requires n <= 2^62 (result stays in range).
+// Smallest prime >= n. Throws std::invalid_argument for n > 2^62
+// (there is always a prime in [n, 2n), so the result stays in range).
 u64 next_prime(u64 n);
 
 // Factorization of n as (prime, multiplicity) pairs, primes ascending.
@@ -32,10 +33,16 @@ u64 primitive_root(u64 p);
 // Throws std::invalid_argument if no such prime exists below 2^62.
 u64 find_ntt_prime(u64 min_value, int two_adicity);
 
+// Largest prime q < limit with 2^two_adicity | q - 1, or 0 when there
+// is none. The prime planner walks down from the top of the lane range
+// with it (core/prime_plan.hpp). Throws std::invalid_argument for a
+// two_adicity outside [0, 60].
+u64 find_ntt_prime_below(u64 limit, int two_adicity);
+
 // The first `count` distinct NTT-friendly primes >= min_value, each
-// supporting length-2^two_adicity transforms. Used by the framework to
-// pick CRT moduli (footnote 5: "multiple distinct primes q and the
-// Chinese Remainder Theorem").
+// supporting length-2^two_adicity transforms. Used by the counters
+// that run their own CRT outside the framework (footnote 5: "multiple
+// distinct primes q and the Chinese Remainder Theorem").
 std::vector<u64> find_ntt_primes(u64 min_value, int two_adicity,
                                  std::size_t count);
 

@@ -16,7 +16,7 @@
 // Defining CAMELOT_NO_TRACE at compile time removes the sites
 // entirely. Emission writes one line to stderr per message:
 //
-//   [camelot:sched] stage=decode prime=1099511627791 seconds=0.000412
+//   [camelot:sched] stage=decode prime=2147483137 seconds=0.000042
 //
 // StageSpan is the bridge to obs/metrics.hpp: constructed around a
 // pipeline stage, it records the elapsed seconds into a per-stage

@@ -2,13 +2,17 @@
 // transparent toy problem whose proof polynomial is fully known.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <random>
 
 #include "core/proof_session.hpp"
 #include "core/prime_plan.hpp"
 #include "core/verifier.hpp"
+#include "count/clique_camelot.hpp"
 #include "field/primes.hpp"
+#include "graph/generators.hpp"
+#include "linalg/tensor.hpp"
 
 namespace camelot {
 namespace {
@@ -85,15 +89,117 @@ TEST(PrimePlan, RespectsConstraints) {
   EXPECT_GT(prod, BigInt::power_of_two(81));
 }
 
+// The planner's two-adicity for code length e: the smallest a with
+// 2^a >= 2(e+1), plus one.
+int plan_two_adicity(std::size_t e) {
+  int a = 0;
+  while ((std::size_t{1} << a) < 2 * (e + 1)) ++a;
+  return a + 1;
+}
+
+// Brute force over every integer: the `count` largest primes q < 2^31
+// with q >= floor and 2^a | q - 1, ascending (fewer if the range runs
+// out).
+std::vector<u64> top_lane_primes(int a, u64 floor, std::size_t count) {
+  const u64 mask = (u64{1} << a) - 1;
+  std::vector<u64> out;
+  for (u64 q = (u64{1} << 31) - 1; q >= floor && out.size() < count; --q) {
+    if (((q - 1) & mask) == 0 && is_prime_u64(q)) out.push_back(q);
+  }
+  std::reverse(out.begin(), out.end());
+  return out;
+}
+
+// Brute force over every integer: the smallest NTT primes >= floor
+// (2^a | q - 1), ascending, until their product exceeds `target`.
+std::vector<u64> bottom_primes_covering(int a, u64 floor,
+                                        const BigInt& target) {
+  const u64 mask = (u64{1} << a) - 1;
+  std::vector<u64> out;
+  BigInt prod = BigInt::from_u64(1);
+  for (u64 q = floor; !(prod > target); ++q) {
+    if (((q - 1) & mask) == 0 && is_prime_u64(q)) {
+      out.push_back(q);
+      prod = prod.mul_u64(q);
+    }
+  }
+  return out;
+}
+
+// A forced count takes that many primes from the top of the lane
+// range, distinct and ascending.
 TEST(PrimePlan, ForcedPrimeCount) {
   ProofSpec spec;
-  spec.degree_bound = 10;
-  PrimePlan plan = plan_primes(spec, 1.0, 4);
-  EXPECT_EQ(plan.primes.size(), 4u);
-  // Distinct and ascending.
-  for (std::size_t i = 1; i < 4; ++i) {
-    EXPECT_GT(plan.primes[i], plan.primes[i - 1]);
+  spec.degree_bound = 10;  // e = 11
+  const int a = plan_two_adicity(11);
+  for (std::size_t k : {1u, 2u, 4u, 7u}) {
+    const PrimePlan plan = plan_primes(spec, 1.0, k);
+    EXPECT_EQ(plan.primes, top_lane_primes(a, 12, k)) << "k=" << k;
   }
+}
+
+// Answer bounds at the CRT boundary: the product of the top k primes
+// must exceed 2*bound + 1 strictly.
+TEST(PrimePlan, FewestTopPrimesAtExactCrtBoundary) {
+  ProofSpec spec;
+  spec.degree_bound = 10;
+  const int a = plan_two_adicity(11);
+  const std::vector<u64> top = top_lane_primes(a, 12, 3);
+  ASSERT_EQ(top.size(), 3u);
+  // top[2] alone, then top[2] * top[1].
+  const u128 products[] = {top[2], u128{top[2]} * top[1]};
+  for (std::size_t k = 1; k <= 2; ++k) {
+    const u128 p = products[k - 1];
+    // 2*bound + 1 == p: k primes are not enough.
+    spec.answer_bound = BigInt::from_u128((p - 1) / 2);
+    std::vector<u64> want(top.end() - static_cast<std::ptrdiff_t>(k + 1),
+                          top.end());
+    EXPECT_EQ(plan_primes(spec, 1.0).primes, want) << "k=" << k;
+    // One unit below: k primes cover it.
+    spec.answer_bound = BigInt::from_u128((p - 1) / 2 - 1);
+    want.erase(want.begin());
+    EXPECT_EQ(plan_primes(spec, 1.0).primes, want) << "k=" << k;
+  }
+}
+
+TEST(PrimePlan, MinModulusAboveLaneRangeWalksUpward) {
+  ProofSpec spec;
+  spec.degree_bound = 100;
+  spec.min_modulus = u64{1} << 40;
+  spec.answer_bound = BigInt::power_of_two(80);
+  const PrimePlan plan = plan_primes(spec, 2.0);
+  const BigInt target = BigInt::power_of_two(81) + BigInt(1);
+  EXPECT_EQ(plan.primes,
+            bottom_primes_covering(plan_two_adicity(202), u64{1} << 40,
+                                   target));
+  for (u64 q : plan.primes) EXPECT_GE(q, u64{1} << 40);
+}
+
+TEST(PrimePlan, TooFewLanePrimesAboveMinModulusFallsBack) {
+  ProofSpec spec;
+  spec.degree_bound = 10;
+  const int a = plan_two_adicity(11);
+  // Only two candidates c*2^a + 1 lie in [min_modulus, 2^31), and the
+  // bound needs three 31-bit primes.
+  spec.min_modulus = (u64{1} << 31) - 2 * (u64{1} << a);
+  spec.answer_bound = BigInt::power_of_two(80);
+  ASSERT_LT(top_lane_primes(a, spec.min_modulus, 3).size(), 3u);
+  const PrimePlan plan = plan_primes(spec, 1.0);
+  const BigInt target = BigInt::power_of_two(81) + BigInt(1);
+  EXPECT_EQ(plan.primes, bottom_primes_covering(a, spec.min_modulus, target));
+}
+
+// The 6-clique workload's shape (10 vertices, Strassen, redundancy 2)
+// fits its answer bound in one lane prime.
+TEST(PrimePlan, CliqueSixShapePlansOnePrime) {
+  const CliqueCountProblem problem(planted_clique(10, 0.5, 7, 1), 6,
+                                   strassen_decomposition());
+  const ProofSpec spec = problem.spec();
+  const std::size_t e = 2 * (spec.degree_bound + 1);
+  const PrimePlan plan = plan_primes(spec, 2.0);
+  ASSERT_EQ(plan.code_length, e);
+  const u64 min_q = std::max<u64>(spec.min_modulus, e + 1);
+  EXPECT_EQ(plan.primes, top_lane_primes(plan_two_adicity(e), min_q, 1));
 }
 
 TEST(PrimePlan, RejectsBadRedundancy) {

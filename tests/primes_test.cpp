@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace camelot {
 namespace {
 
@@ -45,6 +47,11 @@ TEST(Primes, NextPrime) {
   EXPECT_EQ(next_prime(4), 5u);
   EXPECT_EQ(next_prime(90), 97u);
   EXPECT_EQ(next_prime(1'000'000'000), 1'000'000'007u);
+}
+
+TEST(Primes, NextPrimeRejectsAboveTwoToThe62) {
+  EXPECT_THROW(next_prime(UINT64_MAX), std::invalid_argument);
+  EXPECT_THROW(next_prime((u64{1} << 62) + 1), std::invalid_argument);
 }
 
 TEST(Primes, FactorizeSmall) {
@@ -107,9 +114,48 @@ TEST(Primes, FindNttPrimesDistinctAscending) {
   }
 }
 
+// Brute force over every integer below `limit`: the largest prime q
+// with 2^a | q - 1, or 0.
+u64 largest_ntt_prime_below(u64 limit, int a) {
+  const u64 mask = (u64{1} << a) - 1;
+  for (u64 q = limit; q-- > 2;) {
+    if (((q - 1) & mask) == 0 && is_prime_u64(q)) return q;
+  }
+  return 0;
+}
+
+TEST(Primes, FindNttPrimeBelowMatchesDescendingScan) {
+  const auto check = [](u64 limit, int a) {
+    const u64 q = find_ntt_prime_below(limit, a);
+    EXPECT_EQ(q, largest_ntt_prime_below(limit, a))
+        << "limit=" << limit << " a=" << a;
+    EXPECT_LT(q, limit);
+  };
+  check(100, 0);
+  check(3, 0);
+  check(12289, 12);  // 4097 and 8193 are composite: none
+  check(12290, 12);
+  check(65537, 16);
+  check(65538, 16);
+  for (int a : {0, 1, 16, 20}) check(u64{1} << 31, a);
+  // a = 0 takes every prime: the largest below 2^31 is 2^31 - 1.
+  EXPECT_EQ(find_ntt_prime_below(u64{1} << 31, 0), (u64{1} << 31) - 1);
+}
+
+TEST(Primes, FindNttPrimeBelowReturnsZeroWhenNoneInRange) {
+  // No c*2^31 + 1 with c >= 1 lies below 2^31.
+  EXPECT_EQ(find_ntt_prime_below(u64{1} << 31, 31), 0u);
+  // 2^20 + 1 is not below itself, and the only smaller candidate is 1.
+  EXPECT_EQ(find_ntt_prime_below((u64{1} << 20) + 1, 20), 0u);
+  EXPECT_EQ(find_ntt_prime_below(2, 0), 0u);
+  EXPECT_EQ(find_ntt_prime_below(0, 0), 0u);
+}
+
 TEST(Primes, FindNttPrimeRejectsBadAdicity) {
   EXPECT_THROW(find_ntt_prime(10, -1), std::invalid_argument);
   EXPECT_THROW(find_ntt_prime(10, 61), std::invalid_argument);
+  EXPECT_THROW(find_ntt_prime_below(10, -1), std::invalid_argument);
+  EXPECT_THROW(find_ntt_prime_below(10, 61), std::invalid_argument);
 }
 
 }  // namespace

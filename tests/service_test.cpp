@@ -235,17 +235,21 @@ TEST(ProofService, RejectsDeadlineOutsideClockRange) {
 // scheduler's dispatch order.
 class TaggedProblem final : public CamelotProblem {
  public:
+  // A valid `gate` holds every evaluator construction until it opens.
   TaggedProblem(std::shared_ptr<const CamelotProblem> inner, std::string tag,
                 std::shared_ptr<std::vector<std::string>> log,
-                std::shared_ptr<std::mutex> mu)
+                std::shared_ptr<std::mutex> mu,
+                std::shared_future<void> gate = {})
       : inner_(std::move(inner)),
         tag_(std::move(tag)),
         log_(std::move(log)),
-        mu_(std::move(mu)) {}
+        mu_(std::move(mu)),
+        gate_(std::move(gate)) {}
 
   std::string name() const override { return inner_->name(); }
   ProofSpec spec() const override { return inner_->spec(); }
   std::unique_ptr<Evaluator> make_evaluator(const FieldOps& f) const override {
+    if (gate_.valid()) gate_.wait();
     {
       std::lock_guard<std::mutex> lock(*mu_);
       log_->push_back(tag_);
@@ -262,6 +266,7 @@ class TaggedProblem final : public CamelotProblem {
   std::string tag_;
   std::shared_ptr<std::vector<std::string>> log_;
   std::shared_ptr<std::mutex> mu_;
+  std::shared_future<void> gate_;
 };
 
 TEST(ProofService, BoundedQueueRejectsOverload) {
@@ -479,11 +484,14 @@ TEST(ProofService, EqualPriorityTasksRunEarliestDeadlineFirst) {
   cfg.redundancy = 2.0;
 
   ProofService service({.num_workers = 1});
-  // Occupy the single worker so the two probes sit queued together.
+  // Hold the single worker in a blocker until both probes sit queued
+  // together.
+  std::promise<void> open;
+  const std::shared_future<void> gate = open.get_future().share();
   std::vector<std::future<RunReport>> blockers;
   for (int i = 0; i < 3; ++i) {
     blockers.push_back(service.submit(
-        std::make_shared<TaggedProblem>(problems[0], "blocker", log, mu),
+        std::make_shared<TaggedProblem>(problems[0], "blocker", log, mu, gate),
         cfg));
   }
   auto fifo = std::make_shared<TaggedProblem>(problems[1], "fifo", log, mu);
@@ -494,6 +502,7 @@ TEST(ProofService, EqualPriorityTasksRunEarliestDeadlineFirst) {
   SubmitOptions with_deadline;
   with_deadline.deadline = std::chrono::minutes(10);
   auto f_edf = service.submit(edf, cfg, nullptr, with_deadline);
+  open.set_value();
   for (auto& f : blockers) ASSERT_TRUE(f.get().success);
   ASSERT_TRUE(f_fifo.get().success);
   ASSERT_TRUE(f_edf.get().success);
@@ -529,6 +538,52 @@ TEST(ProofService, SharesCodeCacheAcrossJobs) {
   for (std::size_t a = 0; a < first.answers.size(); ++a) {
     EXPECT_EQ(first.answers[a], second.answers[a]);
   }
+}
+
+// The shape of the benchmark's OV service load: 16 OV 48x24 jobs on
+// four forced primes, every second one losing 2% of its symbols and
+// repairing them. Every answer must match brute force and no job may
+// fail; nothing here is timed.
+TEST(ProofService, ForcedFourPrimeOvJobsWithLossAllVerify) {
+  constexpr std::size_t kProblems = 16;
+  std::vector<std::shared_ptr<const CamelotProblem>> problems;
+  std::vector<std::vector<u64>> wants;
+  for (std::size_t i = 0; i < kProblems; ++i) {
+    const BoolMatrix a = BoolMatrix::random(48, 24, 0.35, 100 + i);
+    const BoolMatrix b = BoolMatrix::random(48, 24, 0.35, 200 + i);
+    wants.push_back(count_orthogonal_brute(a, b));
+    problems.push_back(std::make_shared<OrthogonalVectorsProblem>(a, b));
+  }
+  ClusterConfig cfg;
+  cfg.num_nodes = 8;
+  cfg.redundancy = 2.0;
+  cfg.num_primes = 4;
+  cfg.repair_budget = 8;
+  ProofService service({.num_workers = 3});
+
+  std::vector<std::future<RunReport>> futures;
+  for (std::size_t i = 0; i < 2 * kProblems; ++i) {
+    SubmitOptions so;
+    if (i % 2 == 1) {
+      so.loss_rate = 0.02;
+      so.loss_seed = 1000 + i;
+    }
+    futures.push_back(
+        service.submit(problems[i % kProblems], cfg, nullptr, so));
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const RunReport report = futures[i].get();
+    const std::vector<u64>& want = wants[i % kProblems];
+    ASSERT_EQ(report.status, JobStatus::kOk) << "job " << i;
+    ASSERT_TRUE(report.success) << "job " << i;
+    EXPECT_EQ(report.num_primes, 4u);
+    ASSERT_EQ(report.answers.size(), want.size()) << "job " << i;
+    for (std::size_t a = 0; a < want.size(); ++a) {
+      EXPECT_EQ(report.answers[a], BigInt::from_u64(want[a]))
+          << "job " << i << " answer " << a;
+    }
+  }
+  EXPECT_EQ(service.stats().completed, 2 * kProblems);
 }
 
 }  // namespace
