@@ -2,6 +2,8 @@
 // probability that a single random-point check accepts a *wrong*
 // proof is at most d/q. Measure the empirical acceptance rate of
 // randomly corrupted proofs and compare with the bound.
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <random>
 
@@ -24,7 +26,11 @@ int main() {
   std::printf("%12s %8s %12s %14s %14s\n", "q", "d", "trials",
               "accept-rate", "bound d/q");
   for (u64 qmin : {u64{500}, u64{2000}, u64{16000}}) {
-    const u64 q = find_ntt_prime(std::max(qmin, spec.degree_bound + 2), 4);
+    // The code's points are the powers of a primitive bit_ceil(d+1)-th
+    // root of unity, so the prime needs that much two-adicity.
+    const u64 q = find_ntt_prime(
+        std::max(qmin, spec.degree_bound + 2),
+        std::max(4, std::countr_zero(std::bit_ceil(spec.degree_bound + 1))));
     PrimeField f(q);
     // The true proof: interpolate from honest evaluations.
     ReedSolomonCode code(f, spec.degree_bound, spec.degree_bound + 1);

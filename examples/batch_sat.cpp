@@ -3,6 +3,8 @@
 // concurrently by a ProofService — spec-identical formulas share one
 // cached PrimePlan and the per-prime field state — plus a
 // tampered-proof rejection demo (eq. (2)).
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include <future>
@@ -59,7 +61,11 @@ int main() {
   // Independent verification demo: rebuild the honest proof over one
   // prime, tamper with one coefficient, and watch eq. (2) reject it.
   const ProofSpec spec = problem->spec();
-  PrimeField f(find_ntt_prime(spec.degree_bound + 2, 8));
+  // The code's points are the powers of a primitive bit_ceil(d+1)-th
+  // root of unity, so the prime needs that much two-adicity.
+  PrimeField f(find_ntt_prime(
+      spec.degree_bound + 2,
+      std::max(8, std::countr_zero(std::bit_ceil(spec.degree_bound + 1)))));
   ReedSolomonCode code(f, spec.degree_bound, spec.degree_bound + 1);
   auto evaluator = problem->make_evaluator(f);
   std::vector<u64> word(code.length());

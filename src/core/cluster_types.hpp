@@ -40,8 +40,8 @@ struct ClusterConfig {
   // Systematic-encode fast path: honest nodes run the problem's
   // evaluator only over the message prefix [0, d+1) of the codeword
   // and the parity tail [d+1, e) comes from the code's systematic
-  // extension (one quasi-linear interpolate+evaluate instead of
-  // e-d-1 evaluator points). The codeword is bit-identical either
+  // extension (two length-bit_ceil(e) NTTs instead of e-d-1
+  // evaluator points). The codeword is bit-identical either
   // way — the degree-<=d interpolant through the d+1 honest message
   // symbols is the proof polynomial itself — so decode, verify and
   // the final report do not change; only who computes what does.

@@ -51,7 +51,8 @@ class ErasureStream final : public SymbolStream {
   }
 
   void push(SymbolChunk chunk) override {
-    if (chunk.offset + chunk.symbols.size() > length_) {
+    if (chunk.offset > length_ ||
+        chunk.symbols.size() > length_ - chunk.offset) {
       throw std::logic_error("ErasureStream::push: chunk out of range");
     }
     // Forward each maximal surviving run as its own chunk; dropped

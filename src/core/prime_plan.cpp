@@ -21,13 +21,14 @@ PrimePlan plan_primes(const ProofSpec& spec, double redundancy,
       d + 1, static_cast<std::size_t>(std::ceil(redundancy * dim)));
   plan.decoding_radius = (plan.code_length - d - 1) / 2;
 
-  // Transform length needed by encode/decode: convolutions of size up
-  // to ~2e during interpolation and the remainder sequence.
+  // 2^a >= 4(e+1): the code's points need a primitive bit_ceil(e)-th
+  // root of unity, and the remainder sequence convolves up to ~2e
+  // coefficients.
   int two_adicity = 1;
   while ((std::size_t{1} << two_adicity) < 2 * (plan.code_length + 1)) {
     ++two_adicity;
   }
-  ++two_adicity;  // slack for product-tree internals
+  ++two_adicity;  // one bit of headroom, kept so the planned primes stay
 
   const u64 min_q = std::max<u64>(spec.min_modulus, plan.code_length + 1);
 

@@ -3,8 +3,9 @@
 // The framework picks NTT-friendly primes q = c*2^a + 1 satisfying
 // every constraint at once:
 //   * q >= spec.min_modulus (problem-specific, e.g. 3R+1 in §5.2);
-//   * q > e so the evaluation points 1..e are distinct in Z_q;
-//   * 2^a large enough for fast interpolation/decoding transforms;
+//   * 2^a large enough for the code's points — the powers of a
+//     primitive bit_ceil(e)-th root of unity — and for the decoder's
+//     transforms;
 //   * prod(q_i) > 2 * answer_bound so CRT reconstruction is exact
 //     (paper footnote 5).
 //
@@ -28,7 +29,7 @@
 namespace camelot {
 
 struct PrimePlan {
-  // Code length e (number of evaluation points 1..e).
+  // Code length e (number of evaluation points w^0..w^(e-1)).
   std::size_t code_length = 0;
   // Chosen CRT moduli, ascending.
   std::vector<u64> primes;

@@ -8,8 +8,8 @@
 //   * a PrimePlan cache keyed by (proof spec, redundancy, num_primes),
 //     so resubmitted or spec-identical problems skip the prime search;
 //   * a CodeCache keyed by (prime, degree bound, code length, backend),
-//     so spec-identical batches share one ReedSolomonCode/subproduct
-//     tree instead of rebuilding both per session.
+//     so spec-identical batches share one ReedSolomonCode and its
+//     subgroup tables instead of rebuilding them per session.
 //
 // Scheduling is *prime-granular*: submit() splits a job into one task
 // per CRT prime, and every worker pulls tasks from one shared

@@ -83,6 +83,7 @@ ProofSession::ProofSession(const CamelotProblem& problem, ClusterConfig config,
       metrics_(metrics != nullptr ? std::move(metrics)
                                   : obs::Registry::global()) {
   stage_prepare_ = &metrics_->histogram("camelot_stage_prepare_seconds");
+  stage_parity_ = &metrics_->histogram("camelot_stage_parity_seconds");
   stage_transport_ = &metrics_->histogram("camelot_stage_transport_seconds");
   stage_decode_ = &metrics_->histogram("camelot_stage_decode_seconds");
   stage_verify_ = &metrics_->histogram("camelot_stage_verify_seconds");
@@ -214,6 +215,7 @@ void ProofSession::extend_parity(PrimeState& st) {
   const std::size_t m = message_prefix();
   const std::size_t e = plan_->code_length;
   if (m >= e) return;
+  obs::StageSpan span(stage_parity_, obs::kTraceSched, "parity", st.prime);
   // The honest message symbols are evaluations of the proof
   // polynomial P (degree <= d), so the unique degree-<=d interpolant
   // through them IS P and the extension reproduces exactly the

@@ -271,8 +271,10 @@ class ProofSession {
   // Per-stage latency histograms resolved once at construction
   // (registry lookups lock; steady-state span observes do not). Every
   // path feeds them at the same granularity: prepare per node chunk,
-  // transport per absorbed chunk, decode/verify/recover per prime.
+  // transport per absorbed chunk, parity (systematic extension),
+  // decode, verify and recover per prime.
   obs::Histogram* stage_prepare_ = nullptr;
+  obs::Histogram* stage_parity_ = nullptr;
   obs::Histogram* stage_transport_ = nullptr;
   obs::Histogram* stage_decode_ = nullptr;
   obs::Histogram* stage_verify_ = nullptr;

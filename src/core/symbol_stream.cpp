@@ -22,7 +22,8 @@ class QueueStream : public SymbolStream {
   }
 
   void push(SymbolChunk chunk) override {
-    if (chunk.offset + chunk.symbols.size() > spec_.code_length) {
+    if (chunk.offset > spec_.code_length ||
+        chunk.symbols.size() > spec_.code_length - chunk.offset) {
       throw std::logic_error("SymbolStream::push: chunk out of range");
     }
     CAMELOT_TRACE_MSG(obs::kTraceStream,

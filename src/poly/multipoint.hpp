@@ -1,9 +1,11 @@
 // Fast multipoint evaluation and interpolation via subproduct trees
 // (paper §2.2: both maps in O(d log^2 d) field operations).
 //
-// These drive Reed--Solomon encoding/decoding (§2.3) and the
+// These drive range_evaluate (the OV read, Hamming) and the
 // Convolution3SUM evaluator (§A.4), which needs t polynomials reduced
-// against the same set of shifted points.
+// against the same set of shifted points. Reed--Solomon coding does
+// not use them: its points form a power-of-two subgroup, where both
+// maps are NTTs (rs/reed_solomon.hpp).
 //
 // The tree stores its node polynomials in the Montgomery domain and
 // runs every remainder/product on domain values. The classic

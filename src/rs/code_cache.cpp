@@ -3,25 +3,21 @@
 #include <string>
 #include <utility>
 
-#include "poly/fast_div.hpp"
 #include "poly/hgcd.hpp"
 
 namespace camelot {
 
 std::shared_ptr<const ReedSolomonCode> CodeCache::code(
     const FieldOps& ops, std::size_t degree_bound, std::size_t length) {
-  // Both crossovers participate in the key: a SubproductTree bakes
-  // the fastdiv crossover in at build time (which nodes carry Newton
-  // inverses) and the code captures the hgcd crossover its decoder
-  // dispatches under, so an instance built under a different setting
-  // is value-identical but runs the wrong path — an A/B sweep or a
-  // CAMELOT_FASTDIV_CROSSOVER / CAMELOT_HGCD_CROSSOVER override must
-  // not be served stale instances.
+  // The hgcd crossover participates in the key: the code captures the
+  // crossover its decoder dispatches under, so an instance built under
+  // a different setting is value-identical but runs the wrong path — an
+  // A/B sweep or a CAMELOT_HGCD_CROSSOVER override must not be served
+  // stale instances.
   std::string key = std::to_string(ops.prime().modulus()) + '/' +
                     std::to_string(degree_bound) + '/' +
                     std::to_string(length) + '/' +
                     std::to_string(static_cast<int>(ops.backend())) + '/' +
-                    std::to_string(fastdiv_crossover()) + '/' +
                     std::to_string(hgcd_crossover());
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -31,8 +27,8 @@ std::shared_ptr<const ReedSolomonCode> CodeCache::code(
       return it->second;
     }
   }
-  // Build outside the lock: tree construction is the expensive part
-  // and concurrent first requests for distinct keys should not
+  // Build outside the lock: the per-code transforms are the expensive
+  // part and concurrent first requests for distinct keys should not
   // serialize. A lost race on the same key keeps the first-inserted
   // instance (both are identical).
   auto built =
@@ -58,8 +54,8 @@ CodeCache::Stats CodeCache::stats() const {
 
 const std::shared_ptr<CodeCache>& CodeCache::global() {
   // Tighter bound than a service's private cache: each entry owns a
-  // subproduct tree plus its Newton node inverses, and the global
-  // instance lives for the whole process.
+  // few length-n tables, and the global instance lives for the whole
+  // process.
   static const std::shared_ptr<CodeCache> instance =
       std::make_shared<CodeCache>(/*max_entries=*/32);
   return instance;

@@ -67,7 +67,6 @@ GaoResult gao_decode_prepared(const ReedSolomonCode& code,
   } trace_on_exit{code, out};
   const FieldOps& ops = code.ops();
   const PrimeField& f = ops.prime();
-  const SubproductTree& tree = code.tree();
   const std::size_t e = code.length();
   const std::size_t d = code.degree_bound();
 
@@ -77,8 +76,7 @@ GaoResult gao_decode_prepared(const ReedSolomonCode& code,
   const bool montgomery = backend != FieldBackend::kPrimeDivision;
 
   // Interpolate G1 through the received word, in the backend's domain.
-  Poly g1 = montgomery ? tree.interpolate_mont(domain)
-                       : tree.interpolate(canonical, f);
+  Poly g1 = code.interpolate_domain(domain);
 
   // The received word is itself a codeword (in particular the all-zero
   // word, which degenerates the Euclidean remainder sequence).
@@ -98,31 +96,30 @@ GaoResult gao_decode_prepared(const ReedSolomonCode& code,
   const NttTables* tables = ops.ntt_tables().get();
   const std::size_t crossover = code.hgcd_crossover();
   XgcdStats stats;
+  const Poly& g0 = code.vanishing_domain();
   if (backend == FieldBackend::kMontgomeryAvx512) {
-    ok = gao_core(tree.root_mont(), std::move(g1), e, d,
-                  MontgomeryAvx512Field(ops.mont()), &message, tables,
-                  crossover, &stats);
-  } else if (backend == FieldBackend::kMontgomeryAvx2) {
-    ok = gao_core(tree.root_mont(), std::move(g1), e, d,
-                  MontgomeryAvx2Field(ops.mont()), &message, tables,
-                  crossover, &stats);
-  } else if (montgomery) {
-    ok = gao_core(tree.root_mont(), std::move(g1), e, d, ops.mont(),
+    ok = gao_core(g0, std::move(g1), e, d, MontgomeryAvx512Field(ops.mont()),
                   &message, tables, crossover, &stats);
-  } else {
-    ok = gao_core(tree.root(), std::move(g1), e, d, f, &message, nullptr,
+  } else if (backend == FieldBackend::kMontgomeryAvx2) {
+    ok = gao_core(g0, std::move(g1), e, d, MontgomeryAvx2Field(ops.mont()),
+                  &message, tables, crossover, &stats);
+  } else if (montgomery) {
+    ok = gao_core(g0, std::move(g1), e, d, ops.mont(), &message, tables,
                   crossover, &stats);
+  } else {
+    ok = gao_core(g0, std::move(g1), e, d, f, &message, nullptr, crossover,
+                  &stats);
   }
   out.quotient_steps = stats.quotient_steps;
   out.hgcd_calls = stats.hgcd_calls;
   if (!ok) return out;
 
   out.status = DecodeStatus::kOk;
+  out.corrected = code.evaluate_domain(message);
   if (montgomery) {
     out.message = Poly{ops.mont().from_mont_vec(message.c)};
-    out.corrected = ops.mont().from_mont_vec(tree.evaluate_mont(message));
+    ops.mont().from_mont_inplace(out.corrected);
   } else {
-    out.corrected = tree.evaluate(message, f);
     out.message = std::move(message);
   }
   for (std::size_t i = 0; i < e; ++i) {
@@ -168,7 +165,8 @@ StreamingGaoDecoder::StreamingGaoDecoder(const ReedSolomonCode& code)
 
 void StreamingGaoDecoder::absorb(std::size_t offset,
                                  std::span<const u64> symbols) {
-  if (offset + symbols.size() > canonical_.size()) {
+  if (offset > canonical_.size() ||
+      symbols.size() > canonical_.size() - offset) {
     throw std::logic_error("StreamingGaoDecoder::absorb: chunk out of range");
   }
   const PrimeField& f = code_.ops().prime();

@@ -40,15 +40,16 @@ struct GaoResult {
 };
 
 // Decodes `received` (length e) against the code. The interpolation
-// and the re-encode both run on the subproduct tree's quasi-linear
-// descent (O(e log^2 e)); the Euclidean remainder sequence runs
+// (three length-n NTTs, n = bit_ceil(e)) and the re-encode (one) run
+// on the code's subgroup tables; the Euclidean remainder sequence runs
 // through the half-GCD cascade (poly/hgcd.hpp) when the reduction
 // budget deg G0 - stop is at or past the code's captured
 // hgcd_crossover() — O(e log^2 e) even for the dense error patterns
 // whose many degree-1 quotients used to cost Theta(e^2) — and stays
 // on the classical fast-division loop (poly/fast_div.hpp) below it.
 // Both paths emit the same genuine quotient sequence, so the choice
-// never moves an output word.
+// never moves an output word. A clean word stops after the
+// interpolation.
 GaoResult gao_decode(const ReedSolomonCode& code,
                      std::span<const u64> received);
 

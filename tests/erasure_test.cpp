@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -119,6 +120,22 @@ TEST(ErasureStream, DeliveredSetIndependentOfChunkBoundaries) {
   for (const auto& [pos, value] : got_one) {
     EXPECT_EQ(value, word[pos]);  // survivors are unmodified
   }
+}
+
+TEST(ErasureStream, RejectsChunkWhoseEndWrapsAround) {
+  PrimeField f(97);
+  std::vector<std::size_t> owners(10, 0);
+  std::vector<u64> points(10);
+  std::iota(points.begin(), points.end(), u64{1});
+  ErasureStreamingChannel channel(LossSpec{0.0, 7});
+  auto stream = channel.open(spec_for(f, owners, points));
+  for (std::size_t offset : {SIZE_MAX, std::size_t{10}}) {
+    EXPECT_THROW(stream->push({.offset = offset, .node = 0, .symbols = {5}}),
+                 std::logic_error)
+        << "offset " << offset;
+  }
+  stream->close();
+  EXPECT_TRUE(drain(*stream).empty());
 }
 
 TEST(ErasureStream, RepairRoundsReseedTheLossSchedule) {

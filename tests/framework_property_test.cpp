@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <numeric>
 #include <random>
@@ -98,6 +99,13 @@ std::vector<NamedFactory> all_problems() {
   };
 }
 
+// Two-adicity for a code of length e: its points are the powers of a
+// primitive bit_ceil(e)-th root of unity. Never below 8, so the small
+// catalog codes keep their primes.
+int code_adicity(std::size_t e) {
+  return std::max(8, std::countr_zero(std::bit_ceil(e)));
+}
+
 class AllProblems : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(AllProblems, HonestEvaluationsInterpolateWithinDegreeBound) {
@@ -106,7 +114,8 @@ TEST_P(AllProblems, HonestEvaluationsInterpolateWithinDegreeBound) {
   auto problem = all_problems()[GetParam()].make();
   const ProofSpec spec = problem->spec();
   const u64 q = find_ntt_prime(
-      std::max<u64>(spec.min_modulus, 2 * (spec.degree_bound + 2)), 8);
+      std::max<u64>(spec.min_modulus, 2 * (spec.degree_bound + 2)),
+      code_adicity(spec.degree_bound + 1));
   PrimeField f(q);
   ReedSolomonCode code(f, spec.degree_bound, spec.degree_bound + 1);
   auto ev = problem->make_evaluator(f);
@@ -126,7 +135,8 @@ TEST_P(AllProblems, HonestProofVerifiesAndRecoverCountMatchesSpec) {
   auto problem = all_problems()[GetParam()].make();
   const ProofSpec spec = problem->spec();
   const u64 q = find_ntt_prime(
-      std::max<u64>(spec.min_modulus, 2 * (spec.degree_bound + 2)), 8);
+      std::max<u64>(spec.min_modulus, 2 * (spec.degree_bound + 2)),
+      code_adicity(spec.degree_bound + 1));
   PrimeField f(q);
   ReedSolomonCode code(f, spec.degree_bound, spec.degree_bound + 1);
   auto ev = problem->make_evaluator(f);
@@ -146,7 +156,8 @@ TEST_P(AllProblems, RecoverIsBackendIndependent) {
   auto problem = all_problems()[GetParam()].make();
   const ProofSpec spec = problem->spec();
   const u64 q = find_ntt_prime(
-      std::max<u64>(spec.min_modulus, 2 * (spec.degree_bound + 2)), 8);
+      std::max<u64>(spec.min_modulus, 2 * (spec.degree_bound + 2)),
+      code_adicity(spec.degree_bound + 1));
   PrimeField f(q);
   ReedSolomonCode code(f, spec.degree_bound, spec.degree_bound + 1);
   auto ev = problem->make_evaluator(f);
@@ -179,7 +190,8 @@ TEST(RadiusBoundary, ExactRadiusCorrectsOneMoreFails) {
                                    BoolMatrix::random(6, 4, 0.4, 2));
   const ProofSpec spec = problem.spec();
   const std::size_t e = 2 * (spec.degree_bound + 1);
-  const u64 q = find_ntt_prime(std::max<u64>(spec.min_modulus, e + 1), 8);
+  const u64 q =
+      find_ntt_prime(std::max<u64>(spec.min_modulus, e + 1), code_adicity(e));
   PrimeField f(q);
   ReedSolomonCode code(f, spec.degree_bound, e);
   auto ev = problem.make_evaluator(f);

@@ -17,6 +17,7 @@
 #include "core/proof_session.hpp"
 #include "core/rng.hpp"
 #include "linalg/tensor.hpp"
+#include "obs/metrics.hpp"
 
 namespace camelot {
 namespace {
@@ -332,6 +333,41 @@ TEST(ProofSession, SystematicEncodeMatchesFullEvaluation) {
     RunReport b = full.run();
     ASSERT_TRUE(a.success);
     expect_reports_equal(a, b);
+  }
+}
+
+TEST(ProofSession, ParityStageObservedOncePerPrimeOnSystematicRuns) {
+  // The systematic extension is its own stage: one parity observation
+  // per prime on the streaming run and on the staged prepare(), none
+  // when there is no parity tail (rate 1, or full evaluation).
+  const AppCase app = make_app_problem(0);
+  const auto parity_count = [&](const ClusterConfig& cfg, bool staged) {
+    auto registry = std::make_shared<obs::Registry>();
+    ProofSession session(*app.problem, cfg, nullptr, nullptr, nullptr,
+                         registry);
+    if (staged) {
+      session.prepare();
+    } else {
+      EXPECT_TRUE(session.run().success);
+    }
+    return std::pair{
+        registry->histogram("camelot_stage_parity_seconds").snapshot().count(),
+        session.num_primes()};
+  };
+  ClusterConfig systematic = small_config();
+  ASSERT_TRUE(systematic.systematic_encode);
+  for (bool staged : {false, true}) {
+    const auto [count, primes] = parity_count(systematic, staged);
+    EXPECT_EQ(count, primes) << "staged " << staged;
+    EXPECT_GT(primes, 0u);
+  }
+  ClusterConfig rate_one = small_config(4, 1.0);
+  ClusterConfig full = small_config();
+  full.systematic_encode = false;
+  for (const ClusterConfig& cfg : {rate_one, full}) {
+    for (bool staged : {false, true}) {
+      EXPECT_EQ(parity_count(cfg, staged).first, 0u) << "staged " << staged;
+    }
   }
 }
 

@@ -557,8 +557,9 @@ TEST(ShardFleetObs, DeterministicCountsMatchSingleProcessScrape) {
   // latency values inside the bins vary. Summed across the fleet they
   // must equal the single-process counts.
   for (const char* name :
-       {"camelot_stage_prepare_seconds", "camelot_stage_decode_seconds",
-        "camelot_stage_verify_seconds", "camelot_stage_recover_seconds"}) {
+       {"camelot_stage_prepare_seconds", "camelot_stage_parity_seconds",
+        "camelot_stage_decode_seconds", "camelot_stage_verify_seconds",
+        "camelot_stage_recover_seconds"}) {
     const obs::Histogram::Snapshot* fleet_h = find_histogram(merged, name);
     const obs::Histogram::Snapshot* single_h =
         find_histogram(reference, name);

@@ -5,6 +5,7 @@
 // concurrent load, and rate-limited (congested-clique style) delivery.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -16,6 +17,7 @@
 #include "core/proof_session.hpp"
 #include "core/rng.hpp"
 #include "core/symbol_stream.hpp"
+#include "field/primes.hpp"
 #include "linalg/tensor.hpp"
 #include "rs/code_cache.hpp"
 #include "rs/gao.hpp"
@@ -131,6 +133,30 @@ TEST(SymbolStream, RejectsOutOfRangeChunk) {
                std::logic_error);
 }
 
+TEST(SymbolStream, RejectsChunkWhoseEndWrapsAround) {
+  // offset + size would wrap to a small value; the range check must
+  // not be fooled, on the lossless and on the adversarial stream.
+  PrimeField f(97);
+  std::vector<std::size_t> owners(10, 0);
+  std::vector<u64> points(10);
+  std::iota(points.begin(), points.end(), u64{1});
+  const ByzantineAdversary adversary({0}, ByzantineStrategy::kRandom, 3);
+  const LosslessStreamingChannel lossless;
+  const AdversarialStreamingChannel adversarial(adversary);
+  for (const StreamingSymbolChannel* channel :
+       {static_cast<const StreamingSymbolChannel*>(&lossless),
+        static_cast<const StreamingSymbolChannel*>(&adversarial)}) {
+    auto stream = channel->open(spec_for(f, owners, points));
+    for (std::size_t offset : {SIZE_MAX, std::size_t{10}}) {
+      EXPECT_THROW(stream->push({.offset = offset, .node = 0, .symbols = {5}}),
+                   std::logic_error)
+          << "offset " << offset;
+    }
+    stream->close();
+    EXPECT_FALSE(stream->poll().has_value());
+  }
+}
+
 TEST(SymbolStream, RateLimitedSplitsChunksAcrossPolls) {
   PrimeField f(97);
   std::vector<std::size_t> owners(8, 0);
@@ -210,13 +236,15 @@ TEST(SymbolStream, AdversarialStreamMatchesBarrierCorruption) {
 // ---- StreamingGaoDecoder -------------------------------------------------
 
 TEST(StreamingGaoDecoder, OutOfOrderAbsorbMatchesOneShotDecode) {
-  FieldOps ops(PrimeField(409));
+  // The length-24 code needs primitive 32nd roots of unity.
+  const u64 q = find_ntt_prime(409, 5);
+  FieldOps ops{PrimeField(q)};
   ReedSolomonCode code(ops, /*degree_bound=*/7, /*length=*/24);
   Poly message;
   message.c = {5, 1, 0, 3, 9, 2, 7, 4};
   std::vector<u64> word = code.encode(message);
-  word[3] = (word[3] + 11) % 409;  // one corrupted symbol
-  word[17] = (word[17] + 23) % 409;
+  word[3] = (word[3] + 11) % q;  // one corrupted symbol
+  word[17] = (word[17] + 23) % q;
 
   const GaoResult oneshot = gao_decode(code, word);
   ASSERT_EQ(oneshot.status, DecodeStatus::kOk);
@@ -236,6 +264,18 @@ TEST(StreamingGaoDecoder, OutOfOrderAbsorbMatchesOneShotDecode) {
   EXPECT_EQ(streamed.message.c, oneshot.message.c);
   EXPECT_EQ(streamed.error_locations, oneshot.error_locations);
   EXPECT_EQ(streamed.corrected, oneshot.corrected);
+}
+
+TEST(StreamingGaoDecoder, RejectsChunkWhoseEndWrapsAround) {
+  const u64 q = find_ntt_prime(409, 5);
+  ReedSolomonCode code(PrimeField(q), /*degree_bound=*/3, /*length=*/10);
+  StreamingGaoDecoder decoder(code);
+  const std::vector<u64> one = {5};
+  EXPECT_THROW(decoder.absorb(SIZE_MAX, one), std::logic_error);
+  EXPECT_THROW(decoder.absorb(10, one), std::logic_error);
+  EXPECT_EQ(decoder.absorbed(), 0u);
+  EXPECT_EQ(decoder.missing_runs(),
+            (std::vector<std::pair<std::size_t, std::size_t>>{{0, 10}}));
 }
 
 // ---- Streaming pipeline vs composed stages -------------------------------
