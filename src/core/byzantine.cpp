@@ -1,6 +1,7 @@
 #include "core/byzantine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/rng.hpp"
 
@@ -24,6 +25,11 @@ bool ByzantineAdversary::controls(std::size_t node) const {
 
 void CorruptionPlan::apply(std::span<u64> chunk, std::size_t offset,
                            const PrimeField& f) const {
+  // Written as a difference so that no offset can wrap the bound.
+  const std::size_t length = std::min(ops.size(), values.size());
+  if (offset > length || chunk.size() > length - offset) {
+    throw std::out_of_range("CorruptionPlan::apply: chunk outside the plan");
+  }
   for (std::size_t j = 0; j < chunk.size(); ++j) {
     const std::size_t i = offset + j;
     switch (ops[i]) {

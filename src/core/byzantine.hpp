@@ -44,7 +44,9 @@ struct CorruptionPlan {
   std::vector<Op> ops;      // one per codeword position
   std::vector<u64> values;  // replacement where ops[i] == kSet
 
-  // Rewrites chunk[j] (position offset + j) in place.
+  // Rewrites chunk[j] (position offset + j) in place. Throws
+  // std::out_of_range, touching nothing, when the chunk reaches past
+  // the plan.
   void apply(std::span<u64> chunk, std::size_t offset,
              const PrimeField& f) const;
 };

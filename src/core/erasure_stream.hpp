@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
 
 #include "core/byzantine.hpp"
 #include "core/symbol_stream.hpp"
@@ -52,7 +53,13 @@ struct LossPlan {
   std::vector<bool> dropped;
   std::size_t drop_count = 0;
 
-  bool drops(std::size_t position) const { return dropped[position]; }
+  // Throws std::out_of_range for a position past the plan.
+  bool drops(std::size_t position) const {
+    if (position >= dropped.size()) {
+      throw std::out_of_range("LossPlan::drops: position outside the plan");
+    }
+    return dropped[position];
+  }
 
   // Bernoulli(rate) per position, derived from splitmix64(seed, i).
   static LossPlan make(std::size_t length, double rate, u64 seed);

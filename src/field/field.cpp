@@ -35,9 +35,26 @@ u64 PrimeField::pow(u64 a, u64 e) const noexcept {
 }
 
 u64 PrimeField::inv(u64 a) const {
+  a %= q_;
   if (a == 0) throw std::invalid_argument("PrimeField::inv: zero element");
-  // Fermat: a^(q-2) = a^{-1} for prime q.
-  return pow(a, q_ - 2);
+  // Extended Euclid on (q, a): t_i * a = r_i mod q, and r reaches
+  // gcd = 1. |t_i| <= q < 2^62, so the cofactors fit an i64. About
+  // 0.6 log2(q) division steps on average, against Fermat's ~1.5
+  // log2(q) modular products; the inverse is unique, so the word is
+  // the one Fermat returns.
+  u64 r0 = q_, r1 = a;
+  i64 t0 = 0, t1 = 1;
+  while (r1 != 0) {
+    const u64 k = r0 / r1;
+    const u64 r2 = r0 - k * r1;
+    const i64 t2 = t0 - static_cast<i64>(k) * t1;
+    r0 = r1;
+    r1 = r2;
+    t0 = t1;
+    t1 = t2;
+  }
+  return t0 < 0 ? static_cast<u64>(t0 + static_cast<i64>(q_))
+                : static_cast<u64>(t0);
 }
 
 u64 PrimeField::root_of_unity(int k) const {

@@ -75,8 +75,8 @@ u64 MontgomeryField::inv(u64 a) const {
   if (a == 0) {
     throw std::invalid_argument("MontgomeryField::inv: zero element");
   }
-  // Fermat: (aR)^(q-2) steps through the domain and lands on a^{-1}R.
-  return pow(a, q_ - 2);
+  // aR -> a -> a^{-1} (extended Euclid, PrimeField::inv) -> a^{-1}R.
+  return to_mont(base_.inv(from_mont(a)));
 }
 
 std::vector<u64> MontgomeryField::batch_inv(const std::vector<u64>& xs) const {

@@ -18,6 +18,7 @@
 //    instead of the AVX2 signed-compare workaround.
 #include "field/montgomery_avx512.hpp"
 
+#include "field/ntt_passes.hpp"
 #include "field/shoup.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
@@ -36,23 +37,6 @@
 namespace camelot {
 
 namespace {
-
-// One scalar radix-2 stage: the lane kernels' fallback for q == 2,
-// for stages narrower than a vector, and for builds without AVX-512.
-// `twiddle_mul(x, j)` is x times the stage's j-th twiddle.
-template <class TwiddleMul>
-void scalar_stage(const MontgomeryField& m, u64* a, std::size_t n,
-                  std::size_t len, TwiddleMul twiddle_mul) noexcept {
-  const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < n; i += len) {
-    for (std::size_t j = 0; j < half; ++j) {
-      const u64 u = a[i + j];
-      const u64 v = twiddle_mul(a[i + j + half], j);
-      a[i + j] = m.add(u, v);
-      a[i + j + half] = m.sub(u, v);
-    }
-  }
-}
 
 #if defined(CAMELOT_AVX512_LANES)
 
@@ -237,57 +221,165 @@ u64 MontgomeryAvx512Field::dot(const u64* a, const u64* b,
   return acc;
 }
 
-void MontgomeryAvx512Field::ntt_stage(u64* a, std::size_t n, std::size_t len,
-                                      const u64* tw) const noexcept {
-  const MontgomeryField m = m_;
+namespace {
+
 #if defined(CAMELOT_AVX512_LANES)
-  const std::size_t half = len / 2;
-  // half >= 8 and a power of two, so the j-loop needs no tail.
-  if (!m.trivial() && half >= 8) {
-    const MontCtx c(m);
-    for (std::size_t i = 0; i < n; i += len) {
+
+// The twiddle product of a pass flavour (field/ntt_passes.hpp): Shoup
+// with canonical twiddle w and quotient wq, or REDC with the
+// Montgomery-domain twiddle w (wq unused).
+template <bool kShoup>
+inline __m512i tw_mul(__m512i x, __m512i w, __m512i wq,
+                      const MontCtx& c) noexcept {
+  if constexpr (kShoup) {
+    return shoup_mul8(x, w, wq, c.q);
+  } else {
+    return mont_mul(x, w, c);
+  }
+}
+
+// Eight quotients from entry i on (zero for REDC, whose qt is null).
+template <bool kShoup>
+inline __m512i load_qt(const u64* qt, std::size_t i) noexcept {
+  if constexpr (kShoup) {
+    return load8(qt + i);
+  } else {
+    return _mm512_setzero_si512();
+  }
+}
+
+// A short stage (h = 1, 2, 4) runs inside one vector: lane l is the
+// low leg of its butterfly when l & h is clear and the high leg
+// otherwise, and its partner is lane l ^ h. A high leg's lane twiddle
+// is w_k^(l & (h-1)); a low leg's is entry 0, the field's one, so the
+// full-width product leaves it unchanged. Stage 1's only twiddle is
+// one, so its butterflies skip the product.
+struct ShortStage {
+  __m512i partner;
+  __mmask8 high;
+  __m512i w, wq;
+};
+
+inline ShortStage short_stage(NttTwiddles tw, unsigned h) noexcept {
+  alignas(64) u64 idx[8], w[8], wq[8];
+  unsigned high = 0;
+  for (unsigned l = 0; l < 8; ++l) {
+    const std::size_t e = (l & h) != 0 ? h - 1 + (l & (h - 1)) : 0;
+    idx[l] = l ^ h;
+    w[l] = tw.op[e];
+    wq[l] = tw.qt != nullptr ? tw.qt[e] : 0;
+    if ((l & h) != 0) high |= 1u << l;
+  }
+  return {_mm512_load_si512(idx), static_cast<__mmask8>(high),
+          _mm512_load_si512(w), _mm512_load_si512(wq)};
+}
+
+// The sums of one short stage: low legs x + partner, high legs
+// partner - x. DIF multiplies by the lane twiddles after them, DIT
+// before them.
+inline __m512i short_butterfly(__m512i x, const ShortStage& s,
+                               __m512i q) noexcept {
+  const __m512i p = _mm512_permutexvar_epi64(s.partner, x);
+  return _mm512_mask_blend_epi64(s.high, mod_add(x, p, q), mod_sub(p, x, q));
+}
+
+// Whole passes for n >= 8: the stages with h >= 8 walk vector-wide
+// blocks, and the three short stages run fused in registers, one load
+// and one store per eight words.
+template <bool kShoup>
+void dif_lanes(u64* a, std::size_t n, NttTwiddles tw,
+               const MontCtx& c) noexcept {
+  for (std::size_t h = n / 2; h >= 8; h /= 2) {
+    const u64* op = tw.op + (h - 1);
+    for (std::size_t i = 0; i < n; i += 2 * h) {
       u64* lo = a + i;
-      u64* hi = a + i + half;
-      for (std::size_t j = 0; j < half; j += 8) {
+      u64* hi = lo + h;
+      for (std::size_t j = 0; j < h; j += 8) {
         const __m512i u = load8(lo + j);
-        const __m512i v = mont_mul(load8(hi + j), load8(tw + j), c);
+        const __m512i v = load8(hi + j);
+        store8(lo + j, mod_add(u, v, c.q));
+        store8(hi + j, tw_mul<kShoup>(mod_sub(u, v, c.q), load8(op + j),
+                                      load_qt<kShoup>(tw.qt, h - 1 + j), c));
+      }
+    }
+  }
+  const ShortStage s4 = short_stage(tw, 4);
+  const ShortStage s2 = short_stage(tw, 2);
+  const ShortStage s1 = short_stage(tw, 1);
+  for (std::size_t i = 0; i < n; i += 8) {
+    __m512i x = load8(a + i);
+    x = tw_mul<kShoup>(short_butterfly(x, s4, c.q), s4.w, s4.wq, c);
+    x = tw_mul<kShoup>(short_butterfly(x, s2, c.q), s2.w, s2.wq, c);
+    x = short_butterfly(x, s1, c.q);
+    store8(a + i, x);
+  }
+}
+
+template <bool kShoup>
+void dit_lanes(u64* a, std::size_t n, NttTwiddles tw,
+               const MontCtx& c) noexcept {
+  const ShortStage s1 = short_stage(tw, 1);
+  const ShortStage s2 = short_stage(tw, 2);
+  const ShortStage s4 = short_stage(tw, 4);
+  for (std::size_t i = 0; i < n; i += 8) {
+    __m512i x = load8(a + i);
+    x = short_butterfly(x, s1, c.q);
+    x = short_butterfly(tw_mul<kShoup>(x, s2.w, s2.wq, c), s2, c.q);
+    x = short_butterfly(tw_mul<kShoup>(x, s4.w, s4.wq, c), s4, c.q);
+    store8(a + i, x);
+  }
+  for (std::size_t h = 8; h < n; h *= 2) {
+    const u64* op = tw.op + (h - 1);
+    for (std::size_t i = 0; i < n; i += 2 * h) {
+      u64* lo = a + i;
+      u64* hi = lo + h;
+      for (std::size_t j = 0; j < h; j += 8) {
+        const __m512i u = load8(lo + j);
+        const __m512i v = tw_mul<kShoup>(load8(hi + j), load8(op + j),
+                                         load_qt<kShoup>(tw.qt, h - 1 + j), c);
         store8(lo + j, mod_add(u, v, c.q));
         store8(hi + j, mod_sub(u, v, c.q));
       }
     }
-    return;
   }
-#endif
-  scalar_stage(m, a, n, len,
-               [&](u64 x, std::size_t j) { return m.mul(x, tw[j]); });
 }
 
-void MontgomeryAvx512Field::ntt_stage_shoup(u64* a, std::size_t n,
-                                            std::size_t len, const u64* op,
-                                            const u64* qt) const noexcept {
+#endif  // defined(CAMELOT_AVX512_LANES)
+
+}  // namespace
+
+void MontgomeryAvx512Field::ntt_dif(u64* a, std::size_t n,
+                                    NttTwiddles tw) const noexcept {
   const MontgomeryField m = m_;
-  const u64 q = m.modulus();
 #if defined(CAMELOT_AVX512_LANES)
-  const std::size_t half = len / 2;
-  if (!m.trivial() && half >= 8) {
-    const __m512i vq = _mm512_set1_epi64(static_cast<long long>(q));
-    for (std::size_t i = 0; i < n; i += len) {
-      u64* lo = a + i;
-      u64* hi = a + i + half;
-      for (std::size_t j = 0; j < half; j += 8) {
-        const __m512i u = load8(lo + j);
-        const __m512i v =
-            shoup_mul8(load8(hi + j), load8(op + j), load8(qt + j), vq);
-        store8(lo + j, mod_add(u, v, vq));
-        store8(hi + j, mod_sub(u, v, vq));
-      }
+  if (!m.trivial() && n >= 8) {
+    const MontCtx c(m);
+    if (tw.qt != nullptr) {
+      dif_lanes<true>(a, n, tw, c);
+    } else {
+      dif_lanes<false>(a, n, tw, c);
     }
     return;
   }
 #endif
-  scalar_stage(m, a, n, len, [&](u64 x, std::size_t j) {
-    return shoup_mul(x, op[j], qt[j], q);
-  });
+  ntt_dif_scalar(m, a, n, tw);
+}
+
+void MontgomeryAvx512Field::ntt_dit(u64* a, std::size_t n,
+                                    NttTwiddles tw) const noexcept {
+  const MontgomeryField m = m_;
+#if defined(CAMELOT_AVX512_LANES)
+  if (!m.trivial() && n >= 8) {
+    const MontCtx c(m);
+    if (tw.qt != nullptr) {
+      dit_lanes<true>(a, n, tw, c);
+    } else {
+      dit_lanes<false>(a, n, tw, c);
+    }
+    return;
+  }
+#endif
+  ntt_dit_scalar(m, a, n, tw);
 }
 
 }  // namespace camelot

@@ -11,9 +11,9 @@
 // The lanes implement the same single REDC sequence as the AVX2 set
 // (two chained REDC-32 steps, valid for q < 2^31; the constructor
 // throws std::invalid_argument for wider moduli), and the Shoup
-// butterfly (ntt_stage_shoup) takes *canonical* twiddles with
+// butterflies of the NTT passes take *canonical* twiddles with
 // precomputed quotients (see field/shoup.hpp), producing the same
-// words as the REDC butterfly by the Shoup identity.
+// words as the REDC butterflies by the Shoup identity.
 //
 // Batch definitions live in field/montgomery_avx512.cpp (compiled
 // with -mavx512f -mavx512dq); everything else in the build stays
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "field/montgomery.hpp"
+#include "field/ntt_passes.hpp"
 
 namespace camelot {
 
@@ -103,16 +104,15 @@ class MontgomeryAvx512Field {
   // sum_i a[i] * b[i] (mod-q addition is exact, so lane re-association
   // still returns the same u64 as the sequential fold)
   u64 dot(const u64* a, const u64* b, std::size_t n) const noexcept;
-  // One radix-2 NTT stage over bit-reversed data: for every block of
-  // `len` elements of a[0..n), butterflies a[j], a[j+len/2] with the
-  // contiguous stage twiddles tw[0..len/2) (Montgomery domain, REDC).
-  void ntt_stage(u64* a, std::size_t n, std::size_t len,
-                 const u64* tw) const noexcept;
-  // Same stage through the Shoup tables: op[j] is the canonical
-  // twiddle, qt[j] its precomputed quotient (field/shoup.hpp). Same
-  // output words as ntt_stage with the matching Montgomery twiddles.
-  void ntt_stage_shoup(u64* a, std::size_t n, std::size_t len,
-                       const u64* op, const u64* qt) const noexcept;
+  // Whole radix-2 passes over a[0..n), n a power of two, with the
+  // twiddles of field/ntt_passes.hpp in either flavour: ntt_dif is the
+  // forward DIF pass (natural order in, bit-reversed spectrum out),
+  // ntt_dit the DIT pass (bit-reversed in, natural order out, no 1/n).
+  // The stages with h >= 8 run vector-wide; the three short stages
+  // (h = 4, 2, 1) run fused in registers, one load and one store per
+  // eight words. Same words as ntt_dif_scalar / ntt_dit_scalar.
+  void ntt_dif(u64* a, std::size_t n, NttTwiddles tw) const noexcept;
+  void ntt_dit(u64* a, std::size_t n, NttTwiddles tw) const noexcept;
 
  private:
   MontgomeryField m_;

@@ -22,6 +22,7 @@
 //    signed vpcmpgtq implements unsigned compares.
 #include "field/montgomery_simd.hpp"
 
+#include "field/ntt_passes.hpp"
 #include "field/shoup.hpp"
 
 #if defined(__AVX2__)
@@ -31,23 +32,6 @@
 namespace camelot {
 
 namespace {
-
-// One scalar radix-2 stage: the lane kernels' fallback for q == 2,
-// for stages narrower than a vector, and for builds without AVX2.
-// `twiddle_mul(x, j)` is x times the stage's j-th twiddle.
-template <class TwiddleMul>
-void scalar_stage(const MontgomeryField& m, u64* a, std::size_t n,
-                  std::size_t len, TwiddleMul twiddle_mul) noexcept {
-  const std::size_t half = len / 2;
-  for (std::size_t i = 0; i < n; i += len) {
-    for (std::size_t j = 0; j < half; ++j) {
-      const u64 u = a[i + j];
-      const u64 v = twiddle_mul(a[i + j + half], j);
-      a[i + j] = m.add(u, v);
-      a[i + j + half] = m.sub(u, v);
-    }
-  }
-}
 
 #if defined(__AVX2__)
 
@@ -233,57 +217,167 @@ u64 MontgomeryAvx2Field::dot(const u64* a, const u64* b,
   return acc;
 }
 
-void MontgomeryAvx2Field::ntt_stage(u64* a, std::size_t n, std::size_t len,
-                                    const u64* tw) const noexcept {
-  const MontgomeryField m = m_;
+namespace {
+
 #if defined(__AVX2__)
-  const std::size_t half = len / 2;
-  // half >= 4 and a power of two, so the j-loop needs no tail.
-  if (!m.trivial() && half >= 4) {
-    const MontCtx c(m);
-    for (std::size_t i = 0; i < n; i += len) {
+
+// The twiddle product of a pass flavour (field/ntt_passes.hpp): Shoup
+// with canonical twiddle w and quotient wq, or REDC with the
+// Montgomery-domain twiddle w (wq unused).
+template <bool kShoup>
+inline __m256i tw_mul(__m256i x, __m256i w, __m256i wq,
+                      const MontCtx& c) noexcept {
+  if constexpr (kShoup) {
+    return shoup_mul4(x, w, wq, c.q);
+  } else {
+    return mont_mul(x, w, c);
+  }
+}
+
+// Four quotients from entry i on (zero for REDC, whose qt is null).
+template <bool kShoup>
+inline __m256i load_qt(const u64* qt, std::size_t i) noexcept {
+  if constexpr (kShoup) {
+    return load4(qt + i);
+  } else {
+    return _mm256_setzero_si256();
+  }
+}
+
+// The two short stages (h = 1, 2) run inside one vector: lane l is
+// the low leg of its butterfly when l & h is clear and the high leg
+// otherwise, and its partner is lane l ^ h (a fixed vpermq). Stage 1's
+// only twiddle is one, so it skips the product; stage 2's lane
+// twiddles are entry 0 (one) everywhere but lane 3, which carries w_4.
+inline __m256i stage2_lanes(const u64* t) noexcept {
+  return _mm256_setr_epi64x(static_cast<long long>(t[0]),
+                            static_cast<long long>(t[0]),
+                            static_cast<long long>(t[0]),
+                            static_cast<long long>(t[2]));
+}
+
+// Partner swap and high-leg blend (a 32-bit-element blend mask) for
+// h = 1 and h = 2.
+template <int kH>
+inline __m256i partner(__m256i x) noexcept {
+  if constexpr (kH == 1) {
+    return _mm256_permute4x64_epi64(x, 0xB1);
+  } else {
+    return _mm256_permute4x64_epi64(x, 0x4E);
+  }
+}
+
+template <int kH>
+inline __m256i blend_high(__m256i low, __m256i high) noexcept {
+  if constexpr (kH == 1) {
+    return _mm256_blend_epi32(low, high, 0xCC);
+  } else {
+    return _mm256_blend_epi32(low, high, 0xF0);
+  }
+}
+
+// The sums of a short stage: low legs x + partner, high legs
+// partner - x. DIF multiplies by the lane twiddles after them, DIT
+// before them.
+template <int kH>
+inline __m256i short_butterfly(__m256i x, __m256i q) noexcept {
+  const __m256i p = partner<kH>(x);
+  return blend_high<kH>(mod_add(x, p, q), mod_sub(p, x, q));
+}
+
+// Whole passes for n >= 4: the stages with h >= 4 walk vector-wide
+// blocks, and the two short stages run fused in registers, one load
+// and one store per four words.
+template <bool kShoup>
+void dif_lanes(u64* a, std::size_t n, NttTwiddles tw,
+               const MontCtx& c) noexcept {
+  for (std::size_t h = n / 2; h >= 4; h /= 2) {
+    const u64* op = tw.op + (h - 1);
+    for (std::size_t i = 0; i < n; i += 2 * h) {
       u64* lo = a + i;
-      u64* hi = a + i + half;
-      for (std::size_t j = 0; j < half; j += 4) {
+      u64* hi = lo + h;
+      for (std::size_t j = 0; j < h; j += 4) {
         const __m256i u = load4(lo + j);
-        const __m256i v = mont_mul(load4(hi + j), load4(tw + j), c);
+        const __m256i v = load4(hi + j);
+        store4(lo + j, mod_add(u, v, c.q));
+        store4(hi + j, tw_mul<kShoup>(mod_sub(u, v, c.q), load4(op + j),
+                                      load_qt<kShoup>(tw.qt, h - 1 + j), c));
+      }
+    }
+  }
+  const __m256i w2 = stage2_lanes(tw.op);
+  const __m256i wq2 = kShoup ? stage2_lanes(tw.qt) : _mm256_setzero_si256();
+  for (std::size_t i = 0; i < n; i += 4) {
+    __m256i x = load4(a + i);
+    x = tw_mul<kShoup>(short_butterfly<2>(x, c.q), w2, wq2, c);
+    x = short_butterfly<1>(x, c.q);
+    store4(a + i, x);
+  }
+}
+
+template <bool kShoup>
+void dit_lanes(u64* a, std::size_t n, NttTwiddles tw,
+               const MontCtx& c) noexcept {
+  const __m256i w2 = stage2_lanes(tw.op);
+  const __m256i wq2 = kShoup ? stage2_lanes(tw.qt) : _mm256_setzero_si256();
+  for (std::size_t i = 0; i < n; i += 4) {
+    __m256i x = load4(a + i);
+    x = short_butterfly<1>(x, c.q);
+    x = short_butterfly<2>(tw_mul<kShoup>(x, w2, wq2, c), c.q);
+    store4(a + i, x);
+  }
+  for (std::size_t h = 4; h < n; h *= 2) {
+    const u64* op = tw.op + (h - 1);
+    for (std::size_t i = 0; i < n; i += 2 * h) {
+      u64* lo = a + i;
+      u64* hi = lo + h;
+      for (std::size_t j = 0; j < h; j += 4) {
+        const __m256i u = load4(lo + j);
+        const __m256i v = tw_mul<kShoup>(load4(hi + j), load4(op + j),
+                                         load_qt<kShoup>(tw.qt, h - 1 + j), c);
         store4(lo + j, mod_add(u, v, c.q));
         store4(hi + j, mod_sub(u, v, c.q));
       }
     }
-    return;
   }
-#endif
-  scalar_stage(m, a, n, len,
-               [&](u64 x, std::size_t j) { return m.mul(x, tw[j]); });
 }
 
-void MontgomeryAvx2Field::ntt_stage_shoup(u64* a, std::size_t n,
-                                          std::size_t len, const u64* op,
-                                          const u64* qt) const noexcept {
+#endif  // defined(__AVX2__)
+
+}  // namespace
+
+void MontgomeryAvx2Field::ntt_dif(u64* a, std::size_t n,
+                                  NttTwiddles tw) const noexcept {
   const MontgomeryField m = m_;
-  const u64 q = m.modulus();
 #if defined(__AVX2__)
-  const std::size_t half = len / 2;
-  if (!m.trivial() && half >= 4) {
-    const __m256i vq = _mm256_set1_epi64x(static_cast<long long>(q));
-    for (std::size_t i = 0; i < n; i += len) {
-      u64* lo = a + i;
-      u64* hi = a + i + half;
-      for (std::size_t j = 0; j < half; j += 4) {
-        const __m256i u = load4(lo + j);
-        const __m256i v =
-            shoup_mul4(load4(hi + j), load4(op + j), load4(qt + j), vq);
-        store4(lo + j, mod_add(u, v, vq));
-        store4(hi + j, mod_sub(u, v, vq));
-      }
+  if (!m.trivial() && n >= 4) {
+    const MontCtx c(m);
+    if (tw.qt != nullptr) {
+      dif_lanes<true>(a, n, tw, c);
+    } else {
+      dif_lanes<false>(a, n, tw, c);
     }
     return;
   }
 #endif
-  scalar_stage(m, a, n, len, [&](u64 x, std::size_t j) {
-    return shoup_mul(x, op[j], qt[j], q);
-  });
+  ntt_dif_scalar(m, a, n, tw);
+}
+
+void MontgomeryAvx2Field::ntt_dit(u64* a, std::size_t n,
+                                  NttTwiddles tw) const noexcept {
+  const MontgomeryField m = m_;
+#if defined(__AVX2__)
+  if (!m.trivial() && n >= 4) {
+    const MontCtx c(m);
+    if (tw.qt != nullptr) {
+      dit_lanes<true>(a, n, tw, c);
+    } else {
+      dit_lanes<false>(a, n, tw, c);
+    }
+    return;
+  }
+#endif
+  ntt_dit_scalar(m, a, n, tw);
 }
 
 }  // namespace camelot

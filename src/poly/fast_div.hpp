@@ -82,7 +82,7 @@ std::vector<u64> mul_full(std::span<const u64> a, std::span<const u64> b,
                           const Field& f, const NttTables* tables) {
   if (a.empty() || b.empty()) return {};
   const std::size_t out = a.size() + b.size() - 1;
-  if (out >= poly_detail::kNttThreshold) {
+  if (poly_detail::ntt_pays(a.size(), b.size())) {
     // The tabled overloads exist for the Montgomery backends only;
     // the division backend converts inside the untabled overload.
     if constexpr (!std::is_same_v<Field, PrimeField>) {
@@ -136,7 +136,7 @@ std::vector<u64> poly_mul_middle(std::span<const u64> a, std::span<const u64> b,
   const std::size_t lb = std::min(b.size(), hi);
   const std::size_t full = la + lb - 1;
   if (full <= lo) return out;  // no clipped coefficient reaches x^lo
-  if (full >= poly_detail::kNttThreshold) {
+  if (poly_detail::ntt_pays(la, lb)) {
     std::size_t n = 1;
     while (n < std::max(hi, full - lo)) n <<= 1;
     std::vector<u64> cyc = fastdiv_detail::cyclic_or_empty(
@@ -184,8 +184,7 @@ std::vector<u64> remainder_of_exact_div(std::span<const u64> a,
                                         const Field& f,
                                         const NttTables* tables) {
   std::vector<u64> rem(db, 0);
-  const std::size_t full = q.size() + b.size() - 1;
-  if (full >= poly_detail::kNttThreshold) {
+  if (poly_detail::ntt_pays(q.size(), b.size())) {
     std::size_t n = 1;
     while (n < db) n <<= 1;
     std::vector<u64> cyc = cyclic_or_empty(q, b, n, f, tables);

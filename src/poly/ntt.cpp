@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
+#include "field/backend_dispatch.hpp"
+#include "field/ntt_passes.hpp"
 #include "field/shoup.hpp"
 
 namespace camelot {
@@ -21,17 +24,37 @@ int log2_exact(std::size_t n) {
   return k;
 }
 
-// Validation + bit-reversal permutation shared by both butterfly
-// kernels. Throws before permuting, so a failed call leaves the
-// input untouched.
-void check_size_and_bit_reverse(std::vector<u64>& a, int max_log2) {
-  const std::size_t n = a.size();
+// Validates the transform length (before anything is touched, so a
+// failed call leaves the input as it was) and returns log2(n).
+int checked_log2(std::size_t n, int max_log2) {
   if (n == 0 || (n & (n - 1)) != 0) {
     throw std::invalid_argument("ntt_inplace: size must be a power of two");
   }
-  if (log2_exact(n) > max_log2) {
+  const int lg = log2_exact(n);
+  if (lg > max_log2) {
     throw std::invalid_argument("ntt_inplace: field two-adicity too small");
   }
+  return lg;
+}
+
+template <class Field>
+int checked_log2(std::size_t n, const Field& f, const NttTables* tables) {
+  if (tables == nullptr) return checked_log2(n, f.two_adicity());
+  if (tables->modulus() != f.modulus()) {
+    throw std::invalid_argument("ntt_inplace: twiddle table modulus mismatch");
+  }
+  if (n > tables->capacity()) {
+    throw std::invalid_argument("ntt_inplace: twiddle table too small");
+  }
+  // Capacity is clamped to the field's two-adicity, so n <= capacity
+  // already bounds the transform length.
+  return checked_log2(n, log2_exact(tables->capacity()));
+}
+
+// The only permutation in the library: natural order <-> bit-reversed
+// order, for ntt_inplace's natural-order contract.
+void bit_reverse(std::vector<u64>& a) {
+  const std::size_t n = a.size();
   for (std::size_t i = 1, j = 0; i < n; ++i) {
     std::size_t bit = n >> 1;
     for (; j & bit; bit >>= 1) j ^= bit;
@@ -40,89 +63,100 @@ void check_size_and_bit_reverse(std::vector<u64>& a, int max_log2) {
   }
 }
 
-// Radix-2 kernel over any Montgomery backend. Tabled transforms take
-// the Shoup-quotient butterfly (canonical twiddle + precomputed
-// quotient, no REDC); untabled ones power each stage's Montgomery
-// twiddles on the fly and multiply with REDC. The lane backends route
-// the butterflies and the final 1/n scaling through their lane-wide
-// kernels. Every combination computes the identical multiplication
-// sequence mod q — and hence every output word — so backends and
-// butterfly flavors can be mixed freely.
+// One DIF (forward) or DIT (inverse) pass over a[0..n) with
+// field/ntt_passes.hpp's butterflies. Tabled passes take the Shoup
+// stages of the tables; untabled ones compute the Montgomery-domain
+// stages of this length into a scratch buffer (the top stage by a
+// power chain, the lower ones strided copies, as NttTables does) and
+// multiply with REDC. The lane backends run the pass in their
+// vector kernels. Every combination computes the same words, so
+// backends and twiddle flavours can be mixed freely.
 template <class Field>
-void ntt_kernel(std::vector<u64>& a, bool inverse, const Field& fref,
-                const NttTables* tables) {
-  // By-value copy keeps the Montgomery constants in registers across
-  // the butterfly stores (a reference could alias the written data).
-  const Field f = fref;
+void ntt_pass(std::vector<u64>& a, bool inverse, const Field& f,
+              const NttTables* tables) {
   const std::size_t n = a.size();
-  if (tables != nullptr) {
-    if (tables->modulus() != f.modulus()) {
-      throw std::invalid_argument(
-          "ntt_inplace: twiddle table modulus mismatch");
-    }
-    if (n > tables->capacity()) {
-      throw std::invalid_argument("ntt_inplace: twiddle table too small");
-    }
-    // Capacity is clamped to the field's two-adicity, so n <= capacity
-    // already bounds the transform length.
-    check_size_and_bit_reverse(a, log2_exact(tables->capacity()));
+  if (n < 2) return;
+  NttTwiddles tw;
+  std::vector<u64> scratch;
+  if (tables != nullptr && tables->has_shoup()) {
+    const NttTables::Stage st = tables->stage(1, inverse);
+    tw = {st.op, st.qt};
   } else {
-    check_size_and_bit_reverse(a, f.two_adicity());
-  }
-  const int lg = log2_exact(n);
-  const bool shoup = tables != nullptr && tables->has_shoup();
-  std::vector<u64> tw;  // untabled twiddle chain, rebuilt per stage
-  for (int k = 1; k <= lg; ++k) {
-    const std::size_t len = std::size_t{1} << k;
-    const std::size_t half = len / 2;
-    if (shoup) {
-      const NttTables::Stage st = tables->stage(k, inverse);
-      if constexpr (FieldHasBatchKernels<Field>) {
-        f.ntt_stage_shoup(a.data(), n, len, st.op, st.qt);
-      } else {
-        const u64 q = f.modulus();
-        for (std::size_t i = 0; i < n; i += len) {
-          for (std::size_t j = 0; j < half; ++j) {
-            const u64 u = a[i + j];
-            const u64 v = shoup_mul(a[i + j + half], st.op[j], st.qt[j], q);
-            a[i + j] = f.add(u, v);
-            a[i + j + half] = f.sub(u, v);
-          }
-        }
-      }
-      continue;
+    scratch.resize(n - 1);
+    u64 w = f.root_of_unity(log2_exact(n));
+    if (inverse) w = f.inv(w);
+    const std::size_t top = n / 2 - 1;
+    u64 p = f.one();
+    for (std::size_t j = 0; j < n / 2; ++j) {
+      scratch[top + j] = p;
+      p = f.mul(p, w);
     }
-    u64 wlen = f.root_of_unity(k);
-    if (inverse) wlen = f.inv(wlen);
-    tw.resize(half);
-    tw[0] = f.one();
-    for (std::size_t j = 1; j < half; ++j) tw[j] = f.mul(tw[j - 1], wlen);
-    if constexpr (FieldHasBatchKernels<Field>) {
-      f.ntt_stage(a.data(), n, len, tw.data());
+    for (std::size_t half = n / 4; half >= 1; half /= 2) {
+      for (std::size_t j = 0; j < half; ++j) {
+        scratch[half - 1 + j] = scratch[2 * half - 1 + 2 * j];
+      }
+    }
+    tw = {scratch.data(), nullptr};
+  }
+  if constexpr (FieldHasBatchKernels<Field>) {
+    if (inverse) {
+      f.ntt_dit(a.data(), n, tw);
     } else {
-      for (std::size_t i = 0; i < n; i += len) {
-        for (std::size_t j = 0; j < half; ++j) {
-          const u64 u = a[i + j];
-          const u64 v = f.mul(a[i + j + half], tw[j]);
-          a[i + j] = f.add(u, v);
-          a[i + j + half] = f.sub(u, v);
-        }
-      }
+      f.ntt_dif(a.data(), n, tw);
     }
+  } else if (inverse) {
+    ntt_dit_scalar(f, a.data(), n, tw);
+  } else {
+    ntt_dif_scalar(f, a.data(), n, tw);
   }
+}
+
+// a *= 1/n, the inverse transform's final factor.
+template <class Field>
+void scale_by_inverse_length(std::vector<u64>& a, int lg, const Field& f,
+                             const NttTables* tables) {
+  const u64 n_inv = tables != nullptr
+                        ? tables->n_inv(lg)
+                        : f.inv(f.from_u64(std::size_t{1} << lg));
+  vec_scale(f, a.data(), n_inv, a.data(), a.size());
+}
+
+// Bit-reversed spectrum of `a` (natural order): one DIF pass.
+template <class Field>
+void spectrum_kernel(std::vector<u64>& a, const Field& f,
+                     const NttTables* tables) {
+  checked_log2(a.size(), f, tables);
+  ntt_pass(a, false, f, tables);
+}
+
+// Natural-order values from a bit-reversed spectrum: one DIT pass with
+// the inverse twiddles, then 1/n.
+template <class Field>
+void from_spectrum_kernel(std::vector<u64>& a, const Field& f,
+                          const NttTables* tables) {
+  const int lg = checked_log2(a.size(), f, tables);
+  ntt_pass(a, true, f, tables);
+  scale_by_inverse_length(a, lg, f, tables);
+}
+
+// Natural order on both sides: the bit reversal sits after the
+// forward DIF pass and before the inverse DIT pass.
+template <class Field>
+void ntt_kernel(std::vector<u64>& a, bool inverse, const Field& f,
+                const NttTables* tables) {
   if (inverse) {
-    const u64 n_inv =
-        tables != nullptr ? tables->n_inv(lg) : f.inv(f.from_u64(n));
-    if constexpr (FieldHasBatchKernels<Field>) {
-      f.scale_vec(a.data(), n_inv, a.data(), n);
-    } else {
-      for (u64& v : a) v = f.mul(v, n_inv);
-    }
+    checked_log2(a.size(), f, tables);
+    bit_reverse(a);
+    from_spectrum_kernel(a, f, tables);
+  } else {
+    spectrum_kernel(a, f, tables);
+    bit_reverse(a);
   }
 }
 
 // Both convolution kernels transform in their own buffers and return
-// the first one, so the result costs no extra copy.
+// the first one, so the result costs no extra copy. Neither permutes:
+// the spectra stay bit-reversed between the DIF and DIT passes.
 template <class Field>
 std::vector<u64> convolve_kernel(std::span<const u64> a, std::span<const u64> b,
                                  const Field& f, const NttTables* tables) {
@@ -131,14 +165,10 @@ std::vector<u64> convolve_kernel(std::span<const u64> a, std::span<const u64> b,
   std::vector<u64> fa(a.begin(), a.end()), fb(b.begin(), b.end());
   fa.resize(n, 0);
   fb.resize(n, 0);
-  ntt_kernel(fa, false, f, tables);
-  ntt_kernel(fb, false, f, tables);
-  if constexpr (FieldHasBatchKernels<Field>) {
-    f.mul_vec(fa.data(), fb.data(), fa.data(), n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fa[i] = f.mul(fa[i], fb[i]);
-  }
-  ntt_kernel(fa, true, f, tables);
+  spectrum_kernel(fa, f, tables);
+  spectrum_kernel(fb, f, tables);
+  vec_mul(f, fa.data(), fb.data(), fa.data(), fa.size());
+  from_spectrum_kernel(fa, f, tables);
   fa.resize(out);
   return fa;
 }
@@ -170,14 +200,10 @@ std::vector<u64> cyclic_kernel(std::span<const u64> a, std::span<const u64> b,
   }
   std::vector<u64> fa = fold_mod_xn(a, n, f);
   std::vector<u64> fb = fold_mod_xn(b, n, f);
-  ntt_kernel(fa, false, f, tables);
-  ntt_kernel(fb, false, f, tables);
-  if constexpr (FieldHasBatchKernels<Field>) {
-    f.mul_vec(fa.data(), fb.data(), fa.data(), n);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) fa[i] = f.mul(fa[i], fb[i]);
-  }
-  ntt_kernel(fa, true, f, tables);
+  spectrum_kernel(fa, f, tables);
+  spectrum_kernel(fb, f, tables);
+  vec_mul(f, fa.data(), fb.data(), fa.data(), fa.size());
+  from_spectrum_kernel(fa, f, tables);
   return fa;
 }
 
@@ -294,6 +320,46 @@ void ntt_inplace(std::vector<u64>& a, bool inverse,
                  const MontgomeryAvx512Field& f, const NttTables& tables) {
   ntt_kernel(a, inverse, f, &tables);
 }
+
+template <class Field>
+void ntt_forward_bitrev(std::vector<u64>& a, const Field& f,
+                        const NttTables* tables) {
+  if constexpr (std::is_same_v<Field, PrimeField>) {
+    checked_log2(a.size(), f, tables);
+    const MontgomeryField m(f);
+    m.to_mont_inplace(a);
+    spectrum_kernel(a, m, tables);
+    m.from_mont_inplace(a);
+  } else {
+    spectrum_kernel(a, f, tables);
+  }
+}
+
+template <class Field>
+void ntt_inverse_bitrev(std::vector<u64>& a, const Field& f,
+                        const NttTables* tables) {
+  if constexpr (std::is_same_v<Field, PrimeField>) {
+    checked_log2(a.size(), f, tables);
+    const MontgomeryField m(f);
+    m.to_mont_inplace(a);
+    from_spectrum_kernel(a, m, tables);
+    m.from_mont_inplace(a);
+  } else {
+    from_spectrum_kernel(a, f, tables);
+  }
+}
+
+#define CAMELOT_NTT_BITREV_INSTANTIATE(Field)                              \
+  template void ntt_forward_bitrev<Field>(std::vector<u64>&, const Field&, \
+                                          const NttTables*);               \
+  template void ntt_inverse_bitrev<Field>(std::vector<u64>&, const Field&, \
+                                          const NttTables*);
+
+CAMELOT_NTT_BITREV_INSTANTIATE(PrimeField)
+CAMELOT_NTT_BITREV_INSTANTIATE(MontgomeryField)
+CAMELOT_NTT_BITREV_INSTANTIATE(MontgomeryAvx2Field)
+CAMELOT_NTT_BITREV_INSTANTIATE(MontgomeryAvx512Field)
+#undef CAMELOT_NTT_BITREV_INSTANTIATE
 
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
                               const PrimeField& f) {

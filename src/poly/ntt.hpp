@@ -9,6 +9,17 @@
 // PrimeField overloads convert once at the boundary (two passes over
 // the data); the MontgomeryField overloads take and return domain
 // values directly so a longer pipeline pays no conversion at all.
+//
+// Order contract. Every transform is a forward DIF pass (natural
+// order in, bit-reversed spectrum out) or an inverse DIT pass
+// (bit-reversed in, natural order out); see field/ntt_passes.hpp.
+//  * ntt_inplace is natural order on both sides: forward is DIF plus
+//    one bit reversal, inverse is one bit reversal plus DIT. It is the
+//    only place the library permutes.
+//  * ntt_convolve, ntt_convolve_cyclic and the exported pair
+//    ntt_forward_bitrev / ntt_inverse_bitrev work on bit-reversed
+//    spectra and never permute: a product is DIF, DIF, pointwise
+//    product, DIT.
 #pragma once
 
 #include <span>
@@ -29,18 +40,18 @@ bool ntt_supports_size(const MontgomeryAvx2Field& f, std::size_t result_size);
 bool ntt_supports_size(const MontgomeryAvx512Field& f,
                        std::size_t result_size);
 
-// Precomputed twiddle tables for the butterfly kernel. The untabled
-// kernel powers the stage root serially (w = w * wlen per butterfly —
-// a loop-carried multiply chain) and multiplies with REDC; the tabled
-// kernel replaces the chain with contiguous loads from per-stage
-// tables computed once per prime, in Shoup form: the *canonical*
-// twiddle and its precomputed quotient floor(w*2^64/q) (see
-// field/shoup.hpp). The Shoup product of a Montgomery-domain value
-// with them lands on the same word as the REDC product with the
-// Montgomery twiddle, one mulhi + one mullo cheaper, so tabled and
-// untabled transforms agree bit for bit. The layout is the one both
-// the scalar butterfly and the lane kernels consume directly. A
-// FieldCache shares one instance per prime across all sessions.
+// Precomputed twiddle tables for the butterfly kernel. An untabled
+// transform computes its stage twiddles on every call (one power chain
+// of the top-stage root, n/2 Montgomery products) and multiplies with
+// REDC; the tabled kernel loads per-stage tables computed once per
+// prime, in Shoup form: the *canonical* twiddle and its precomputed
+// quotient floor(w*2^64/q) (see field/shoup.hpp). The Shoup product of
+// a Montgomery-domain value with them lands on the same word as the
+// REDC product with the Montgomery twiddle, one mulhi + one mullo
+// cheaper, so tabled and untabled transforms agree bit for bit. Both
+// share one layout (NttTwiddles in field/ntt_passes.hpp), which the
+// scalar passes and the lane kernels consume directly. A FieldCache
+// shares one instance per prime across all sessions.
 class NttTables {
  public:
   // Builds tables for transforms up to next_pow2(max_size), clamped
@@ -108,6 +119,22 @@ void ntt_inplace(std::vector<u64>& a, bool inverse,
                  const MontgomeryAvx512Field& f);
 void ntt_inplace(std::vector<u64>& a, bool inverse,
                  const MontgomeryAvx512Field& f, const NttTables& tables);
+
+// Bit-reversed spectra, for callers that combine several products in
+// the spectrum (the half-GCD matrix products): ntt_forward_bitrev maps
+// a power-of-two vector of coefficients to its spectrum in bit-reversed
+// order, ntt_inverse_bitrev maps such a spectrum back to natural-order
+// coefficients, 1/n included. Pointwise sums of products of spectra
+// of one length n invert to the matching sums of products mod
+// x^n - 1. Values are in f's domain (canonical for PrimeField); with
+// `tables` set the pass runs through them under the same requirements
+// as the tabled ntt_inplace. Instantiated for the four field backends.
+template <class Field>
+void ntt_forward_bitrev(std::vector<u64>& a, const Field& f,
+                        const NttTables* tables = nullptr);
+template <class Field>
+void ntt_inverse_bitrev(std::vector<u64>& a, const Field& f,
+                        const NttTables* tables = nullptr);
 
 // Cyclic-free convolution (polynomial product) of two coefficient
 // vectors. Returns a.size()+b.size()-1 coefficients. The PrimeField

@@ -97,7 +97,7 @@ void ReedSolomonCode::build(const F& f, std::size_t length) {
     const std::vector<u64> inv = f.batch_inv(den);
     std::copy(inv.begin(), inv.end(), h_hat_.begin() + 1);
   }
-  transform(h_hat_, false, f);
+  transform(h_hat_, false, f, /*spectrum=*/true);
 
   Poly word_complement;
   word_ = make_prefix(f, powers, length, &word_complement);
@@ -160,9 +160,9 @@ std::vector<u64> ReedSolomonCode::complete(const F& f, const Prefix& prefix,
   if (s < n) {
     // c_i = y_i / Z_M'(w^i), correlated with h, scaled by Z_M(w^k)w^(-k).
     vec_mul(f, values.data(), prefix.weight.data(), c.data(), s);
-    transform(c, false, f);
+    transform(c, false, f, /*spectrum=*/true);
     vec_mul(f, c.data(), h_hat_.data(), c.data(), n);
-    transform(c, true, f);
+    transform(c, true, f, /*spectrum=*/true);
     vec_mul(f, c.data() + s, prefix.outer.data(), c.data() + s, n - s);
   }
   std::copy(values.begin(), values.end(), c.begin());
@@ -170,17 +170,25 @@ std::vector<u64> ReedSolomonCode::complete(const F& f, const Prefix& prefix,
 }
 
 template <class F>
-void ReedSolomonCode::transform(std::vector<u64>& a, bool inverse,
-                                const F& f) const {
-  if constexpr (kCanonical<F>) {
-    ntt_inplace(a, inverse, f);
-  } else {
-    const NttTables* tables = ops_.ntt_tables().get();
-    if (tables != nullptr && tables->capacity() >= a.size()) {
-      ntt_inplace(a, inverse, f, *tables);
+void ReedSolomonCode::transform(std::vector<u64>& a, bool inverse, const F& f,
+                                bool spectrum) const {
+  const NttTables* tables = nullptr;
+  if constexpr (!kCanonical<F>) {
+    tables = ops_.ntt_tables().get();
+    if (tables != nullptr && tables->capacity() < a.size()) tables = nullptr;
+  }
+  if (spectrum) {
+    if (inverse) {
+      ntt_inverse_bitrev(a, f, tables);
     } else {
-      ntt_inplace(a, inverse, f);
+      ntt_forward_bitrev(a, f, tables);
     }
+  } else if constexpr (kCanonical<F>) {
+    ntt_inplace(a, inverse, f);
+  } else if (tables != nullptr) {
+    ntt_inplace(a, inverse, f, *tables);
+  } else {
+    ntt_inplace(a, inverse, f);
   }
 }
 

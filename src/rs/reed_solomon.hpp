@@ -116,15 +116,20 @@ class ReedSolomonCode {
   template <class F>
   std::vector<u64> complete(const F& f, const Prefix& prefix,
                             std::span<const u64> values) const;
+  // Length-a.size() transform through the code's tables when they
+  // cover it: natural order on both sides (ntt_inplace), or with
+  // `spectrum` the bit-reversed pair (the correlation in complete()
+  // never needs natural-order values).
   template <class F>
-  void transform(std::vector<u64>& a, bool inverse, const F& f) const;
+  void transform(std::vector<u64>& a, bool inverse, const F& f,
+                 bool spectrum = false) const;
 
   FieldOps ops_;
   std::size_t degree_bound_;
   std::size_t n_;
   std::size_t hgcd_crossover_;
   std::vector<u64> points_;
-  std::vector<u64> h_hat_;  // NTT of t -> h(-t), domain
+  std::vector<u64> h_hat_;  // bit-reversed spectrum of t -> h(-t), domain
   Prefix word_;
   Prefix message_;
   Poly g0_;

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -79,6 +80,18 @@ TEST(LossPlan, DeterministicAndRateEdges) {
 
   const LossPlan other_seed = LossPlan::make(256, 0.3, 100);
   EXPECT_NE(a.dropped, other_seed.dropped);
+}
+
+TEST(LossPlan, RejectsPositionOutsidePlan) {
+  // 64 positions fill exactly one word of the bitset, so position 64
+  // is the first read past its storage.
+  const LossPlan plan = LossPlan::make(64, 0.5, 3);
+  EXPECT_NO_THROW((void)plan.drops(0));
+  EXPECT_NO_THROW((void)plan.drops(63));
+  for (std::size_t position : {std::size_t{64}, std::size_t{1000}, SIZE_MAX}) {
+    EXPECT_THROW((void)plan.drops(position), std::out_of_range)
+        << "position " << position;
+  }
 }
 
 // ---- ErasureStream mechanics ---------------------------------------------

@@ -38,6 +38,37 @@ TEST(PrimeField, InverseRoundTrip) {
   EXPECT_THROW(f.inv(0), std::invalid_argument);
 }
 
+// inv is extended Euclid; inverses are unique, so it must return the
+// Fermat word a^(q-2) everywhere.
+TEST(PrimeField, InverseMatchesFermatExhaustivelyOn65537) {
+  PrimeField f(65537);
+  for (u64 a = 1; a < 65537; ++a) {
+    const u64 r = f.inv(a);
+    ASSERT_EQ(f.mul(a, r), 1u) << a;
+    ASSERT_EQ(r, f.pow(a, 65535)) << a;
+  }
+  EXPECT_THROW(f.inv(0), std::invalid_argument);
+}
+
+TEST(PrimeField, InverseMatchesFermatOnLaneAndWidePrimes) {
+  // The benchmark's lane prime just below 2^31 and the Mersenne prime
+  // 2^61 - 1, whose Euclid cofactors come closest to the i64 range.
+  for (u64 q : {u64{2147352577}, (u64{1} << 61) - 1}) {
+    PrimeField f(q);
+    std::mt19937_64 rng(q);
+    for (int i = 0; i < 2000; ++i) {
+      const u64 a = 1 + rng() % (q - 1);
+      const u64 r = f.inv(a);
+      ASSERT_EQ(f.mul(a, r), 1u) << "q=" << q << " a=" << a;
+      ASSERT_EQ(r, f.pow(a, q - 2)) << "q=" << q << " a=" << a;
+    }
+    for (u64 a : {u64{1}, u64{2}, q - 1, q - 2}) {
+      EXPECT_EQ(f.inv(a), f.pow(a, q - 2)) << "q=" << q << " a=" << a;
+    }
+    EXPECT_THROW(f.inv(0), std::invalid_argument);
+  }
+}
+
 TEST(PrimeField, FermatHolds) {
   PrimeField f(101);
   for (u64 a = 1; a < 101; ++a) {

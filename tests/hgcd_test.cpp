@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <utility>
 
 #include "apps/ov.hpp"
 #include "core/proof_session.hpp"
@@ -123,6 +125,99 @@ TEST(Hgcd, ThreeBackendBitIdentity) {
   EXPECT_EQ(gs.c, gm.c);
   EXPECT_EQ(us.c, um.c);
   EXPECT_EQ(vs.c, vm.c);
+}
+
+// With spectrum sharing, mat_apply and mat_mul transform each operand
+// once and combine the spectra; they must still return exactly the
+// per-entry mul_full products. Largest outputs just below, at and just
+// above the NTT threshold (127, 128, 129 coefficients) and a transform
+// length (511, 512, 513), and one past a power of two (2^13 + 1); zero
+// and constant entries, including a whole zero row; tabled and
+// untabled; every backend.
+TEST(Hgcd, SharedTransformProductsMatchPerEntry) {
+  const PrimeField pf(find_ntt_prime(1 << 20, 16));
+  const MontgomeryField m(pf);
+  const NttTables tables(m, std::size_t{1} << 14);
+  const u64 q = pf.modulus();
+  std::mt19937_64 rng(30);
+  // Any word below q is a valid value in both domains.
+  const auto poly = [&](std::size_t size) {
+    Poly p;
+    p.c.resize(size);
+    for (u64& v : p.c) v = rng() % q;
+    if (size > 0) p.c.back() = 1 + rng() % (q - 1);
+    return p;
+  };
+  using hgcd_detail::PolyMat22;
+  for (std::size_t out :
+       {std::size_t{127}, std::size_t{128}, std::size_t{129}, std::size_t{511},
+        std::size_t{512}, std::size_t{513}, (std::size_t{1} << 13) + 1}) {
+    // m00 * a and a00 * b00 reach exactly `out` coefficients.
+    PolyMat22 mixed;
+    mixed.identity = false;
+    mixed.m00 = poly(out / 2);
+    mixed.m01 = Poly::zero();
+    mixed.m10 = poly(1);
+    mixed.m11 = poly(out / 3);
+    PolyMat22 zero_row = mixed;
+    zero_row.m10 = Poly::zero();
+    zero_row.m11 = Poly::zero();
+    PolyMat22 right;
+    right.identity = false;
+    right.m00 = poly(out - out / 2 + 1);
+    right.m01 = poly(1);
+    right.m10 = Poly::zero();
+    right.m11 = poly(out / 5);
+    const Poly a = poly(out - out / 2 + 1), b = poly(out / 4);
+
+    const auto check = [&](const auto& f) {
+      using hgcd_detail::mat_mul_poly;
+      for (const NttTables* t : {static_cast<const NttTables*>(nullptr),
+                                 &tables}) {
+        const std::string where = "out=" + std::to_string(out) +
+                                  (t != nullptr ? " tabled" : " untabled");
+        const auto entry = [&](const Poly& x0, const Poly& y0, const Poly& x1,
+                               const Poly& y1) {
+          return poly_add(mat_mul_poly(x0, y0, f, t),
+                          mat_mul_poly(x1, y1, f, t), f)
+              .c;
+        };
+        for (const PolyMat22* mat : {&mixed, &zero_row}) {
+          const auto [c, d] = hgcd_detail::mat_apply(*mat, a, b, f, t);
+          EXPECT_EQ(c.c, entry(mat->m00, a, mat->m01, b)) << where;
+          EXPECT_EQ(d.c, entry(mat->m10, a, mat->m11, b)) << where;
+        }
+        for (const auto& [x, y] :
+             {std::pair<const PolyMat22*, const PolyMat22*>{&mixed, &right},
+              {&zero_row, &right},
+              {&right, &zero_row}}) {
+          const PolyMat22 r = hgcd_detail::mat_mul(*x, *y, f, t);
+          EXPECT_EQ(r.m00.c, entry(x->m00, y->m00, x->m01, y->m10)) << where;
+          EXPECT_EQ(r.m01.c, entry(x->m00, y->m01, x->m01, y->m11)) << where;
+          EXPECT_EQ(r.m10.c, entry(x->m10, y->m00, x->m11, y->m10)) << where;
+          EXPECT_EQ(r.m11.c, entry(x->m10, y->m01, x->m11, y->m11)) << where;
+        }
+      }
+    };
+    check(pf);
+    check(m);
+    if (cpu_supports_avx2()) check(MontgomeryAvx2Field(m));
+    if (cpu_supports_avx512()) check(MontgomeryAvx512Field(m));
+  }
+
+  // An entry longer than the shared length whose partner is zero: it
+  // meets only zero and must not be transformed at that length.
+  PolyMat22 long_entry;
+  long_entry.identity = false;
+  long_entry.m00 = poly(3000);
+  long_entry.m01 = poly(300);
+  long_entry.m10 = poly(2);
+  long_entry.m11 = poly(300);
+  const Poly b = poly(300);
+  const auto [c, d] =
+      hgcd_detail::mat_apply(long_entry, Poly::zero(), b, m, &tables);
+  EXPECT_EQ(c.c, hgcd_detail::mat_mul_poly(long_entry.m01, b, m, &tables).c);
+  EXPECT_EQ(d.c, hgcd_detail::mat_mul_poly(long_entry.m11, b, m, &tables).c);
 }
 
 TEST(Hgcd, BinaryFieldFallback) {

@@ -97,6 +97,29 @@ TEST(Montgomery, InvAgreesWithReference) {
   }
 }
 
+// The domain inverse goes through PrimeField's extended Euclid; it
+// must still be the Fermat word (aR)^(q-2) of the domain pow.
+TEST(Montgomery, InvMatchesFermat) {
+  {
+    MontgomeryField m(PrimeField(65537));
+    for (u64 a = 1; a < 65537; ++a) {
+      const u64 am = m.to_mont(a);
+      ASSERT_EQ(m.inv(am), m.pow(am, 65535)) << a;
+    }
+  }
+  for (u64 q : {u64{2147352577}, (u64{1} << 61) - 1}) {
+    MontgomeryField m{PrimeField(q)};
+    std::mt19937_64 rng(q ^ 0x5a);
+    for (int i = 0; i < 2000; ++i) {
+      const u64 am = m.to_mont(1 + rng() % (q - 1));
+      const u64 r = m.inv(am);
+      ASSERT_EQ(m.mul(am, r), m.one()) << "q=" << q << " am=" << am;
+      ASSERT_EQ(r, m.pow(am, q - 2)) << "q=" << q << " am=" << am;
+    }
+    EXPECT_THROW(m.inv(0), std::invalid_argument);
+  }
+}
+
 TEST(Montgomery, BatchInvMatchesScalar) {
   for (u64 q : test_primes()) {
     if (q < 100) continue;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -231,6 +232,33 @@ TEST(SymbolStream, AdversarialStreamMatchesBarrierCorruption) {
     EXPECT_EQ(streamed, barrier)
         << "strategy " << static_cast<int>(strategy);
   }
+}
+
+// A plan indexes its positions directly, so it must refuse a chunk
+// that leaves them, however the offset is chosen: offset + size may
+// wrap around to a small value.
+TEST(CorruptionPlan, RejectsChunkOutsidePlan) {
+  PrimeField f(97);
+  const std::size_t e = 10;
+  std::vector<std::size_t> owners(e, 0);
+  std::vector<u64> points(e);
+  std::iota(points.begin(), points.end(), u64{1});
+  const ByzantineAdversary adversary({0}, ByzantineStrategy::kRandom, 3);
+  const CorruptionPlan plan = adversary.make_plan(owners, points, f);
+
+  std::vector<u64> one = {5};
+  for (std::size_t offset : {SIZE_MAX, SIZE_MAX - 1, e}) {
+    EXPECT_THROW(plan.apply(one, offset, f), std::out_of_range)
+        << "offset " << offset;
+  }
+  std::vector<u64> two = {5, 6};
+  EXPECT_THROW(plan.apply(two, e - 1, f), std::out_of_range);
+  EXPECT_EQ(two, (std::vector<u64>{5, 6}));
+
+  std::vector<u64> whole(e, 1);
+  EXPECT_NO_THROW(plan.apply(whole, 0, f));
+  std::vector<u64> none;
+  EXPECT_NO_THROW(plan.apply(none, e, f));
 }
 
 // ---- StreamingGaoDecoder -------------------------------------------------
