@@ -165,6 +165,7 @@ double ns_per_op(Fn&& fn, double min_seconds = g_min_seconds) {
   return best;
 }
 
+// An A/B pair, or a single timing when before_key is null.
 struct Entry {
   std::string name;  // owned: the sweep entries build names at runtime
   const char* before_key;
@@ -240,6 +241,8 @@ int main(int argc, char** argv) {
   }
 
   // --- multipoint evaluation (2048 points, degree 2047) -------------------
+  // One-shot, as every caller runs it: each op builds the tree and
+  // evaluates once.
   {
     constexpr std::size_t kN = 2048;
     std::vector<u64> pts(kN);
@@ -247,17 +250,15 @@ int main(int argc, char** argv) {
     Poly p;
     p.c.resize(kN);
     for (auto& v : p.c) v = rng() % q;
-    const RefTree ref_tree(pts, f);
-    const SubproductTree tree(pts, f);
     const double before = ns_per_op([&] {
-      g_sink = ref_tree.evaluate(p, kN, f)[0];
+      g_sink = RefTree(pts, f).evaluate(p, kN, f)[0];
       return 1.0;
     });
     const double after = ns_per_op([&] {
-      g_sink = tree.evaluate(p, f)[0];
+      g_sink = multipoint_evaluate(p, pts, f)[0];
       return 1.0;
     });
-    entries.push_back({"multipoint_eval", "division_ns_per_op",
+    entries.push_back({"multipoint_oneshot", "division_ns_per_op",
                        "montgomery_ns_per_op", before, after});
   }
 
@@ -288,33 +289,10 @@ int main(int argc, char** argv) {
                        "cached_ns_per_op", before, after});
   }
 
-  // --- subproduct-tree build through cached twiddles (2048 points) --------
-  // The per-prime construction cost a ProofSession pays for each
-  // Reed--Solomon code: plain FieldOps (no tables) vs FieldCache ops.
-  {
-    constexpr std::size_t kN = 2048;
-    FieldCache cache;
-    const FieldOps plain(f);
-    const FieldOps cached = cache.ops(q, 2 * kN);
-    std::vector<u64> pts(kN);
-    std::iota(pts.begin(), pts.end(), u64{1});
-    const double before = ns_per_op([&] {
-      SubproductTree t(pts, plain);
-      g_sink = t.root().c[0];
-      return 1.0;
-    });
-    const double after = ns_per_op([&] {
-      SubproductTree t(pts, cached);
-      g_sink = t.root().c[0];
-      return 1.0;
-    });
-    entries.push_back({"subproduct_tree_build", "uncached_ns_per_op",
-                       "cached_ns_per_op", before, after});
-  }
-
   // --- Newton-inverse fast division vs schoolbook elimination -------------
   // One divrem at dividend degree 2d-1 / divisor degree d — the shape
-  // of a top-level tree descent step and of a large Gao EEA quotient.
+  // of a top-level tree descent step and of a large Gao EEA quotient;
+  // the asymptotic A/B of the two division algorithms.
   // Both sides run the Montgomery backend with cached twiddles; only
   // the division algorithm differs (bit-identical results).
   {
@@ -348,12 +326,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- multipoint evaluation / interpolation: descent A/B sweep -----------
-  // The same tree inputs evaluated through trees built with the fast
-  // descent disabled (crossover = infinity: schoolbook elimination at
-  // every node) vs enabled (default crossover: cached Newton inverses
-  // above it). The ratio must grow with the degree — that is the
-  // O(d^2) -> O(d log^2 d) claim in measurable form.
+  // --- one-shot multipoint evaluation / interpolation sweep ---------------
+  // multipoint_evaluate / interpolate through cached-twiddle ops, tree
+  // build included, at sizes where the top of the descent divides by
+  // Newton inversion.
   {
     FieldCache cache;
     for (std::size_t n : {1024u, 4096u, 16384u}) {
@@ -365,30 +341,16 @@ int main(int argc, char** argv) {
       for (auto& v : p.c) v = rng() % q;
       std::vector<u64> vals(n);
       for (auto& v : vals) v = rng() % q;
-      set_fastdiv_crossover(std::size_t{1} << 30);
-      const SubproductTree tree_slow(pts, ops);
-      set_fastdiv_crossover(0);  // default
-      const SubproductTree tree_fast(pts, ops);
-      const auto add = [&](std::string name, double before, double after) {
-        entries.push_back({std::move(name), "schoolbook_ns", "fastdiv_ns",
-                           before, after});
-      };
-      add("multipoint_fast_d" + std::to_string(n), ns_per_op([&] {
-            g_sink = tree_slow.evaluate(p, f)[0];
-            return 1.0;
-          }),
-          ns_per_op([&] {
-            g_sink = tree_fast.evaluate(p, f)[0];
-            return 1.0;
-          }));
-      add("interp_fast_d" + std::to_string(n), ns_per_op([&] {
-            g_sink = tree_slow.interpolate(vals, f).coeff(0);
-            return 1.0;
-          }),
-          ns_per_op([&] {
-            g_sink = tree_fast.interpolate(vals, f).coeff(0);
-            return 1.0;
-          }));
+      entries.push_back({"multipoint_oneshot_d" + std::to_string(n), nullptr,
+                         "oneshot_ns", 0.0, ns_per_op([&] {
+                           g_sink = multipoint_evaluate(p, pts, ops)[0];
+                           return 1.0;
+                         })});
+      entries.push_back({"interp_oneshot_d" + std::to_string(n), nullptr,
+                         "oneshot_ns", 0.0, ns_per_op([&] {
+                           g_sink = interpolate(pts, vals, ops).coeff(0);
+                           return 1.0;
+                         })});
     }
   }
 
@@ -530,9 +492,9 @@ int main(int argc, char** argv) {
                          before, after});
     }
 
-    // Multipoint evaluation through the backend seam: a subproduct
-    // tree built from kMontgomery ops vs one from kMontgomeryAvx2 ops
-    // (identical values, different kernels).
+    // One-shot multipoint evaluation through the backend seam:
+    // kMontgomery ops vs kMontgomeryAvx2 ops (identical values,
+    // different kernels).
     {
       constexpr std::size_t kN = 2048;
       FieldCache cache;
@@ -542,20 +504,18 @@ int main(int argc, char** argv) {
           cache.ops(qn, 2 * kN, FieldBackend::kMontgomeryAvx2);
       std::vector<u64> pts(kN);
       std::iota(pts.begin(), pts.end(), u64{1});
-      const SubproductTree tree_scalar(pts, scalar_ops);
-      const SubproductTree tree_simd(pts, simd_ops);
       Poly p;
       p.c.resize(kN);
       for (auto& v : p.c) v = rng() % qn;
       const double before = ns_per_op([&] {
-        g_sink = tree_scalar.evaluate(p, fn)[0];
+        g_sink = multipoint_evaluate(p, pts, scalar_ops)[0];
         return 1.0;
       });
       const double after = ns_per_op([&] {
-        g_sink = tree_simd.evaluate(p, fn)[0];
+        g_sink = multipoint_evaluate(p, pts, simd_ops)[0];
         return 1.0;
       });
-      entries.push_back({"multipoint_avx2", "scalar_ns_per_op",
+      entries.push_back({"multipoint_oneshot_avx2", "scalar_ns_per_op",
                          "avx2_ns_per_op", before, after});
     }
   } else {
@@ -639,18 +599,26 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"benchmarks\": {\n");
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
+    const char* sep = i + 1 < entries.size() ? "," : "";
+    if (e.before_key == nullptr) {
+      std::fprintf(out, "    \"%s\": {\"%s\": %.2f}%s\n", e.name.c_str(),
+                   e.after_key, e.after_ns, sep);
+      continue;
+    }
     std::fprintf(out,
                  "    \"%s\": {\"%s\": %.2f, \"%s\": %.2f, "
                  "\"speedup\": %.2f}%s\n",
                  e.name.c_str(), e.before_key, e.before_ns, e.after_key,
-                 e.after_ns,
-                 e.before_ns / e.after_ns,
-                 i + 1 < entries.size() ? "," : "");
+                 e.after_ns, e.before_ns / e.after_ns, sep);
   }
   std::fprintf(out, "  }\n}\n");
   std::fclose(out);
 
   for (const Entry& e : entries) {
+    if (e.before_key == nullptr) {
+      std::printf("%-16s %10.2f ns/op\n", e.name.c_str(), e.after_ns);
+      continue;
+    }
     std::printf("%-16s before %10.2f ns/op   after %10.2f ns/op   %.2fx\n",
                 e.name.c_str(), e.before_ns, e.after_ns,
                 e.before_ns / e.after_ns);

@@ -168,7 +168,7 @@ void ProofSession::invalidate_downstream(PrimeState& st,
 void ProofSession::ensure_code(PrimeState& st) {
   if (st.code != nullptr) return;
   // codes_ is never null (CodeCache::global() is the fallback), so
-  // every session shares the inverse-enriched trees.
+  // every session shares built codes.
   st.code = codes_->code(st.ops, spec_.degree_bound, plan_->code_length);
 }
 

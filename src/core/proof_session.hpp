@@ -18,8 +18,8 @@
 // Because each prime carries its own stage cursor, a caller can
 // re-run only a failed prime (re-transport on a clean channel, then
 // decode_prime/verify_prime) instead of repeating the whole job — the
-// Reed--Solomon code and subproduct tree for that prime are already
-// built and stay cached in the session.
+// Reed--Solomon code for that prime is already built and stays cached
+// in the session.
 //
 // Field state (Montgomery contexts, NTT twiddle tables) comes from a
 // FieldCache — the process-global one unless the caller injects a
@@ -81,11 +81,11 @@ class ProofSession {
   // PrimePlan (nullptr recomputes it from the spec); `codes` lets a
   // service share built ReedSolomonCode instances across jobs
   // (nullptr now falls back to CodeCache::global(), so stand-alone
-  // sessions reuse the inverse-enriched subproduct trees across
-  // invocations too); `metrics` is the registry the session's
-  // per-stage span histograms land in (nullptr falls back to
-  // obs::Registry::global(); ProofService injects its own so one
-  // scrape of the service covers its sessions' stage latencies).
+  // sessions reuse built codes across invocations too); `metrics` is
+  // the registry the session's per-stage span histograms land in
+  // (nullptr falls back to obs::Registry::global(); ProofService
+  // injects its own so one scrape of the service covers its sessions'
+  // stage latencies).
   ProofSession(const CamelotProblem& problem, ClusterConfig config,
                std::shared_ptr<FieldCache> cache = nullptr,
                std::shared_ptr<const PrimePlan> plan = nullptr,
@@ -150,7 +150,7 @@ class ProofSession {
   void decode_prime(std::size_t prime_index);
   void verify_prime(std::size_t prime_index);
   void recover_prime(std::size_t prime_index);
-  // Back to kCreated (the code/tree stay cached for the re-run).
+  // Back to kCreated (the code stays cached for the re-run).
   void reset_prime(std::size_t prime_index);
 
   // ---- Inspection --------------------------------------------------------

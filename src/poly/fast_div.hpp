@@ -5,8 +5,8 @@
 //
 // The classical poly_divrem in poly.hpp eliminates one row per
 // quotient coefficient — O(deg q * deg b) field multiplications. For
-// the subproduct-tree descent and the Gao decoder that quadratic term
-// dominates the whole Camelot pipeline at the top tree levels. The
+// the top levels of a large subproduct-tree descent and the Gao
+// decoder's large quotient steps that quadratic term dominates. The
 // kernels here replace it with O(M(d)) work, where M is the
 // multiplication time (NTT when the transform fits, Karatsuba
 // otherwise):
@@ -14,9 +14,7 @@
 //   * poly_inverse_series — g with f*g = 1 mod x^n by Newton doubling
 //     g <- g*(2 - f*g); each doubling costs two truncated products.
 //   * poly_divrem_fast    — rev(q) = rev(a)*inv(rev(b)) mod x^k, then
-//     r = a - q*b, both truncated products. A precomputed inv(rev(b))
-//     (e.g. a subproduct-tree node inverse) skips the Newton
-//     iteration entirely, leaving two products per division.
+//     r = a - q*b, both truncated products.
 //   * poly_mul_low / poly_mul_middle — the truncated ("low") and
 //     middle-product slice kernels the above are assembled from. The
 //     middle product runs as a transposed (wrapped) transform: a
@@ -35,12 +33,11 @@
 // schoolbook path it replaces, on every backend. Explicit
 // instantiations for the three backends live in fast_div.cpp.
 //
-// Crossover: below a tuned divisor degree the schoolbook elimination
-// (with its AVX2 submul rows) wins on constant factors. Callers
-// dispatch via poly_divrem_auto / fastdiv_crossover(); the default is
-// chosen from BENCH_field.json sweeps and can be overridden with the
-// CAMELOT_FASTDIV_CROSSOVER environment variable (read once) or
-// set_fastdiv_crossover (tests use it to force either path).
+// Crossover: below divisor degree kFastDivCrossover, or with a
+// quotient shorter than kFastDivMinQuotient, the schoolbook
+// elimination (with its lane-wide submul rows) wins on constant
+// factors. fastdiv_pays() is that rule; poly_divrem_auto and the
+// subproduct-tree descent (poly/multipoint.cpp) both dispatch on it.
 #pragma once
 
 #include <algorithm>
@@ -55,20 +52,24 @@
 
 namespace camelot {
 
-// Divisor degree at and above which poly_divrem_auto (and the
-// subproduct-tree descent) switches from schoolbook elimination to
-// Newton-inverse fast division.
-std::size_t fastdiv_crossover() noexcept;
-
-// Overrides the crossover for this process (0 restores the default /
-// environment value). Trees built afterwards pick up the new value;
-// intended for tests and bench A/B sweeps.
-void set_fastdiv_crossover(std::size_t divisor_degree) noexcept;
+// Divisor degree at and above which Newton-inverse division beats
+// schoolbook elimination (the BENCH_field.json fastdiv_d* sweep: at
+// degree 256 the two truncated NTT products already beat the lane-wide
+// elimination; below it the elimination's tiny constant wins).
+inline constexpr std::size_t kFastDivCrossover = 256;
 
 // Minimum quotient length for the fast path: with fewer quotient
 // coefficients than this, the schoolbook elimination's k*d work is
 // cheaper than two size-d transforms regardless of d.
 inline constexpr std::size_t kFastDivMinQuotient = 16;
+
+// Whether a division by a degree-`divisor_degree` polynomial with a
+// quotient of `quotient_len` coefficients should take the Newton path.
+constexpr bool fastdiv_pays(std::size_t divisor_degree,
+                            std::size_t quotient_len) noexcept {
+  return divisor_degree >= kFastDivCrossover &&
+         quotient_len >= kFastDivMinQuotient;
+}
 
 namespace fastdiv_detail {
 
@@ -209,15 +210,10 @@ std::vector<u64> remainder_of_exact_div(std::span<const u64> a,
 // Power-series inverse: g with fp*g = 1 mod x^n, by Newton doubling
 // g <- g*(2 - fp*g). Requires an invertible constant term. The result
 // is *not* trimmed: g.c.size() == n is the precision contract callers
-// (the subproduct-tree node cache) rely on. `seed`, when non-null,
-// must be a correct inverse prefix (seed->c.size() >= 1 coefficients
-// of the true series); the iteration resumes from it instead of the
-// single-coefficient base case, which is how a cached node inverse is
-// extended when a caller shows up with an oversized dividend.
+// rely on.
 template <class Field>
 Poly poly_inverse_series(const Poly& fp, std::size_t n, const Field& fref,
-                         const NttTables* tables = nullptr,
-                         const Poly* seed = nullptr) {
+                         const NttTables* tables = nullptr) {
   const Field f = fref;
   Poly g;
   if (n == 0) return g;
@@ -225,14 +221,8 @@ Poly poly_inverse_series(const Poly& fp, std::size_t n, const Field& fref,
     throw std::invalid_argument(
         "poly_inverse_series: constant term not invertible");
   }
-  if (seed != nullptr && !seed->c.empty()) {
-    g.c.assign(seed->c.begin(),
-               seed->c.begin() +
-                   static_cast<long>(std::min(seed->c.size(), n)));
-  } else {
-    g.c.assign(1, f.inv(fp.c[0]));
-  }
-  std::size_t k = g.c.size();
+  g.c.assign(1, f.inv(fp.c[0]));
+  std::size_t k = 1;
   while (k < n) {
     const std::size_t k2 = std::min(2 * k, n);
     // Middle-product (HQZ) form of the doubling: g is the exact
@@ -256,14 +246,10 @@ Poly poly_inverse_series(const Poly& fp, std::size_t n, const Field& fref,
 
 // Fast Euclidean division via the reverse trick: a = q*b + r with
 // deg r < deg b, identical (bit-for-bit) to poly_divrem. Non-monic
-// divisors are normalized internally. `inv_rev_b`, when non-null,
-// must be a power-series inverse prefix of reverse(b) *with b monic*
-// (subproduct-tree nodes are); a prefix shorter than the quotient is
-// extended by Newton steps rather than discarded.
+// divisors are normalized internally.
 template <class Field>
 void poly_divrem_fast(const Poly& a_in, const Poly& b_in, const Field& fref,
-                      Poly* q, Poly* r, const NttTables* tables = nullptr,
-                      const Poly* inv_rev_b = nullptr) {
+                      Poly* q, Poly* r, const NttTables* tables = nullptr) {
   if (b_in.is_zero()) {
     throw std::invalid_argument("poly_divrem_fast: divide by zero");
   }
@@ -288,24 +274,15 @@ void poly_divrem_fast(const Poly& a_in, const Poly& b_in, const Field& fref,
     b = poly_scale(b, lc_inv, f);  // monic divisor; q rescaled below
   }
 
-  // inv(rev(b)) mod x^k, reusing/extending any precomputed prefix.
+  // rev(q) = rev(a) * inv(rev(b)) mod x^k.
   Poly rev_b;
   rev_b.c.assign(b.c.rbegin(), b.c.rend());
-  Poly inv_local;
-  const Poly* inv = monic ? inv_rev_b : nullptr;
-  if (inv == nullptr || inv->c.size() < k) {
-    inv_local = poly_inverse_series(rev_b, k, f, tables, inv);
-    inv = &inv_local;
-  }
-
-  // rev(q) = rev(a) * inv(rev(b)) mod x^k.
+  const Poly inv = poly_inverse_series(rev_b, k, f, tables);
   std::vector<u64> rev_a(k);
   for (std::size_t i = 0; i < k; ++i) {
     rev_a[i] = a.c[static_cast<std::size_t>(da) - i];
   }
-  std::vector<u64> rev_q = poly_mul_low(
-      rev_a, std::span<const u64>(inv->c.data(), std::min(inv->c.size(), k)),
-      k, f, tables);
+  std::vector<u64> rev_q = poly_mul_low(rev_a, inv.c, k, f, tables);
   Poly quot;
   quot.c.resize(k);
   for (std::size_t i = 0; i < k; ++i) quot.c[i] = rev_q[k - 1 - i];
@@ -327,92 +304,21 @@ void poly_divrem_fast(const Poly& a_in, const Poly& b_in, const Field& fref,
   }
 }
 
-// In-place remainder of a raw coefficient vector modulo a *monic*
-// divisor with a precomputed reversed-divisor inverse — the fast twin
-// of the subproduct-tree descent's schoolbook elimination. `inv_rev`
-// must cover the quotient (inv_rev.c.size() >= r.size() - db after
-// leading-zero trim; the tree build guarantees it). Leaves r with
-// exactly db entries, the same contract as the schoolbook loop.
-template <class Field>
-void monic_rem_fast_inplace(std::vector<u64>& r, const std::vector<u64>& b,
-                            const Poly& inv_rev, const Field& fref,
-                            const NttTables* tables) {
-  const Field f = fref;
-  const std::size_t db = b.size() - 1;
-  while (!r.empty() && r.back() == 0) r.pop_back();
-  if (r.size() <= db) {
-    r.resize(db, 0);
-    return;
-  }
-  const std::size_t k = r.size() - db;
-  if (inv_rev.c.size() < k) {
-    throw std::logic_error("monic_rem_fast_inplace: inverse too short");
-  }
-  std::vector<u64> rev_a(k);
-  for (std::size_t i = 0; i < k; ++i) rev_a[i] = r[r.size() - 1 - i];
-  std::vector<u64> rev_q = poly_mul_low(
-      rev_a, std::span<const u64>(inv_rev.c.data(), k), k, f, tables);
-  std::vector<u64> quot(k);
-  for (std::size_t i = 0; i < k; ++i) quot[i] = rev_q[k - 1 - i];
-  r = fastdiv_detail::remainder_of_exact_div(
-      std::span<const u64>(r), quot, b, db, f, tables);
-}
-
-// Size-dispatching division: fast path when the divisor degree is at
-// or past the crossover and the quotient is long enough to amortize
-// the transforms, classical elimination otherwise. Always safe — the
-// two paths compute identical words.
+// Size-dispatching division: the fast path where fastdiv_pays(),
+// classical elimination otherwise. Always safe — the two paths compute
+// identical words.
 template <class Field>
 void poly_divrem_auto(const Poly& a, const Poly& b, const Field& f, Poly* q,
                       Poly* r, const NttTables* tables = nullptr) {
   const int da = a.degree();
   const int db = b.degree();
   if (db >= 0 && da >= db &&
-      static_cast<std::size_t>(db) >= fastdiv_crossover() &&
-      static_cast<std::size_t>(da - db) + 1 >= kFastDivMinQuotient) {
+      fastdiv_pays(static_cast<std::size_t>(db),
+                   static_cast<std::size_t>(da - db) + 1)) {
     poly_divrem_fast(a, b, f, q, r, tables);
     return;
   }
   poly_divrem(a, b, f, q, r);
-}
-
-// Partial extended Euclidean algorithm with every quotient step (and
-// cofactor product) routed through the size-dispatching kernels —
-// the Gao decoder's remainder sequence. Semantics and results are
-// identical to poly_xgcd_partial.
-template <class Field>
-void poly_xgcd_partial_fast(const Poly& a, const Poly& b, int stop_degree,
-                            const Field& f, Poly* g, Poly* u, Poly* v,
-                            const NttTables* tables = nullptr) {
-  Poly r0 = a, r1 = b;
-  r0.trim();
-  r1.trim();
-  Poly u0 = Poly::constant(f.one(), f), u1 = Poly::zero();
-  Poly v0 = Poly::zero(), v1 = Poly::constant(f.one(), f);
-  // Cofactor products go through the same tabled pipeline as the
-  // divisions: a large quotient step makes them NTT-sized, and the
-  // untabled kernel would re-power the stage roots per call.
-  const auto mul = [&](const Poly& x, const Poly& y) {
-    Poly r{fastdiv_detail::mul_full(std::span<const u64>(x.c),
-                                    std::span<const u64>(y.c), f, tables)};
-    r.trim();
-    return r;
-  };
-  while (!r1.is_zero() && r0.degree() >= stop_degree) {
-    Poly qt, rem;
-    poly_divrem_auto(r0, r1, f, &qt, &rem, tables);
-    Poly u2 = poly_sub(u0, mul(qt, u1), f);
-    Poly v2 = poly_sub(v0, mul(qt, v1), f);
-    r0 = std::move(r1);
-    r1 = std::move(rem);
-    u0 = std::move(u1);
-    u1 = std::move(u2);
-    v0 = std::move(v1);
-    v1 = std::move(v2);
-  }
-  if (g != nullptr) *g = r0;
-  if (u != nullptr) *u = u0;
-  if (v != nullptr) *v = v0;
 }
 
 // The supported backends are instantiated once in fast_div.cpp.
@@ -424,21 +330,13 @@ void poly_xgcd_partial_fast(const Poly& a, const Poly& b, int stop_degree,
       std::span<const u64>, std::span<const u64>, std::size_t, std::size_t, \
       const Field&, const NttTables*);                                      \
   extern template Poly poly_inverse_series<Field>(                          \
-      const Poly&, std::size_t, const Field&, const NttTables*,             \
-      const Poly*);                                                         \
+      const Poly&, std::size_t, const Field&, const NttTables*);            \
   extern template void poly_divrem_fast<Field>(const Poly&, const Poly&,    \
                                                const Field&, Poly*, Poly*,  \
-                                               const NttTables*,            \
-                                               const Poly*);                \
-  extern template void monic_rem_fast_inplace<Field>(                       \
-      std::vector<u64>&, const std::vector<u64>&, const Poly&,              \
-      const Field&, const NttTables*);                                      \
+                                               const NttTables*);           \
   extern template void poly_divrem_auto<Field>(const Poly&, const Poly&,    \
                                                const Field&, Poly*, Poly*,  \
-                                               const NttTables*);           \
-  extern template void poly_xgcd_partial_fast<Field>(                       \
-      const Poly&, const Poly&, int, const Field&, Poly*, Poly*, Poly*,     \
-      const NttTables*);
+                                               const NttTables*);
 
 CAMELOT_FASTDIV_EXTERN(PrimeField)
 CAMELOT_FASTDIV_EXTERN(MontgomeryField)

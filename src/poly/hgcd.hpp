@@ -380,8 +380,8 @@ Reduced hgcd_reduce(const Poly& a, const Poly& b, int t, const Field& f,
 }  // namespace hgcd_detail
 
 // Half-GCD partial extended Euclidean algorithm: semantics, exit
-// state, and every output word identical to poly_xgcd_partial /
-// poly_xgcd_partial_fast. `crossover` 0 means hgcd_crossover();
+// state, and every output word identical to poly_xgcd_partial.
+// `crossover` 0 means hgcd_crossover();
 // ReedSolomonCode passes the value it was cache-keyed under. `stats`,
 // when non-null, receives the quotient-step / recursion counters.
 template <class Field>

@@ -8,85 +8,6 @@
 
 namespace camelot {
 
-SubproductTree::SubproductTree(std::span<const u64> points,
-                               const FieldOps& f, std::size_t crossover)
-    : points_(points.begin(), points.end()),
-      mont_(f.mont()),
-      ntt_(f.ntt_tables()),
-      backend_(f.backend()),
-      crossover_(crossover != 0 ? crossover : fastdiv_crossover()) {
-  if (points_.empty()) {
-    throw std::invalid_argument("SubproductTree: no points");
-  }
-  for (u64& x : points_) x = f.prime().reduce(x);
-  std::vector<Poly> level;
-  level.reserve(points_.size());
-  for (u64 x : points_) {
-    level.push_back(Poly::linear_root(mont_.to_mont(x), mont_));
-  }
-  levels_.push_back(std::move(level));
-  while (levels_.back().size() > 1) {
-    const auto& prev = levels_.back();
-    std::vector<Poly> next;
-    next.reserve((prev.size() + 1) / 2);
-    for (std::size_t i = 0; i < prev.size(); i += 2) {
-      if (i + 1 < prev.size()) {
-        next.push_back(Poly{mul(prev[i].c, prev[i + 1].c)});
-      } else {
-        next.push_back(prev[i]);  // odd node carried up unchanged
-      }
-    }
-    levels_.push_back(std::move(next));
-  }
-  build_inverses();
-  root_plain_ = Poly{mont_.from_mont_vec(levels_.back()[0].c)};
-}
-
-std::vector<u64> SubproductTree::mul(std::span<const u64> a,
-                                     std::span<const u64> b) const {
-  return with_lane_field(backend_, mont_, [&](const auto& lf) {
-    return fastdiv_detail::mul_full(a, b, lf, ntt_.get());
-  });
-}
-
-const Poly& SubproductTree::root_mont() const { return levels_.back()[0]; }
-
-void SubproductTree::build_inverses() {
-  // Precision contract: a division by node (level, idx) happens with a
-  // dividend already reduced modulo its parent, so the quotient has at
-  // most deg(parent) - deg(node) = deg(sibling) coefficients. The
-  // descent divides by every *paired* node, so those inverses are
-  // precomputed eagerly; the root is only ever divided by when a
-  // caller shows up with a dividend of degree >= num_points (the RS
-  // pipeline never does — message and derivative degrees stay below
-  // it), so its inverse — the single most expensive one — is built
-  // lazily in node_rem instead.
-  inv_levels_.resize(levels_.size());
-  for (std::size_t l = 0; l < levels_.size(); ++l) {
-    inv_levels_[l].resize(levels_[l].size());
-  }
-  for (std::size_t l = 0; l + 1 < levels_.size(); ++l) {
-    for (std::size_t i = 0; i < levels_[l].size(); ++i) {
-      if ((i ^ 1) >= levels_[l].size()) {
-        continue;  // single child carried up: the descent never divides
-      }
-      const Poly& node = levels_[l][i];
-      const auto deg = static_cast<std::size_t>(node.degree());
-      // Paired node: the longest quotient is the sibling's degree.
-      const auto prec =
-          static_cast<std::size_t>(levels_[l][i ^ 1].degree());
-      if (deg < crossover_ || prec < kFastDivMinQuotient) continue;
-      Poly rev;
-      rev.c.assign(node.c.rbegin(), node.c.rend());
-      inv_levels_[l][i] =
-          with_lane_field(backend_, mont_, [&](const auto& lf) {
-            return poly_inverse_series(rev, prec, lf, ntt_.get());
-          });
-      ++fast_nodes_;
-    }
-  }
-}
-
 namespace {
 
 // In-place remainder modulo a *monic* divisor (every tree node is a
@@ -130,175 +51,177 @@ void monic_rem_inplace(std::vector<u64>& r, const std::vector<u64>& b,
   });
 }
 
+// Subproduct tree over a point set: node (level, i) stores the product
+// of (x - x_j) over the points in its subtree, with Montgomery-domain
+// coefficients. Built for one evaluation or interpolation and dropped.
+class SubproductTree {
+ public:
+  SubproductTree(std::span<const u64> points, const FieldOps& f)
+      : mont_(f.mont()), ntt_(f.ntt_tables().get()), backend_(f.backend()) {
+    if (points.empty()) {
+      throw std::invalid_argument("multipoint: no points");
+    }
+    std::vector<Poly> level;
+    level.reserve(points.size());
+    for (u64 x : points) {
+      level.push_back(
+          Poly::linear_root(mont_.to_mont(f.prime().reduce(x)), mont_));
+    }
+    levels_.push_back(std::move(level));
+    while (levels_.back().size() > 1) {
+      const auto& prev = levels_.back();
+      std::vector<Poly> next;
+      next.reserve((prev.size() + 1) / 2);
+      for (std::size_t i = 0; i < prev.size(); i += 2) {
+        if (i + 1 < prev.size()) {
+          next.push_back(Poly{mul(prev[i].c, prev[i + 1].c)});
+        } else {
+          next.push_back(prev[i]);  // odd node carried up unchanged
+        }
+      }
+      levels_.push_back(std::move(next));
+    }
+  }
+
+  std::size_t num_points() const noexcept { return levels_[0].size(); }
+
+  // Values at every point (going-down-the-tree remaindering); the
+  // coefficients r and the result are Montgomery-domain.
+  std::vector<u64> evaluate(std::vector<u64> r) const {
+    std::vector<u64> out(num_points(), 0);
+    node_rem(r, levels_.size() - 1, 0);
+    eval_rec(r, levels_.size() - 1, 0, 0, num_points(), out);
+    return out;
+  }
+
+  // Coefficients of the unique polynomial of degree < n through the
+  // Montgomery-domain values.
+  std::vector<u64> interpolate(std::span<const u64> values) const {
+    // Lagrange weights s_i = y_i / m'(x_i) where m = prod (x - x_j).
+    const Poly dm = poly_derivative(levels_.back()[0], mont_);
+    const std::vector<u64> inv_denom = mont_.batch_inv(evaluate(dm.c));
+    std::vector<u64> weighted(values.size());
+    with_lane_field(backend_, mont_, [&](const auto& lf) {
+      vec_mul(lf, values.data(), inv_denom.data(), weighted.data(),
+              values.size());
+    });
+    return interp_rec(weighted, levels_.size() - 1, 0, 0, num_points());
+  }
+
+ private:
+  // Product dispatch (fastdiv_detail::mul_full): cached-twiddle NTT
+  // when the tables cover the result size, then the generic NTT, then
+  // Karatsuba/schoolbook. Used by both the build and the ascent.
+  std::vector<u64> mul(std::span<const u64> a, std::span<const u64> b) const {
+    return with_lane_field(backend_, mont_, [&](const auto& lf) {
+      return fastdiv_detail::mul_full(a, b, lf, ntt_);
+    });
+  }
+
+  // r := r mod node(level, idx): a Newton-inverse division where
+  // fastdiv_pays(), the schoolbook elimination elsewhere. The descent
+  // divides by each paired node once, so the inverse is computed on
+  // the spot at the quotient's length.
+  void node_rem(std::vector<u64>& r, std::size_t level,
+                std::size_t idx) const {
+    const Poly& b = levels_[level][idx];
+    const std::size_t db = b.c.size() - 1;
+    while (!r.empty() && r.back() == 0) r.pop_back();
+    if (r.size() <= db) return;  // nothing to eliminate
+    if (!fastdiv_pays(db, r.size() - db)) {
+      monic_rem_inplace(r, b.c, mont_, backend_);
+      return;
+    }
+    Poly rem;
+    with_lane_field(backend_, mont_, [&](const auto& lf) {
+      poly_divrem_fast(Poly{std::move(r)}, b, lf, nullptr, &rem, ntt_);
+    });
+    r = std::move(rem.c);
+  }
+
+  // Tree descent on a raw (Montgomery-domain) remainder vector; the
+  // caller's copy of r is consumed in place along the right spine.
+  void eval_rec(std::vector<u64>& r, std::size_t level, std::size_t idx,
+                std::size_t lo, std::size_t hi, std::vector<u64>& out) const {
+    if (level == 0) {
+      // r is already reduced mod (x - x_lo), i.e. it is the value.
+      out[lo] = r.empty() ? 0 : r[0];
+      return;
+    }
+    const std::size_t span = std::size_t{1} << (level - 1);
+    const std::size_t mid = std::min(hi, lo + span);
+    const std::size_t left = 2 * idx;
+    const std::size_t right = 2 * idx + 1;
+    if (right >= levels_[level - 1].size()) {
+      // Single-child node: polynomial is identical, just descend.
+      eval_rec(r, level - 1, left, lo, hi, out);
+      return;
+    }
+    std::vector<u64> rl = r;  // left-spine copy, freed per node
+    node_rem(rl, level - 1, left);
+    eval_rec(rl, level - 1, left, lo, mid, out);
+    node_rem(r, level - 1, right);
+    eval_rec(r, level - 1, right, mid, hi, out);
+  }
+
+  // Interpolation ascent on raw coefficient buffers.
+  std::vector<u64> interp_rec(std::span<const u64> weighted, std::size_t level,
+                              std::size_t idx, std::size_t lo,
+                              std::size_t hi) const {
+    if (level == 0) {
+      std::vector<u64> p;
+      if (weighted[lo] != 0) p.push_back(weighted[lo]);
+      return p;
+    }
+    const std::size_t span = std::size_t{1} << (level - 1);
+    const std::size_t mid = std::min(hi, lo + span);
+    const auto& child_level = levels_[level - 1];
+    const std::size_t left = 2 * idx;
+    const std::size_t right = 2 * idx + 1;
+    if (right >= child_level.size()) {
+      return interp_rec(weighted, level - 1, left, lo, hi);
+    }
+    const std::vector<u64> pl = interp_rec(weighted, level - 1, left, lo, mid);
+    const std::vector<u64> pr =
+        interp_rec(weighted, level - 1, right, mid, hi);
+    std::vector<u64> sum = mul(pl, child_level[right].c);
+    std::vector<u64> other = mul(pr, child_level[left].c);
+    if (sum.size() < other.size()) sum.swap(other);
+    const MontgomeryField m = mont_;
+    for (std::size_t i = 0; i < other.size(); ++i) {
+      sum[i] = m.add(sum[i], other[i]);
+    }
+    while (!sum.empty() && sum.back() == 0) sum.pop_back();
+    return sum;
+  }
+
+  // levels_[0] = leaves (x - x_i); levels_.back() = {root}.
+  std::vector<std::vector<Poly>> levels_;
+  const MontgomeryField& mont_;
+  const NttTables* ntt_;  // the handle's twiddle tables, or nullptr
+  FieldBackend backend_;  // resolved lane backend
+};
+
 }  // namespace
 
-void SubproductTree::node_rem(std::vector<u64>& r, std::size_t level,
-                              std::size_t idx) const {
-  const Poly& b = levels_[level][idx];
-  const std::size_t db = b.c.size() - 1;
-  while (!r.empty() && r.back() == 0) r.pop_back();
-  if (r.size() <= db) return;  // nothing to eliminate
-  const std::size_t k = r.size() - db;
-  const Poly* inv = nullptr;
-  if (db >= crossover_ && k >= kFastDivMinQuotient) {
-    if (level + 1 == levels_.size()) {
-      // Root: built on the first oversized dividend (see
-      // build_inverses); call_once keeps the lazy build safe on
-      // const trees shared across sessions.
-      std::call_once(root_inv_once_, [this, db] {
-        const Poly& root = levels_.back()[0];
-        Poly rev;
-        rev.c.assign(root.c.rbegin(), root.c.rend());
-        root_inv_ = with_lane_field(backend_, mont_, [&](const auto& lf) {
-          return poly_inverse_series(rev, db, lf, ntt_.get());
-        });
-      });
-      inv = &root_inv_;
-    } else if (!inv_levels_[level][idx].c.empty()) {
-      inv = &inv_levels_[level][idx];
-    }
-  }
-  if (inv == nullptr) {
-    monic_rem_inplace(r, b.c, mont_, backend_);
-    return;
-  }
-  if (inv->c.size() < k) {
-    // Oversized dividend (only possible at the root): extend the
-    // cached prefix by Newton steps instead of starting over.
-    Poly rev;
-    rev.c.assign(b.c.rbegin(), b.c.rend());
-    with_lane_field(backend_, mont_, [&](const auto& lf) {
-      const Poly ext = poly_inverse_series(rev, k, lf, ntt_.get(), inv);
-      monic_rem_fast_inplace(r, b.c, ext, lf, ntt_.get());
-    });
-    return;
-  }
-  with_lane_field(backend_, mont_, [&](const auto& lf) {
-    monic_rem_fast_inplace(r, b.c, *inv, lf, ntt_.get());
-  });
-}
-
-void SubproductTree::eval_rec(std::vector<u64>& r, std::size_t level,
-                              std::size_t idx, std::size_t lo, std::size_t hi,
-                              std::vector<u64>& out) const {
-  if (level == 0) {
-    // r is already reduced mod (x - x_lo), i.e. it is the value.
-    out[lo] = r.empty() ? 0 : r[0];
-    return;
-  }
-  const std::size_t span = std::size_t{1} << (level - 1);
-  const std::size_t mid = std::min(hi, lo + span);
-  const auto& child_level = levels_[level - 1];
-  const std::size_t left = 2 * idx;
-  const std::size_t right = 2 * idx + 1;
-  if (right >= child_level.size()) {
-    // Single-child node: polynomial is identical, just descend.
-    eval_rec(r, level - 1, left, lo, hi, out);
-    return;
-  }
-  std::vector<u64> rl = r;  // left-spine copy, freed per node
-  node_rem(rl, level - 1, left);
-  eval_rec(rl, level - 1, left, lo, mid, out);
-  node_rem(r, level - 1, right);
-  eval_rec(r, level - 1, right, mid, hi, out);
-}
-
-std::vector<u64> SubproductTree::evaluate_mont(const Poly& p_mont) const {
-  std::vector<u64> out(points_.size(), 0);
-  std::vector<u64> r = p_mont.c;
-  node_rem(r, levels_.size() - 1, 0);
-  eval_rec(r, levels_.size() - 1, 0, 0, points_.size(), out);
-  return out;
-}
-
-std::vector<u64> SubproductTree::evaluate(const Poly& p,
-                                          const PrimeField& f) const {
-  if (f.modulus() != mont_.modulus()) {
-    throw std::invalid_argument("SubproductTree::evaluate: field mismatch");
-  }
-  std::vector<u64> out = evaluate_mont(Poly{mont_.to_mont_vec(p.c)});
-  mont_.from_mont_inplace(out);
-  return out;
-}
-
-std::vector<u64> SubproductTree::interp_rec(std::span<const u64> weighted,
-                                            std::size_t level, std::size_t idx,
-                                            std::size_t lo,
-                                            std::size_t hi) const {
-  if (level == 0) {
-    std::vector<u64> p;
-    if (weighted[lo] != 0) p.push_back(weighted[lo]);
-    return p;
-  }
-  const std::size_t span = std::size_t{1} << (level - 1);
-  const std::size_t mid = std::min(hi, lo + span);
-  const auto& child_level = levels_[level - 1];
-  const std::size_t left = 2 * idx;
-  const std::size_t right = 2 * idx + 1;
-  if (right >= child_level.size()) {
-    return interp_rec(weighted, level - 1, left, lo, hi);
-  }
-  const std::vector<u64> pl = interp_rec(weighted, level - 1, left, lo, mid);
-  const std::vector<u64> pr = interp_rec(weighted, level - 1, right, mid, hi);
-  std::vector<u64> sum = mul(pl, child_level[right].c);
-  std::vector<u64> other = mul(pr, child_level[left].c);
-  if (sum.size() < other.size()) sum.swap(other);
-  const MontgomeryField m = mont_;
-  for (std::size_t i = 0; i < other.size(); ++i) {
-    sum[i] = m.add(sum[i], other[i]);
-  }
-  while (!sum.empty() && sum.back() == 0) sum.pop_back();
-  return sum;
-}
-
-Poly SubproductTree::interpolate_mont(
-    std::span<const u64> values_mont) const {
-  if (values_mont.size() != points_.size()) {
-    throw std::invalid_argument("SubproductTree::interpolate: size mismatch");
-  }
-  // Lagrange weights s_i = y_i / m'(x_i) where m = prod (x - x_j).
-  const Poly dm = poly_derivative(root_mont(), mont_);
-  std::vector<u64> denom = evaluate_mont(dm);
-  std::vector<u64> inv_denom = mont_.batch_inv(denom);
-  std::vector<u64> weighted(values_mont.size());
-  with_lane_field(backend_, mont_, [&](const auto& lf) {
-    using F = std::decay_t<decltype(lf)>;
-    if constexpr (FieldHasBatchKernels<F>) {
-      lf.mul_vec(values_mont.data(), inv_denom.data(), weighted.data(),
-                 values_mont.size());
-    } else {
-      for (std::size_t i = 0; i < values_mont.size(); ++i) {
-        weighted[i] = lf.mul(values_mont[i], inv_denom[i]);
-      }
-    }
-  });
-  Poly p{interp_rec(weighted, levels_.size() - 1, 0, 0, points_.size())};
-  p.trim();
-  return p;
-}
-
-Poly SubproductTree::interpolate(std::span<const u64> values,
-                                 const PrimeField& f) const {
-  if (f.modulus() != mont_.modulus()) {
-    throw std::invalid_argument(
-        "SubproductTree::interpolate: field mismatch");
-  }
-  Poly p = interpolate_mont(mont_.to_mont_vec(values));
-  mont_.from_mont_inplace(p.c);
-  p.trim();
-  return p;
-}
-
 std::vector<u64> multipoint_evaluate(const Poly& p, std::span<const u64> xs,
-                                     const PrimeField& f) {
-  SubproductTree tree(xs, f);
-  return tree.evaluate(p, f);
+                                     const FieldOps& f) {
+  const MontgomeryField& m = f.mont();
+  std::vector<u64> out = SubproductTree(xs, f).evaluate(m.to_mont_vec(p.c));
+  m.from_mont_inplace(out);
+  return out;
 }
 
 Poly interpolate(std::span<const u64> xs, std::span<const u64> ys,
-                 const PrimeField& f) {
-  SubproductTree tree(xs, f);
-  return tree.interpolate(ys, f);
+                 const FieldOps& f) {
+  if (ys.size() != xs.size()) {
+    throw std::invalid_argument("interpolate: size mismatch");
+  }
+  const MontgomeryField& m = f.mont();
+  Poly p{SubproductTree(xs, f).interpolate(m.to_mont_vec(ys))};
+  m.from_mont_inplace(p.c);
+  p.trim();
+  return p;
 }
 
 namespace {
@@ -386,7 +309,7 @@ std::vector<u64> range_evaluate(const Poly& p, u64 lo, u64 hi,
     xs.push_back(r);
     if (r == hi) break;
   }
-  return SubproductTree(xs, f).evaluate(p, f.prime());
+  return multipoint_evaluate(p, xs, f);
 }
 
 }  // namespace camelot

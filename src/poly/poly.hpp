@@ -230,9 +230,9 @@ Poly poly_mul(const Poly& a, const Poly& b, const Field& f) {
 
 // Euclidean division: a = q*b + r with deg r < deg b. Requires b != 0.
 // Classical quadratic elimination — the right tool below the fast-
-// division crossover; for large operands use poly_divrem_auto
-// (poly/fast_div.hpp), which dispatches here or to the Newton-inverse
-// reverse-trick division by size.
+// division crossover (kFastDivCrossover); for large operands use
+// poly_divrem_auto (poly/fast_div.hpp), which dispatches here or to
+// the Newton-inverse reverse-trick division by size.
 template <class Field>
 void poly_divrem(const Poly& a, const Poly& b, const Field& fref, Poly* q,
                  Poly* r) {

@@ -2,11 +2,12 @@
 // Newton power-series inverses, reverse-trick fast division, the
 // middle/low product kernels, the subproduct-tree descent built on
 // them, and the crossover dispatch — all differentially against the
-// schoolbook kernels, which compute bit-identical words.
+// schoolbook kernels and Horner, which compute the same words.
 #include "poly/fast_div.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <random>
 
@@ -29,16 +30,6 @@ Poly random_poly(std::size_t deg, const PrimeField& f, std::mt19937_64& rng) {
   return p;
 }
 
-// RAII crossover override so a test forcing either path can never
-// leak its setting into the rest of the suite.
-class CrossoverGuard {
- public:
-  explicit CrossoverGuard(std::size_t forced) {
-    set_fastdiv_crossover(forced);
-  }
-  ~CrossoverGuard() { set_fastdiv_crossover(0); }
-};
-
 TEST(FastDiv, InverseSeriesIsPowerSeriesInverse) {
   PrimeField f(find_ntt_prime(1 << 16, 16));
   std::mt19937_64 rng(1);
@@ -57,17 +48,6 @@ TEST(FastDiv, InverseSeriesIsPowerSeriesInverse) {
                std::invalid_argument);
   EXPECT_THROW(poly_inverse_series(Poly::zero(), 4, f),
                std::invalid_argument);
-}
-
-TEST(FastDiv, InverseSeriesExtendsFromSeed) {
-  PrimeField f(find_ntt_prime(1 << 16, 16));
-  std::mt19937_64 rng(2);
-  Poly a = random_poly(30, f, rng);
-  a.c[0] = 7;
-  Poly g16 = poly_inverse_series(a, 16, f);
-  Poly g100 = poly_inverse_series(a, 100, f);
-  Poly ext = poly_inverse_series(a, 100, f, nullptr, &g16);
-  EXPECT_EQ(ext.c, g100.c);  // resuming from a prefix changes nothing
 }
 
 TEST(FastDiv, LowAndMiddleProductsMatchFullProduct) {
@@ -111,8 +91,8 @@ TEST_P(FastDivSizes, MatchesSchoolbookIncludingNonMonic) {
   }
 }
 
-// Sizes straddle the default crossover (256) and the minimum quotient
-// length on both axes, including degenerate and boundary shapes.
+// Sizes straddle the crossover (256) and the minimum quotient length
+// on both axes, including degenerate and boundary shapes.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, FastDivSizes,
     ::testing::Values(std::pair<std::size_t, std::size_t>{1, 1},
@@ -126,28 +106,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<std::size_t, std::size_t>{511, 257},
                       std::pair<std::size_t, std::size_t>{1024, 300},
                       std::pair<std::size_t, std::size_t>{2047, 1024}));
-
-TEST(FastDiv, PrecomputedInverseSkipsNewton) {
-  PrimeField f(find_ntt_prime(1 << 16, 16));
-  std::mt19937_64 rng(4);
-  Poly a = random_poly(900, f, rng);
-  Poly b = random_poly(400, f, rng);
-  b.c.back() = 1;  // monic, as every subproduct-tree node is
-  Poly rev_b;
-  rev_b.c.assign(b.c.rbegin(), b.c.rend());
-  const Poly inv = poly_inverse_series(rev_b, 501, f);
-  Poly q1, r1, q2, r2;
-  poly_divrem(a, b, f, &q1, &r1);
-  poly_divrem_fast(a, b, f, &q2, &r2, nullptr, &inv);
-  EXPECT_EQ(q1.c, q2.c);
-  EXPECT_EQ(r1.c, r2.c);
-  // A too-short prefix is extended, not discarded.
-  const Poly short_inv = poly_inverse_series(rev_b, 8, f);
-  Poly q3, r3;
-  poly_divrem_fast(a, b, f, &q3, &r3, nullptr, &short_inv);
-  EXPECT_EQ(q1.c, q3.c);
-  EXPECT_EQ(r1.c, r3.c);
-}
 
 TEST(FastDiv, BinaryFieldFallback) {
   // q = 2 runs MontgomeryField's identity-domain mode and has no NTT;
@@ -218,46 +176,41 @@ TEST(FastDiv, ThreeBackendBitIdentity) {
   EXPECT_EQ(rs.c, rm.c);
 }
 
-TEST(FastDiv, XgcdFastMatchesClassic) {
-  PrimeField f(find_ntt_prime(1 << 16, 16));
-  std::mt19937_64 rng(8);
-  Poly a = random_poly(700, f, rng), b = random_poly(650, f, rng);
-  for (int stop : {0, 100, 350, 699}) {
-    Poly g1, u1, v1, g2, u2, v2;
-    poly_xgcd_partial(a, b, stop, f, &g1, &u1, &v1);
-    poly_xgcd_partial_fast(a, b, stop, f, &g2, &u2, &v2);
-    EXPECT_EQ(g1.c, g2.c) << "stop=" << stop;
-    EXPECT_EQ(u1.c, u2.c) << "stop=" << stop;
-    EXPECT_EQ(v1.c, v2.c) << "stop=" << stop;
-  }
+TEST(FastDiv, DispatchRule) {
+  // poly_divrem_auto and the tree descent share one rule: divisor
+  // degree at least 256 and quotient at least 16 coefficients.
+  static_assert(kFastDivCrossover == 256 && kFastDivMinQuotient == 16);
+  static_assert(!fastdiv_pays(255, 4096));
+  static_assert(!fastdiv_pays(4096, 15));
+  static_assert(fastdiv_pays(256, 16));
+  SUCCEED();
 }
 
 TEST(FastDiv, TreeDescentMatchesHornerAtLargeDegree) {
-  // 4096 points: the top ~4 tree levels sit above the default
-  // crossover, so this exercises the cached-inverse descent for real.
+  // 4096 points: the top tree levels sit above the crossover, so the
+  // descent divides by Newton inversion there for real.
   PrimeField f(find_ntt_prime(1 << 16, 16));
   const std::size_t n = 4096;
   std::vector<u64> pts(n);
   std::iota(pts.begin(), pts.end(), u64{1});
-  SubproductTree tree(pts, f);
-  EXPECT_GT(tree.fast_nodes(), 0u);
   std::mt19937_64 rng(9);
   Poly p = random_poly(n - 1, f, rng);
-  auto fast = tree.evaluate(p, f);
+  auto fast = multipoint_evaluate(p, pts, f);
   for (std::size_t i = 0; i < n; i += 97) {  // sampled Horner check
     EXPECT_EQ(fast[i], poly_eval(p, pts[i], f)) << "i=" << i;
   }
   // Interpolation round-trips through the same descent.
-  Poly back = tree.interpolate(fast, f);
+  Poly back = interpolate(pts, fast, f);
   EXPECT_TRUE(poly_equal(back, p));
 }
 
-TEST(FastDiv, TreeOutputsIdenticalAcrossCrossoverSettings) {
-  // The schoolbook and fast descents must produce bit-identical
-  // values; force each path over the same inputs and compare, with an
-  // oversized dividend thrown in (root inverse extension path).
+TEST(FastDiv, TreeOutputsMatchHornerWithOversizedDividend) {
+  // An odd tree shape (carried-up nodes) and a dividend of degree
+  // 2n + 37, so the root division runs the Newton path with a quotient
+  // longer than the root itself; every value and the interpolant must
+  // match the schoolbook (Horner) words.
   PrimeField f(find_ntt_prime(1 << 16, 16));
-  const std::size_t n = 700;  // odd tree shape, carried-up nodes
+  const std::size_t n = 700;
   std::vector<u64> pts(n);
   std::iota(pts.begin(), pts.end(), u64{5});
   std::mt19937_64 rng(10);
@@ -265,50 +218,41 @@ TEST(FastDiv, TreeOutputsIdenticalAcrossCrossoverSettings) {
   std::vector<u64> vals(n);
   for (u64& v : vals) v = rng() % f.modulus();
 
-  std::vector<u64> eval_fast, eval_slow;
-  Poly interp_fast, interp_slow;
-  {
-    CrossoverGuard guard(4);  // everything above degree 4 goes fast
-    SubproductTree tree(pts, f);
-    EXPECT_GT(tree.fast_nodes(), 0u);
-    eval_fast = tree.evaluate(p, f);
-    interp_fast = tree.interpolate(vals, f);
+  const std::vector<u64> got = multipoint_evaluate(p, pts, f);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(got[i], poly_eval(p, pts[i], f)) << "i=" << i;
   }
-  {
-    CrossoverGuard guard(1u << 30);  // schoolbook everywhere
-    SubproductTree tree(pts, f);
-    EXPECT_EQ(tree.fast_nodes(), 0u);
-    eval_slow = tree.evaluate(p, f);
-    interp_slow = tree.interpolate(vals, f);
+  const Poly interp = interpolate(pts, vals, f);
+  EXPECT_LT(interp.degree(), static_cast<int>(n));
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(poly_eval(interp, pts[i], f), vals[i]) << "i=" << i;
   }
-  EXPECT_EQ(eval_fast, eval_slow);
-  EXPECT_EQ(interp_fast.c, interp_slow.c);
 }
 
-TEST(FastDiv, GaoDecodeUnchangedByCrossover) {
-  // The decoder's interpolation, EEA and re-encode all route through
-  // the new kernels; forcing either path must not move a single word
-  // of the result.
+TEST(FastDiv, GaoDecodeOnEitherSideOfCrossover) {
+  // The decoder's last step divides by the error locator, whose degree
+  // is the error count: 150 errors keep it on schoolbook elimination,
+  // 300 put it on the Newton path (quotient 200 coefficients). Both
+  // must return the message and exactly the corrupted positions.
   PrimeField f(find_ntt_prime(2048, 12));
   std::mt19937_64 rng(11);
   Poly msg = random_poly(199, f, rng);
-  auto decode_with = [&](std::size_t crossover) {
-    CrossoverGuard guard(crossover);
-    ReedSolomonCode code(f, 199, std::size_t{600});
-    auto word = code.encode(msg);
-    for (std::size_t i = 0; i < 150; ++i) {  // within radius (200)
-      word[(7 * i) % word.size()] ^= 1;
+  ReedSolomonCode code(f, 199, std::size_t{1200});  // radius 500
+  const std::vector<u64> clean = code.encode(msg);
+  for (const std::size_t errors : {std::size_t{150}, std::size_t{300}}) {
+    std::vector<u64> word = clean;
+    std::vector<std::size_t> where;
+    for (std::size_t i = 0; i < errors; ++i) {
+      where.push_back((7 * i) % word.size());
+      word[where.back()] ^= 1;
     }
-    return gao_decode(code, word);
-  };
-  GaoResult fast = decode_with(4);
-  GaoResult slow = decode_with(1u << 30);
-  ASSERT_EQ(fast.status, DecodeStatus::kOk);
-  ASSERT_EQ(slow.status, DecodeStatus::kOk);
-  EXPECT_EQ(fast.message.c, slow.message.c);
-  EXPECT_EQ(fast.message.c, msg.c);
-  EXPECT_EQ(fast.error_locations, slow.error_locations);
-  EXPECT_EQ(fast.corrected, slow.corrected);
+    std::sort(where.begin(), where.end());
+    const GaoResult res = gao_decode(code, word);
+    ASSERT_EQ(res.status, DecodeStatus::kOk) << "errors=" << errors;
+    EXPECT_EQ(res.message.c, msg.c) << "errors=" << errors;
+    EXPECT_EQ(res.error_locations, where) << "errors=" << errors;
+    EXPECT_EQ(res.corrected, clean) << "errors=" << errors;
+  }
 }
 
 TEST(FastDiv, SystematicEncodeAgreesWithDecoder) {
@@ -347,12 +291,14 @@ TEST(FastDiv, SystematicEncodeRateOneCode) {
   EXPECT_EQ(code.encode_systematic(msg), msg);
 }
 
-TEST(FastDiv, GoldenSessionEqualityOnNewDescent) {
-  // run_streaming vs the composed whole-session stages with every
-  // tree division forced through the fast path: reports must stay
-  // bit-for-bit equal, and equal to the default-crossover reference.
-  OrthogonalVectorsProblem problem(BoolMatrix::random(8, 5, 0.35, 21),
-                                   BoolMatrix::random(8, 5, 0.35, 42));
+TEST(FastDiv, GoldenSessionEqualityOnFastRecover) {
+  // OV over 300 rows: recover reads the proof at 1..300 through a
+  // tree whose root and 256-point child divide by Newton inversion.
+  // run_streaming, the composed whole-session stages and run() must
+  // report bit-for-bit equal answers, equal to brute force.
+  const BoolMatrix a = BoolMatrix::random(300, 4, 0.35, 21);
+  const BoolMatrix b = BoolMatrix::random(300, 4, 0.35, 42);
+  OrthogonalVectorsProblem problem(a, b);
   ClusterConfig cfg;
   cfg.num_nodes = 4;
   cfg.redundancy = 2.0;
@@ -360,32 +306,35 @@ TEST(FastDiv, GoldenSessionEqualityOnNewDescent) {
 
   RunReport reference = ProofSession(problem, cfg).run();
   ASSERT_TRUE(reference.success);
-
-  CrossoverGuard guard(2);
-  auto codes = std::make_shared<CodeCache>();  // fresh trees under the
-                                               // forced crossover
-  ProofSession streaming(problem, cfg, nullptr, nullptr, codes);
-  RunReport a = streaming.run_streaming(LosslessStreamingChannel());
-  ProofSession barrier(problem, cfg, nullptr, nullptr, codes);
-  RunReport b = barrier.prepare()
-                    .transport()
-                    .decode()
-                    .verify()
-                    .recover()
-                    .report();
-
-  ASSERT_TRUE(a.success);
-  ASSERT_TRUE(b.success);
-  ASSERT_EQ(a.answers.size(), reference.answers.size());
-  for (std::size_t i = 0; i < a.answers.size(); ++i) {
-    EXPECT_EQ(a.answers[i], b.answers[i]);
-    EXPECT_EQ(a.answers[i], reference.answers[i]);
+  const std::vector<u64> brute = count_orthogonal_brute(a, b);
+  ASSERT_EQ(reference.answers.size(), brute.size());
+  for (std::size_t i = 0; i < brute.size(); ++i) {
+    EXPECT_EQ(reference.answers[i].to_u64(), brute[i]) << "row " << i;
   }
-  for (std::size_t pi = 0; pi < a.per_prime.size(); ++pi) {
-    EXPECT_EQ(a.per_prime[pi].answer_residues,
-              b.per_prime[pi].answer_residues);
-    EXPECT_EQ(a.per_prime[pi].corrected_symbols,
-              b.per_prime[pi].corrected_symbols);
+
+  auto codes = std::make_shared<CodeCache>();
+  ProofSession streaming(problem, cfg, nullptr, nullptr, codes);
+  RunReport ra = streaming.run_streaming(LosslessStreamingChannel());
+  ProofSession barrier(problem, cfg, nullptr, nullptr, codes);
+  RunReport rb = barrier.prepare()
+                     .transport()
+                     .decode()
+                     .verify()
+                     .recover()
+                     .report();
+
+  ASSERT_TRUE(ra.success);
+  ASSERT_TRUE(rb.success);
+  ASSERT_EQ(ra.answers.size(), reference.answers.size());
+  for (std::size_t i = 0; i < ra.answers.size(); ++i) {
+    EXPECT_EQ(ra.answers[i], rb.answers[i]);
+    EXPECT_EQ(ra.answers[i], reference.answers[i]);
+  }
+  for (std::size_t pi = 0; pi < ra.per_prime.size(); ++pi) {
+    EXPECT_EQ(ra.per_prime[pi].answer_residues,
+              rb.per_prime[pi].answer_residues);
+    EXPECT_EQ(ra.per_prime[pi].corrected_symbols,
+              rb.per_prime[pi].corrected_symbols);
   }
 }
 

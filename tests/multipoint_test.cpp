@@ -4,6 +4,8 @@
 
 #include <numeric>
 #include <random>
+#include <string>
+#include <tuple>
 
 #include "field/field_cache.hpp"
 #include "field/primes.hpp"
@@ -19,17 +21,38 @@ Poly random_poly(std::size_t deg, const PrimeField& f, std::mt19937_64& rng) {
   return p;
 }
 
-class TreeSizes : public ::testing::TestWithParam<std::size_t> {};
+std::string backend_name(FieldBackend b) {
+  switch (b) {
+    case FieldBackend::kPrimeDivision: return "division";
+    case FieldBackend::kMontgomery: return "montgomery";
+    case FieldBackend::kMontgomeryAvx2: return "avx2";
+    case FieldBackend::kMontgomeryAvx512: return "avx512";
+  }
+  return "unknown";
+}
+
+// Point counts on both sides of the fast-division crossover
+// (kFastDivCrossover = 256): from 511 points up, the descent divides
+// some nodes by Newton inversion, and the smaller trees stay on
+// schoolbook elimination throughout. Every backend runs every size.
+class TreeSizes
+    : public ::testing::TestWithParam<std::tuple<std::size_t, FieldBackend>> {
+};
 
 TEST_P(TreeSizes, EvaluateMatchesHorner) {
   PrimeField f(find_ntt_prime(1 << 12, 12));
-  std::mt19937_64 rng(GetParam());
-  const std::size_t n = GetParam();
+  const auto [n, backend] = GetParam();
+  FieldCache cache;
+  const FieldOps ops = cache.ops(f.modulus(), 2 * n, backend);
+  if (ops.backend() != backend) {
+    GTEST_SKIP() << backend_name(backend)
+                 << " unavailable on this host or forced off";
+  }
+  std::mt19937_64 rng(n);
   std::vector<u64> pts(n);
   std::iota(pts.begin(), pts.end(), u64{1});
-  SubproductTree tree(pts, f);
   Poly p = random_poly(n - 1, f, rng);
-  auto fast = tree.evaluate(p, f);
+  auto fast = multipoint_evaluate(p, pts, ops);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(fast[i], poly_eval(p, pts[i], f)) << "i=" << i << " n=" << n;
   }
@@ -37,50 +60,67 @@ TEST_P(TreeSizes, EvaluateMatchesHorner) {
 
 TEST_P(TreeSizes, InterpolateRoundTrip) {
   PrimeField f(find_ntt_prime(1 << 12, 12));
-  std::mt19937_64 rng(GetParam() + 100);
-  const std::size_t n = GetParam();
+  const auto [n, backend] = GetParam();
+  FieldCache cache;
+  const FieldOps ops = cache.ops(f.modulus(), 2 * n, backend);
+  if (ops.backend() != backend) {
+    GTEST_SKIP() << backend_name(backend)
+                 << " unavailable on this host or forced off";
+  }
+  std::mt19937_64 rng(n + 100);
   std::vector<u64> pts(n), vals(n);
   std::iota(pts.begin(), pts.end(), u64{3});
   for (u64& v : vals) v = rng() % f.modulus();
-  SubproductTree tree(pts, f);
-  Poly p = tree.interpolate(vals, f);
+  Poly p = interpolate(pts, vals, ops);
   EXPECT_LT(p.degree(), static_cast<int>(n));
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(poly_eval(p, pts[i], f), vals[i]);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, TreeSizes,
-                         ::testing::Values(1, 2, 3, 5, 7, 8, 9, 16, 33, 100,
-                                           128, 200));
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, TreeSizes,
+    ::testing::Combine(
+        ::testing::Values(1, 2, 3, 5, 7, 8, 9, 16, 33, 100, 128, 200, 255, 256,
+                          257, 511, 513, 1024, 2048),
+        ::testing::Values(FieldBackend::kPrimeDivision,
+                          FieldBackend::kMontgomery,
+                          FieldBackend::kMontgomeryAvx2,
+                          FieldBackend::kMontgomeryAvx512)),
+    [](const auto& info) {
+      return "n" + std::to_string(std::get<0>(info.param)) + "_" +
+             backend_name(std::get<1>(info.param));
+    });
 
-TEST(SubproductTree, RootIsProductOfLinearFactors) {
+TEST(Multipoint, InterpolatesProductOfLinearFactors) {
+  // The values of (x-2)(x-5)(x-11) at its roots and at x = 1 determine
+  // it: the interpolant is that monic cubic.
   PrimeField f(97);
-  std::vector<u64> pts = {2, 5, 11};
-  SubproductTree tree(pts, f);
-  const Poly& root = tree.root();
-  EXPECT_EQ(root.degree(), 3);
-  for (u64 x : pts) EXPECT_EQ(poly_eval(root, x, f), 0u);
-  EXPECT_NE(poly_eval(root, 1, f), 0u);
-  // Monic.
-  EXPECT_EQ(root.c.back(), 1u);
+  const std::vector<u64> roots = {2, 5, 11};
+  Poly want = Poly::constant(1, f);
+  for (u64 x : roots) want = poly_mul(want, Poly::linear_root(x, f), f);
+  const std::vector<u64> pts = {2, 5, 11, 1};
+  const std::vector<u64> vals = {0, 0, 0, poly_eval(want, 1, f)};
+  const Poly got = interpolate(pts, vals, f);
+  EXPECT_EQ(got.degree(), 3);
+  EXPECT_EQ(got.c.back(), 1u);
+  EXPECT_TRUE(poly_equal(got, want));
 }
 
-TEST(SubproductTree, EvaluateHighDegreePolynomial) {
+TEST(Multipoint, EvaluateHighDegreePolynomial) {
   // Degree of p far exceeds the number of points: the top-level
   // reduction mod the root must kick in.
   PrimeField f(7681);
   std::mt19937_64 rng(9);
   std::vector<u64> pts = {1, 2, 3, 4, 5};
-  SubproductTree tree(pts, f);
   Poly p = random_poly(60, f, rng);
-  auto got = tree.evaluate(p, f);
+  auto got = multipoint_evaluate(p, pts, f);
   for (std::size_t i = 0; i < pts.size(); ++i) {
     EXPECT_EQ(got[i], poly_eval(p, pts[i], f));
   }
 }
 
-TEST(SubproductTree, InterpolationRecoversPolynomial) {
+TEST(Multipoint, InterpolationRecoversPolynomial) {
   PrimeField f(7681);
   std::mt19937_64 rng(10);
   Poly p = random_poly(20, f, rng);
@@ -91,12 +131,15 @@ TEST(SubproductTree, InterpolationRecoversPolynomial) {
   EXPECT_TRUE(poly_equal(p, q));
 }
 
-TEST(SubproductTree, RejectsEmptyAndMismatch) {
+TEST(Multipoint, RejectsEmptyAndMismatch) {
   PrimeField f(17);
-  EXPECT_THROW(SubproductTree({}, f), std::invalid_argument);
-  SubproductTree tree(std::vector<u64>{1, 2}, f);
-  std::vector<u64> vals = {1};
-  EXPECT_THROW(tree.interpolate(vals, f), std::invalid_argument);
+  const std::vector<u64> none;
+  EXPECT_THROW(multipoint_evaluate(Poly{{1, 2}}, none, f),
+               std::invalid_argument);
+  EXPECT_THROW(interpolate(none, none, f), std::invalid_argument);
+  const std::vector<u64> pts = {1, 2};
+  const std::vector<u64> vals = {1};
+  EXPECT_THROW(interpolate(pts, vals, f), std::invalid_argument);
 }
 
 // ---- Recovery kernels ----------------------------------------------------
@@ -173,6 +216,27 @@ TEST(RecoveryKernels, MatchHornerOnRangesLongerThanTheModulus) {
   // fits the field, so every product runs on Karatsuba.
   expect_kernels_match_horner(97, 0, 300);
   expect_kernels_match_horner(97, 5, 392);  // exactly 4q points
+}
+
+TEST(RecoveryKernels, RangeEvaluateMatchesHornerOnTheRecoverShapes) {
+  // The OV recovers: a degree-4064 proof read at 1..48 (ov-service)
+  // and 1..128 (ov-receive), where every node stays below the
+  // fast-division crossover, and at 1..300, where the root and its
+  // 256-point child divide by Newton inversion.
+  const u64 q = find_ntt_prime(1 << 20, 16);
+  const PrimeField f(q);
+  FieldCache cache;
+  const std::vector<FieldOps> backends = runnable_backends(q, cache);
+  std::mt19937_64 rng(4064);
+  const Poly p = random_poly(4064, f, rng);
+  for (const u64 hi : {u64{48}, u64{128}, u64{300}}) {
+    std::vector<u64> reads;
+    for (u64 r = 1; r <= hi; ++r) reads.push_back(poly_eval(p, r, f));
+    for (const FieldOps& ops : backends) {
+      EXPECT_EQ(range_evaluate(p, 1, hi, ops), reads)
+          << "hi=" << hi << " backend=" << int(ops.backend());
+    }
+  }
 }
 
 TEST(RecoveryKernels, EmptyRangeAndTopOfU64) {
