@@ -4,7 +4,6 @@
 #include <random>
 
 #include "field/primes.hpp"
-#include "poly/hgcd.hpp"
 #include "rs/gao.hpp"
 
 namespace camelot {
@@ -57,40 +56,6 @@ void BM_GaoDecodeAtRadius(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GaoDecodeAtRadius)->Range(256, 4096);
-
-// A/B pair for the remainder-sequence engine at the decoding radius
-// (the regime where the EEA dominates): same code shape, one instance
-// captured under an infinite half-GCD crossover (pure classical EEA),
-// one under the default crossover (recursive cascade). Outputs are
-// bit-identical; only the quotient-sequence algorithm differs.
-void gao_at_radius_ab(benchmark::State& state, std::size_t crossover) {
-  const auto e = static_cast<std::size_t>(state.range(0));
-  PrimeField f(find_ntt_prime(4 * e, 20));
-  set_hgcd_crossover(crossover);
-  ReedSolomonCode code(f, e / 3, e);
-  set_hgcd_crossover(0);  // restore default
-  std::mt19937_64 rng(4);
-  Poly msg;
-  msg.c.resize(e / 3 + 1);
-  for (u64& v : msg.c) v = rng() % f.modulus();
-  auto cw = code.encode(msg);
-  for (std::size_t i = 0; i < code.decoding_radius(); ++i) {
-    cw[i] = f.add(cw[i], 1 + rng() % (f.modulus() - 1));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gao_decode(code, cw));
-  }
-}
-
-void BM_GaoDecodeAtRadiusClassical(benchmark::State& state) {
-  gao_at_radius_ab(state, std::size_t{1} << 30);
-}
-BENCHMARK(BM_GaoDecodeAtRadiusClassical)->Range(256, 4096);
-
-void BM_GaoDecodeAtRadiusHgcd(benchmark::State& state) {
-  gao_at_radius_ab(state, 0);
-}
-BENCHMARK(BM_GaoDecodeAtRadiusHgcd)->Range(256, 4096);
 
 // Systematic encode: message symbols pass through verbatim, parity
 // comes from the lazily built message subtree. Contrast with

@@ -147,9 +147,8 @@ class ProofService {
     // Gao-decoder work aggregated over completed jobs' primes:
     // genuine Euclidean quotient steps, and entries into the half-GCD
     // routine (one per decode when the remainder sequence stays below
-    // the crossover, more when the recursive cascade engages). The
-    // ratio steps/calls is the dense-error signal a deployment watches
-    // when tuning CAMELOT_HGCD_CROSSOVER.
+    // kHgcdCrossover, more when the recursive cascade engages). The
+    // ratio steps/calls shows how dense the corrected errors were.
     std::size_t decode_quotient_steps = 0;
     std::size_t decode_hgcd_calls = 0;
     // Selective-repair work aggregated over completed jobs' primes:

@@ -13,7 +13,7 @@
 // kPrimeDivision carries a different value representation (canonical
 // words, not Montgomery domain), so call sites that support it keep
 // their explicit division branch and consult this helper for the
-// rest — see rs/gao.cpp for the pattern.
+// rest — rs/gao.cpp's remainder-sequence dispatch is the pattern.
 #pragma once
 
 #include <utility>

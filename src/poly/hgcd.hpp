@@ -27,12 +27,12 @@
 // are bit-identical to poly_xgcd_partial — same normalization, same
 // exit state — on every backend.
 //
-// Crossover: below a tuned reduction budget (deg a - stop_degree) the
-// classical loop's small constant wins; the recursion base-cases to
-// it. Default from the BENCH_field.json gao_hgcd sweep, overridable
-// with CAMELOT_HGCD_CROSSOVER (read once) or set_hgcd_crossover —
-// CAMELOT_HGCD_CROSSOVER=1 forces the recursive path everywhere (the
-// CI sanitizer leg), a huge value forces the classical loop.
+// Crossover: below a reduction budget (deg a - stop_degree) of
+// kHgcdCrossover the classical loop's small constant wins; the
+// recursion base-cases to it. The value comes from the BENCH_field.json
+// remainder-sequence sweep and is a compile-time constant. Tests reach
+// either path through hgcd_detail::xgcd_partial's `crossover` argument
+// (1 forces the cascade everywhere, a huge value the classical loop).
 #pragma once
 
 #include <algorithm>
@@ -51,23 +51,22 @@ namespace camelot {
 
 // Reduction budget (deg a - stop_degree) at and above which
 // poly_xgcd_partial_hgcd leaves the classical loop for the recursive
-// half-GCD cascade.
-std::size_t hgcd_crossover() noexcept;
-
-// Overrides the crossover for this process (0 restores the default /
-// environment value). Codes built afterwards capture the new value;
-// intended for tests and bench A/B sweeps.
-void set_hgcd_crossover(std::size_t budget) noexcept;
+// half-GCD cascade: the matrix products need a budget of a few NTT
+// blocks before their transforms amortize over the classical loop's
+// tiny per-step constant.
+inline constexpr std::size_t kHgcdCrossover = 64;
 
 // Observability counters for one partial-xgcd run (exported through
-// GaoResult / ProofService::Stats so crossover tuning is visible in
-// bench output).
+// GaoResult / ProofService::Stats, so which path a decode took is
+// visible in bench output).
 struct XgcdStats {
   // Genuine Euclidean quotient steps performed (classical base-case
   // steps, middle steps, and fallback re-runs all count; the
   // certified matrix steps count once per quotient they encode).
   std::size_t quotient_steps = 0;
-  // hgcd_reduce invocations (0 on a pure classical run).
+  // hgcd_reduce invocations: 1 when the budget is below the crossover
+  // and the entry call runs the classical loop, 0 when the prelude
+  // already ends the sequence.
   std::size_t hgcd_calls = 0;
 };
 
@@ -377,94 +376,72 @@ Reduced hgcd_reduce(const Poly& a, const Poly& b, int t, const Field& f,
   return r;
 }
 
-}  // namespace hgcd_detail
-
-// Half-GCD partial extended Euclidean algorithm: semantics, exit
-// state, and every output word identical to poly_xgcd_partial.
-// `crossover` 0 means hgcd_crossover();
-// ReedSolomonCode passes the value it was cache-keyed under. `stats`,
-// when non-null, receives the quotient-step / recursion counters.
+// The partial xgcd behind poly_xgcd_partial_hgcd, with the
+// crossover as an argument: the public function passes kHgcdCrossover,
+// tests pass 1 (cascade everywhere) or a huge value (classical loop)
+// to pin either path on the same operands.
 template <class Field>
-void poly_xgcd_partial_hgcd(const Poly& a, const Poly& b, int stop_degree,
-                            const Field& f, Poly* g, Poly* u, Poly* v,
-                            const NttTables* tables = nullptr,
-                            XgcdStats* stats = nullptr,
-                            std::size_t crossover = 0) {
-  if (crossover == 0) crossover = hgcd_crossover();
-  XgcdStats local;
-  XgcdStats& st = stats != nullptr ? *stats : local;
-
+void xgcd_partial(const Poly& a, const Poly& b, int stop_degree,
+                  const Field& f, Poly* g, Poly* u, Poly* v,
+                  const NttTables* tables, XgcdStats& stats,
+                  std::size_t crossover) {
   Poly r0 = a, r1 = b;
   r0.trim();
   r1.trim();
-  Poly u0 = Poly::constant(f.one(), f), u1 = Poly::zero();
-  Poly v0 = Poly::zero(), v1 = Poly::constant(f.one(), f);
   // Classical prelude until deg r0 > deg r1 (at most two steps; the
-  // Gao shape never needs any). The recursion's descent lemma needs
-  // the strict inequality.
+  // Gao shape never needs any, so the prelude stays the identity). The
+  // recursion's descent lemma needs the strict inequality.
+  PolyMat22 prelude = mat_identity(f);
   while (!r1.is_zero() && r0.degree() >= stop_degree &&
          r0.degree() <= r1.degree()) {
-    Poly qt, rem;
-    poly_divrem_auto(r0, r1, f, &qt, &rem, tables);
-    ++st.quotient_steps;
-    Poly u2 = poly_sub(u0, poly_mul(qt, u1, f), f);
-    Poly v2 = poly_sub(v0, poly_mul(qt, v1, f), f);
+    Poly q, rem;
+    poly_divrem_auto(r0, r1, f, &q, &rem, tables);
+    ++stats.quotient_steps;
+    mat_step(prelude, q, f, tables);
     r0 = std::move(r1);
     r1 = std::move(rem);
-    u0 = std::move(u1);
-    u1 = std::move(u2);
-    v0 = std::move(v1);
-    v1 = std::move(v2);
   }
   if (r1.is_zero() || r0.degree() < stop_degree) {
     if (g != nullptr) *g = std::move(r0);
-    if (u != nullptr) *u = std::move(u0);
-    if (v != nullptr) *v = std::move(v0);
+    if (u != nullptr) *u = std::move(prelude.m00);
+    if (v != nullptr) *v = std::move(prelude.m01);
     return;
   }
 
   const int t = stop_degree > 0 ? stop_degree : 0;
-  hgcd_detail::Reduced red =
-      hgcd_detail::hgcd_reduce(r0, r1, t, f, tables, st, crossover);
-  // Compose the reduction matrix with the prelude cofactors: row 0 is
-  // (u, v) of c, row 1 of d. The classical loop exits on the first
-  // remainder below the stop degree — d when it exists, else the
-  // last nonzero remainder c.
-  const auto row = [&](const Poly& mu, const Poly& mv, Poly* out_u,
-                       Poly* out_v) {
-    if (out_u != nullptr) {
-      *out_u = poly_add(hgcd_detail::mat_mul_poly(mu, u0, f, tables),
-                        hgcd_detail::mat_mul_poly(mv, u1, f, tables), f);
-    }
-    if (out_v != nullptr) {
-      *out_v = poly_add(hgcd_detail::mat_mul_poly(mu, v0, f, tables),
-                        hgcd_detail::mat_mul_poly(mv, v1, f, tables), f);
-    }
-  };
-  if (red.m.identity) {
-    // deg r1 < t already: the classical loop would run exactly one
-    // more step (its condition only looks at r0) and exit with r1
-    // and r1's current cofactors.
-    ++st.quotient_steps;
-    if (g != nullptr) *g = std::move(r1);
-    if (u != nullptr) *u = std::move(u1);
-    if (v != nullptr) *v = std::move(v1);
-    return;
-  }
-  if (red.d.is_zero()) {
-    if (g != nullptr) *g = std::move(red.c);
-    row(red.m.m00, red.m.m01, u, v);
-  } else {
-    if (g != nullptr) *g = std::move(red.d);
-    row(red.m.m10, red.m.m11, u, v);
-  }
+  Reduced red = hgcd_reduce(r0, r1, t, f, tables, stats, crossover);
+  // Row 0 of the composed matrix holds the cofactors of c, row 1 those
+  // of d. The classical loop exits on the first remainder below the
+  // stop degree: d when it exists, else the last nonzero remainder c.
+  PolyMat22 m = mat_mul(red.m, prelude, f, tables);
+  const bool last = red.d.is_zero();
+  if (g != nullptr) *g = std::move(last ? red.c : red.d);
+  if (u != nullptr) *u = std::move(last ? m.m00 : m.m10);
+  if (v != nullptr) *v = std::move(last ? m.m01 : m.m11);
+}
+
+}  // namespace hgcd_detail
+
+// Half-GCD partial extended Euclidean algorithm: semantics, exit
+// state, and every output word identical to poly_xgcd_partial.
+// `stats`, when non-null, receives the quotient-step / recursion
+// counters.
+template <class Field>
+void poly_xgcd_partial_hgcd(const Poly& a, const Poly& b, int stop_degree,
+                            const Field& f, Poly* g, Poly* u, Poly* v,
+                            const NttTables* tables = nullptr,
+                            XgcdStats* stats = nullptr) {
+  XgcdStats local;
+  hgcd_detail::xgcd_partial(a, b, stop_degree, f, g, u, v, tables,
+                            stats != nullptr ? *stats : local,
+                            kHgcdCrossover);
 }
 
 // The supported backends are instantiated once in hgcd.cpp.
 #define CAMELOT_HGCD_EXTERN(Field)                                        \
-  extern template void poly_xgcd_partial_hgcd<Field>(                     \
+  extern template void hgcd_detail::xgcd_partial<Field>(                  \
       const Poly&, const Poly&, int, const Field&, Poly*, Poly*, Poly*,   \
-      const NttTables*, XgcdStats*, std::size_t);
+      const NttTables*, XgcdStats&, std::size_t);
 
 CAMELOT_HGCD_EXTERN(PrimeField)
 CAMELOT_HGCD_EXTERN(MontgomeryField)

@@ -3,22 +3,14 @@
 #include <string>
 #include <utility>
 
-#include "poly/hgcd.hpp"
-
 namespace camelot {
 
 std::shared_ptr<const ReedSolomonCode> CodeCache::code(
     const FieldOps& ops, std::size_t degree_bound, std::size_t length) {
-  // The hgcd crossover participates in the key: the code captures the
-  // crossover its decoder dispatches under, so an instance built under
-  // a different setting is value-identical but runs the wrong path — an
-  // A/B sweep or a CAMELOT_HGCD_CROSSOVER override must not be served
-  // stale instances.
   std::string key = std::to_string(ops.prime().modulus()) + '/' +
                     std::to_string(degree_bound) + '/' +
                     std::to_string(length) + '/' +
-                    std::to_string(static_cast<int>(ops.backend())) + '/' +
-                    std::to_string(hgcd_crossover());
+                    std::to_string(static_cast<int>(ops.backend()));
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = codes_.find(key);

@@ -5,7 +5,7 @@
 // factors of the whole word and of the message prefix, and Gao's G0:
 // a few length-n NTTs plus two vanishing-polynomial products per
 // prime. CodeCache keys the built code by (prime, degree bound,
-// length, resolved backend, hgcd crossover) and hands out shared
+// length, resolved backend) and hands out shared
 // immutable instances: a ReedSolomonCode is deep-const after
 // construction (everything is built in the constructor), so
 // concurrent sessions can decode against one instance.

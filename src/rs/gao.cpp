@@ -1,5 +1,6 @@
 #include "rs/gao.hpp"
 
+#include "field/backend_dispatch.hpp"
 #include "obs/trace.hpp"
 #include "poly/fast_div.hpp"
 #include "poly/hgcd.hpp"
@@ -11,20 +12,18 @@ namespace {
 // The remainder-sequence core, templated over the backend exactly like
 // the poly kernels it drives. g0/g1 and the returned message are in
 // the backend's value domain; the caller handles boundary conversion.
-// The remainder sequence runs through the half-GCD dispatcher at the
-// code's captured crossover; every quotient step (and the final
-// exactness division) dispatches through the Newton-inverse fast
-// division when the operand degrees warrant it, reusing the code's
-// cached twiddle tables.
+// The remainder sequence runs through the half-GCD engine; every
+// quotient step (and the final exactness division) dispatches through
+// the Newton-inverse fast division when the operand degrees warrant
+// it, reusing the code's cached twiddle tables.
 template <class Field>
-bool gao_core(const Poly& g0, Poly g1, std::size_t e, std::size_t d,
+bool gao_core(const Poly& g0, const Poly& g1, std::size_t e, std::size_t d,
               const Field& f, Poly* message, const NttTables* tables,
-              std::size_t hgcd_crossover, XgcdStats* stats) {
+              XgcdStats* stats) {
   // Stop when deg G < (e + d + 1) / 2.
   const int stop = static_cast<int>((e + d + 1) / 2);
   Poly g, u, v;
-  poly_xgcd_partial_hgcd(g0, g1, stop, f, &g, &u, &v, tables, stats,
-                         hgcd_crossover);
+  poly_xgcd_partial_hgcd(g0, g1, stop, f, &g, &u, &v, tables, stats);
 
   Poly p, r;
   if (v.is_zero()) return false;
@@ -35,10 +34,6 @@ bool gao_core(const Poly& g0, Poly g1, std::size_t e, std::size_t d,
   *message = std::move(p);
   return true;
 }
-
-}  // namespace
-
-namespace {
 
 // Decode core over boundary-prepared words: `canonical` holds the
 // received word as canonical representatives, `domain` the same word
@@ -70,10 +65,7 @@ GaoResult gao_decode_prepared(const ReedSolomonCode& code,
   const std::size_t e = code.length();
   const std::size_t d = code.degree_bound();
 
-  // Both Montgomery backends share the domain handling; only the
-  // remainder-sequence instantiation differs between them.
-  const FieldBackend backend = ops.backend();
-  const bool montgomery = backend != FieldBackend::kPrimeDivision;
+  const bool montgomery = ops.backend() != FieldBackend::kPrimeDivision;
 
   // Interpolate G1 through the received word, in the backend's domain.
   Poly g1 = code.interpolate_domain(domain);
@@ -88,27 +80,20 @@ GaoResult gao_decode_prepared(const ReedSolomonCode& code,
     return out;
   }
 
-  // Run the remainder sequence on the selected backend. Both paths
-  // compute identical field values; only the representation (and the
+  // Run the remainder sequence on the selected backend. Every backend
+  // computes identical field values; only the representation (and the
   // per-multiply cost) differs.
   Poly message;
-  bool ok;
-  const NttTables* tables = ops.ntt_tables().get();
-  const std::size_t crossover = code.hgcd_crossover();
   XgcdStats stats;
   const Poly& g0 = code.vanishing_domain();
-  if (backend == FieldBackend::kMontgomeryAvx512) {
-    ok = gao_core(g0, std::move(g1), e, d, MontgomeryAvx512Field(ops.mont()),
-                  &message, tables, crossover, &stats);
-  } else if (backend == FieldBackend::kMontgomeryAvx2) {
-    ok = gao_core(g0, std::move(g1), e, d, MontgomeryAvx2Field(ops.mont()),
-                  &message, tables, crossover, &stats);
-  } else if (montgomery) {
-    ok = gao_core(g0, std::move(g1), e, d, ops.mont(), &message, tables,
-                  crossover, &stats);
+  bool ok;
+  if (montgomery) {
+    ok = with_lane_field(ops.backend(), ops.mont(), [&](const auto& lane) {
+      return gao_core(g0, g1, e, d, lane, &message, ops.ntt_tables().get(),
+                      &stats);
+    });
   } else {
-    ok = gao_core(g0, std::move(g1), e, d, f, &message, nullptr, crossover,
-                  &stats);
+    ok = gao_core(g0, g1, e, d, f, &message, nullptr, &stats);
   }
   out.quotient_steps = stats.quotient_steps;
   out.hgcd_calls = stats.hgcd_calls;

@@ -33,8 +33,9 @@ struct GaoResult {
   std::vector<u64> corrected;
   // Remainder-sequence observability (valid for every status): genuine
   // Euclidean quotient steps taken and half-GCD recursion invocations
-  // (0 when the budget stayed below the crossover and the sequence ran
-  // classically). ProofService aggregates these into its Stats.
+  // (1 when the budget stays below kHgcdCrossover and the sequence
+  // runs classically, 0 for a clean word). ProofService aggregates
+  // these into its Stats.
   std::size_t quotient_steps = 0;
   std::size_t hgcd_calls = 0;
 };
@@ -43,13 +44,12 @@ struct GaoResult {
 // (three length-n NTTs, n = bit_ceil(e)) and the re-encode (one) run
 // on the code's subgroup tables; the Euclidean remainder sequence runs
 // through the half-GCD cascade (poly/hgcd.hpp) when the reduction
-// budget deg G0 - stop is at or past the code's captured
-// hgcd_crossover() — O(e log^2 e) even for the dense error patterns
-// whose many degree-1 quotients used to cost Theta(e^2) — and stays
-// on the classical fast-division loop (poly/fast_div.hpp) below it.
-// Both paths emit the same genuine quotient sequence, so the choice
-// never moves an output word. A clean word stops after the
-// interpolation.
+// budget deg G0 - stop is at least the constant kHgcdCrossover —
+// O(e log^2 e) even for the dense error patterns whose many degree-1
+// quotients used to cost Theta(e^2) — and stays on the classical
+// fast-division loop (poly/fast_div.hpp) below it. Both paths emit
+// the same genuine quotient sequence, so the choice never moves an
+// output word. A clean word stops after the interpolation.
 GaoResult gao_decode(const ReedSolomonCode& code,
                      std::span<const u64> received);
 

@@ -8,7 +8,6 @@
 
 #include "field/backend_dispatch.hpp"
 #include "poly/fast_div.hpp"
-#include "poly/hgcd.hpp"
 
 namespace camelot {
 
@@ -59,8 +58,7 @@ ReedSolomonCode::ReedSolomonCode(const FieldOps& f, std::size_t degree_bound,
                                  std::size_t length)
     : ops_(f),
       degree_bound_(degree_bound),
-      n_(std::bit_ceil(length)),
-      hgcd_crossover_(camelot::hgcd_crossover()) {
+      n_(std::bit_ceil(length)) {
   if (length == 0) {
     throw std::invalid_argument("ReedSolomonCode: no points");
   }

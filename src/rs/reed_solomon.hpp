@@ -66,11 +66,6 @@ class ReedSolomonCode {
   std::size_t decoding_radius() const noexcept {
     return (points_.size() - degree_bound_ - 1) / 2;
   }
-  // Half-GCD crossover captured at construction (the value the
-  // CodeCache keyed this instance under); the Gao decoder's
-  // remainder-sequence dispatch uses it, never a later global
-  // override.
-  std::size_t hgcd_crossover() const noexcept { return hgcd_crossover_; }
 
   // Batch evaluation of the message polynomial at all points.
   std::vector<u64> encode(const Poly& message) const;
@@ -127,7 +122,6 @@ class ReedSolomonCode {
   FieldOps ops_;
   std::size_t degree_bound_;
   std::size_t n_;
-  std::size_t hgcd_crossover_;
   std::vector<u64> points_;
   std::vector<u64> h_hat_;  // bit-reversed spectrum of t -> h(-t), domain
   Prefix word_;

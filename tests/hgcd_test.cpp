@@ -1,21 +1,26 @@
 // Tests for the half-GCD engine (poly/hgcd.hpp): bit-identity of the
-// recursive cascade against the classical partial xgcd across forced
-// crossovers, backends and fallback primes; dense-error decode round
-// trips through the Gao dispatcher; and golden streaming-vs-barrier
-// session equality on the forced-HGCD path.
+// recursive cascade against the classical partial xgcd
+// (poly_xgcd_partial) across base cases, backends, fallback primes and
+// the Gao pairs of small codes; dense-error decodes that engage the
+// cascade at the default crossover; and a golden traitor session whose
+// budget clears it.
 #include "poly/hgcd.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "apps/ov.hpp"
+#include "core/byzantine.hpp"
 #include "core/proof_session.hpp"
 #include "core/symbol_stream.hpp"
+#include "field/field_cache.hpp"
 #include "field/primes.hpp"
-#include "rs/code_cache.hpp"
 #include "rs/gao.hpp"
 #include "rs/reed_solomon.hpp"
 
@@ -30,24 +35,96 @@ Poly random_poly(std::size_t deg, const PrimeField& f, std::mt19937_64& rng) {
   return p;
 }
 
-// RAII crossover override so a test forcing either path can never
-// leak its setting into the rest of the suite.
-class HgcdGuard {
- public:
-  explicit HgcdGuard(std::size_t forced) { set_hgcd_crossover(forced); }
-  ~HgcdGuard() { set_hgcd_crossover(0); }
-};
+// A crossover above every budget in this file: xgcd_partial runs the
+// classical loop from its entry call.
+constexpr std::size_t kClassical = std::size_t{1} << 30;
 
-void expect_same_xgcd(const Poly& a, const Poly& b, int stop,
-                      const PrimeField& f, std::size_t crossover,
-                      XgcdStats* stats = nullptr) {
+// The crossovers the tests run xgcd_partial at: the cascade everywhere
+// (1), base-casing early (8) and the default; kCrossovers adds the
+// classical loop.
+constexpr std::size_t kBaseCases[] = {1, 8, kHgcdCrossover};
+constexpr std::size_t kCrossovers[] = {1, 8, kHgcdCrossover, kClassical};
+
+// hgcd_detail::xgcd_partial at an explicit crossover.
+template <class Field>
+void xgcd_at(const Poly& a, const Poly& b, int stop, const Field& f,
+             std::size_t crossover, Poly* g, Poly* u, Poly* v,
+             const NttTables* tables = nullptr, XgcdStats* stats = nullptr) {
+  XgcdStats local;
+  hgcd_detail::xgcd_partial(a, b, stop, f, g, u, v, tables,
+                            stats != nullptr ? *stats : local, crossover);
+}
+
+template <class Field>
+void expect_same_xgcd(const Poly& a, const Poly& b, int stop, const Field& f,
+                      std::size_t crossover, XgcdStats* stats = nullptr,
+                      const NttTables* tables = nullptr) {
   Poly g1, u1, v1, g2, u2, v2;
   poly_xgcd_partial(a, b, stop, f, &g1, &u1, &v1);
-  poly_xgcd_partial_hgcd(a, b, stop, f, &g2, &u2, &v2, nullptr, stats,
-                         crossover);
+  xgcd_at(a, b, stop, f, crossover, &g2, &u2, &v2, tables, stats);
   EXPECT_EQ(g1.c, g2.c) << "stop=" << stop << " crossover=" << crossover;
   EXPECT_EQ(u1.c, u2.c) << "stop=" << stop << " crossover=" << crossover;
   EXPECT_EQ(v1.c, v2.c) << "stop=" << stop << " crossover=" << crossover;
+}
+
+std::string backend_name(FieldBackend b) {
+  switch (b) {
+    case FieldBackend::kPrimeDivision: return "division";
+    case FieldBackend::kMontgomery: return "montgomery";
+    case FieldBackend::kMontgomeryAvx2: return "avx2";
+    case FieldBackend::kMontgomeryAvx512: return "avx512";
+  }
+  return "unknown";
+}
+
+// Calls fn with the field class that runs `ops`'s backend, and the
+// tables the decoder would hand it.
+template <class Fn>
+void with_backend_field(const FieldOps& ops, Fn&& fn) {
+  if (ops.backend() == FieldBackend::kPrimeDivision) {
+    fn(ops.prime(), static_cast<const NttTables*>(nullptr));
+    return;
+  }
+  with_lane_field(ops.backend(), ops.mont(), [&](const auto& lane) {
+    fn(lane, ops.ntt_tables().get());
+  });
+}
+
+// Gao's pair for a received word: G0 and the interpolant G1 through
+// the word, in the code's value domain, and the decoder's stop degree.
+struct GaoPair {
+  Poly g0, g1;
+  int stop = 0;
+};
+
+GaoPair gao_pair(const ReedSolomonCode& code, std::vector<u64> word) {
+  const FieldOps& ops = code.ops();
+  if (ops.backend() != FieldBackend::kPrimeDivision) {
+    for (u64& v : word) v = ops.mont().to_mont(v);
+  }
+  GaoPair p;
+  p.g0 = code.vanishing_domain();
+  p.g1 = code.interpolate_domain(word);
+  p.stop = static_cast<int>((code.length() + code.degree_bound() + 1) / 2);
+  return p;
+}
+
+// The decoder's remainder sequence on `word` at the default crossover
+// must engage the cascade, equal the classical oracle on the same pair,
+// and take as many quotient steps as the forced-classical path. Returns
+// the default run's counters.
+XgcdStats expect_cascade_matches_classical(const ReedSolomonCode& code,
+                                           const std::vector<u64>& word) {
+  const GaoPair p = gao_pair(code, word);
+  XgcdStats cascade, classical;
+  with_backend_field(code.ops(), [&](const auto& f, const NttTables* t) {
+    expect_same_xgcd(p.g0, p.g1, p.stop, f, kHgcdCrossover, &cascade, t);
+    expect_same_xgcd(p.g0, p.g1, p.stop, f, kClassical, &classical, t);
+  });
+  EXPECT_GT(cascade.hgcd_calls, 1u);
+  EXPECT_EQ(classical.hgcd_calls, 1u);
+  EXPECT_EQ(cascade.quotient_steps, classical.quotient_steps);
+  return cascade;
 }
 
 TEST(Hgcd, MatchesClassicalAcrossStopsAndCrossovers) {
@@ -55,8 +132,7 @@ TEST(Hgcd, MatchesClassicalAcrossStopsAndCrossovers) {
   std::mt19937_64 rng(1);
   Poly a = random_poly(700, f, rng), b = random_poly(650, f, rng);
   for (int stop : {0, 100, 350, 699}) {
-    for (std::size_t crossover : {std::size_t{1}, std::size_t{8},
-                                  std::size_t{64}, std::size_t{1} << 30}) {
+    for (std::size_t crossover : kCrossovers) {
       expect_same_xgcd(a, b, stop, f, crossover);
     }
   }
@@ -90,7 +166,7 @@ TEST(Hgcd, QuotientStepCountInvariantAcrossCrossovers) {
   std::mt19937_64 rng(3);
   Poly a = random_poly(900, f, rng), b = random_poly(880, f, rng);
   XgcdStats classical, recursive;
-  expect_same_xgcd(a, b, 450, f, std::size_t{1} << 30, &classical);
+  expect_same_xgcd(a, b, 450, f, kClassical, &classical);
   expect_same_xgcd(a, b, 450, f, 1, &recursive);
   EXPECT_EQ(classical.quotient_steps, recursive.quotient_steps);
   EXPECT_EQ(classical.hgcd_calls, 1u);  // entry call, classical base
@@ -107,10 +183,10 @@ TEST(Hgcd, ThreeBackendBitIdentity) {
   Poly a = random_poly(1200, f, rng), b = random_poly(1100, f, rng);
   const int stop = 600;
   Poly gd, ud, vd;
-  poly_xgcd_partial_hgcd(a, b, stop, f, &gd, &ud, &vd, nullptr, nullptr, 1);
+  xgcd_at(a, b, stop, f, 1, &gd, &ud, &vd);
   Poly am{m.to_mont_vec(a.c)}, bm{m.to_mont_vec(b.c)};
   Poly gm, um, vm;
-  poly_xgcd_partial_hgcd(am, bm, stop, m, &gm, &um, &vm, nullptr, nullptr, 1);
+  xgcd_at(am, bm, stop, m, 1, &gm, &um, &vm);
   EXPECT_EQ(m.from_mont_vec(gm.c), gd.c);
   EXPECT_EQ(m.from_mont_vec(um.c), ud.c);
   EXPECT_EQ(m.from_mont_vec(vm.c), vd.c);
@@ -118,8 +194,7 @@ TEST(Hgcd, ThreeBackendBitIdentity) {
     GTEST_SKIP() << "AVX2 unavailable or forced off";
   }
   Poly gs, us, vs;
-  poly_xgcd_partial_hgcd(am, bm, stop, MontgomeryAvx2Field(m), &gs, &us, &vs,
-                         nullptr, nullptr, 1);
+  xgcd_at(am, bm, stop, MontgomeryAvx2Field(m), 1, &gs, &us, &vs);
   // The lane kernels must agree with scalar Montgomery word-for-word,
   // not just canonically.
   EXPECT_EQ(gs.c, gm.c);
@@ -253,67 +328,132 @@ TEST(Hgcd, WidePrimeFallback) {
   poly_xgcd_partial(a, b, stop, f, &g1, &u1, &v1);
   Poly am{m.to_mont_vec(a.c)}, bm{m.to_mont_vec(b.c)};
   Poly g2, u2, v2;
-  poly_xgcd_partial_hgcd(am, bm, stop, m, &g2, &u2, &v2, nullptr, nullptr, 1);
+  xgcd_at(am, bm, stop, m, 1, &g2, &u2, &v2);
   EXPECT_EQ(m.from_mont_vec(g2.c), g1.c);
   EXPECT_EQ(m.from_mont_vec(u2.c), u1.c);
   EXPECT_EQ(m.from_mont_vec(v2.c), v1.c);
 }
 
+// The Gao pairs of small codes at error weights 0, 1, radius/2, radius
+// and radius + 1, on every backend: xgcd_partial must reproduce the
+// classical oracle's g, u and v with the cascade forced everywhere
+// (base case 1), base-casing early (8) and at the default crossover.
+// Weight 0 leaves deg G1 below the stop degree (xgcd_partial's identity
+// reduction); radius + 1 takes the sequence past the decodable words.
+// The budgets deg G0 - stop are e/4: the e = 300 and e = 600 codes
+// engage the cascade even at the default.
+class GaoPairSweep
+    : public ::testing::TestWithParam<std::tuple<std::size_t, FieldBackend>> {
+};
+
+TEST_P(GaoPairSweep, DriverMatchesClassicalAtEveryBaseCase) {
+  const auto [e, backend] = GetParam();
+  const PrimeField pf(find_ntt_prime(1 << 12, 12));
+  FieldCache cache;
+  const FieldOps ops = cache.ops(pf.modulus(), 2 * e, backend);
+  if (ops.backend() != backend) {
+    GTEST_SKIP() << backend_name(backend)
+                 << " unavailable on this host or forced off";
+  }
+  const std::size_t d = e / 2 - 1;
+  const ReedSolomonCode code(ops, d, e);
+  const std::size_t radius = code.decoding_radius();
+  std::mt19937_64 rng(e);
+  const std::vector<u64> clean = code.encode(random_poly(d, pf, rng));
+  const std::size_t weights[] = {0, 1, radius / 2, radius, radius + 1};
+  for (std::size_t errors : weights) {
+    std::vector<std::size_t> positions(e);
+    std::iota(positions.begin(), positions.end(), std::size_t{0});
+    std::shuffle(positions.begin(), positions.end(), rng);
+    std::vector<u64> word = clean;
+    for (std::size_t i = 0; i < errors; ++i) {
+      u64& w = word[positions[i]];
+      w = pf.add(w, 1 + rng() % (pf.modulus() - 1));
+    }
+    const GaoPair p = gao_pair(code, word);
+    with_backend_field(ops, [&](const auto& f, const NttTables* t) {
+      Poly g, u, v;
+      poly_xgcd_partial(p.g0, p.g1, p.stop, f, &g, &u, &v);
+      XgcdStats classical;
+      xgcd_at(p.g0, p.g1, p.stop, f, kClassical, nullptr, nullptr, nullptr, t,
+              &classical);
+      for (std::size_t crossover : kBaseCases) {
+        Poly hg, hu, hv;
+        XgcdStats stats;
+        xgcd_at(p.g0, p.g1, p.stop, f, crossover, &hg, &hu, &hv, t, &stats);
+        const std::string where = "errors=" + std::to_string(errors) +
+                                  " base case " + std::to_string(crossover);
+        EXPECT_EQ(hg.c, g.c) << where;
+        EXPECT_EQ(hu.c, u.c) << where;
+        EXPECT_EQ(hv.c, v.c) << where;
+        // Every certified matrix step is a genuine quotient step.
+        EXPECT_EQ(stats.quotient_steps, classical.quotient_steps) << where;
+      }
+    });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Codes, GaoPairSweep,
+    ::testing::Combine(::testing::Values(16, 64, 134, 300, 600),
+                       ::testing::Values(FieldBackend::kPrimeDivision,
+                                         FieldBackend::kMontgomery,
+                                         FieldBackend::kMontgomeryAvx2,
+                                         FieldBackend::kMontgomeryAvx512)),
+    [](const auto& info) {
+      return "e" + std::to_string(std::get<0>(info.param)) + "_" +
+             backend_name(std::get<1>(info.param));
+    });
+
 TEST(Hgcd, DenseErrorDecodeRoundTrip) {
   // e = decoding radius errors — the worst-case remainder sequence
   // (all degree-1 quotients) the half-GCD cascade exists for. The
-  // forced-HGCD decode must recover the message and agree word-for-
-  // word with the forced-classical decode.
+  // budget (225) clears kHgcdCrossover, so the default decode runs the
+  // cascade; it must recover the message and run the classical
+  // oracle's remainder sequence.
   PrimeField f(find_ntt_prime(2048, 12));
   std::mt19937_64 rng(7);
   Poly msg = random_poly(149, f, rng);
-  auto decode_with = [&](std::size_t crossover) {
-    HgcdGuard guard(crossover);
-    ReedSolomonCode code(f, 149, std::size_t{600});
-    auto word = code.encode(msg);
-    std::mt19937_64 noise(99);
-    const std::size_t radius = code.decoding_radius();  // 225
-    for (std::size_t i = 0; i < radius; ++i) {
-      // Dense contiguous corruption with nonzero deltas.
-      word[i] = f.add(word[i], 1 + noise() % (f.modulus() - 1));
-    }
-    return gao_decode(code, word);
-  };
-  GaoResult hg = decode_with(1);
-  GaoResult cl = decode_with(std::size_t{1} << 30);
-  ASSERT_EQ(hg.status, DecodeStatus::kOk);
-  ASSERT_EQ(cl.status, DecodeStatus::kOk);
-  EXPECT_EQ(hg.message.c, cl.message.c);
-  EXPECT_EQ(hg.message.c, msg.c);
-  EXPECT_EQ(hg.error_locations, cl.error_locations);
-  EXPECT_EQ(hg.corrected, cl.corrected);
-  EXPECT_EQ(hg.error_locations.size(), std::size_t{225});
-  EXPECT_EQ(hg.quotient_steps, cl.quotient_steps);
-  EXPECT_GT(hg.hgcd_calls, 1u);
-  EXPECT_EQ(cl.hgcd_calls, 1u);
+  ReedSolomonCode code(f, 149, std::size_t{600});
+  const std::vector<u64> clean = code.encode(msg);
+  std::vector<u64> word = clean;
+  std::mt19937_64 noise(99);
+  const std::size_t radius = code.decoding_radius();
+  ASSERT_EQ(radius, std::size_t{225});
+  for (std::size_t i = 0; i < radius; ++i) {
+    // Dense contiguous corruption with nonzero deltas.
+    word[i] = f.add(word[i], 1 + noise() % (f.modulus() - 1));
+  }
+  const GaoResult r = gao_decode(code, word);
+  ASSERT_EQ(r.status, DecodeStatus::kOk);
+  EXPECT_EQ(r.message.c, msg.c);
+  EXPECT_EQ(r.corrected, clean);
+  EXPECT_EQ(r.error_locations.size(), radius);
+  const XgcdStats cascade = expect_cascade_matches_classical(code, word);
+  EXPECT_EQ(r.quotient_steps, cascade.quotient_steps);
+  EXPECT_EQ(r.hgcd_calls, cascade.hgcd_calls);
 }
 
 TEST(Hgcd, BeyondRadiusStillFailsIdentically) {
+  // 150 errors against radius 100, budget 100: the cascade runs and
+  // the decode fails exactly where the classical sequence does.
   PrimeField f(find_ntt_prime(2048, 12));
   std::mt19937_64 rng(8);
   Poly msg = random_poly(99, f, rng);
-  auto decode_with = [&](std::size_t crossover) {
-    HgcdGuard guard(crossover);
-    ReedSolomonCode code(f, 99, std::size_t{300});
-    auto word = code.encode(msg);
-    for (std::size_t i = 0; i < 150; ++i) {  // radius is 100
-      word[i] = f.add(word[i], 1 + (i % 5));
-    }
-    return gao_decode(code, word);
-  };
-  GaoResult hg = decode_with(1);
-  GaoResult cl = decode_with(std::size_t{1} << 30);
-  EXPECT_EQ(hg.status, cl.status);
-  EXPECT_EQ(hg.quotient_steps, cl.quotient_steps);
+  ReedSolomonCode code(f, 99, std::size_t{300});
+  auto word = code.encode(msg);
+  for (std::size_t i = 0; i < 150; ++i) {
+    word[i] = f.add(word[i], 1 + (i % 5));
+  }
+  const GaoResult r = gao_decode(code, word);
+  EXPECT_EQ(r.status, DecodeStatus::kDecodeFailure);
+  const XgcdStats cascade = expect_cascade_matches_classical(code, word);
+  EXPECT_EQ(r.quotient_steps, cascade.quotient_steps);
+  EXPECT_EQ(r.hgcd_calls, cascade.hgcd_calls);
 }
 
-TEST(Hgcd, StreamingMatchesBarrierDecodeForcedHgcd) {
-  HgcdGuard guard(1);
+TEST(Hgcd, StreamingMatchesBarrierDecodeOnCascade) {
+  // Budget 190: both decodes run the cascade.
   PrimeField f(find_ntt_prime(4096, 12));
   ReedSolomonCode code(f, 120, std::size_t{500});
   std::mt19937_64 rng(9);
@@ -331,54 +471,77 @@ TEST(Hgcd, StreamingMatchesBarrierDecodeForcedHgcd) {
   ASSERT_TRUE(dec.ready());
   GaoResult streamed = dec.finish();
   ASSERT_EQ(barrier.status, DecodeStatus::kOk);
+  EXPECT_EQ(barrier.message.c, msg.c);
   EXPECT_EQ(streamed.status, barrier.status);
   EXPECT_EQ(streamed.message.c, barrier.message.c);
   EXPECT_EQ(streamed.error_locations, barrier.error_locations);
   EXPECT_EQ(streamed.corrected, barrier.corrected);
   EXPECT_EQ(streamed.quotient_steps, barrier.quotient_steps);
   EXPECT_EQ(streamed.hgcd_calls, barrier.hgcd_calls);
+  const XgcdStats cascade = expect_cascade_matches_classical(code, word);
+  EXPECT_EQ(barrier.hgcd_calls, cascade.hgcd_calls);
 }
 
-TEST(Hgcd, GoldenSessionEqualityForcedHgcd) {
-  // run_streaming vs the composed whole-session stages with the
-  // remainder sequence forced through the recursive cascade: reports
-  // must stay bit-for-bit equal, and equal to the default-crossover
-  // reference.
-  OrthogonalVectorsProblem problem(BoolMatrix::random(8, 5, 0.35, 33),
-                                   BoolMatrix::random(8, 5, 0.35, 77));
+TEST(Hgcd, GoldenTraitorSessionOnCascade) {
+  // OV 24x8 has d = 184; at redundancy 2 every prime's decode budget
+  // deg G0 - stop is about the radius (~92), past kHgcdCrossover. Two
+  // random traitors among 12 nodes stay within the radius. Streaming
+  // and staged runs must agree bit for bit, with brute force, and on
+  // the exact traitor set.
+  const BoolMatrix a = BoolMatrix::random(24, 8, 0.35, 33);
+  const BoolMatrix b = BoolMatrix::random(24, 8, 0.35, 77);
+  OrthogonalVectorsProblem problem(a, b);
   ClusterConfig cfg;
-  cfg.num_nodes = 4;
+  cfg.num_nodes = 12;
   cfg.redundancy = 2.0;
   cfg.num_threads = 2;
+  const std::vector<std::size_t> traitors = {3, 8};
+  ByzantineAdversary adversary(traitors, ByzantineStrategy::kRandom, 404);
 
-  RunReport reference = ProofSession(problem, cfg).run();
-  ASSERT_TRUE(reference.success);
+  ProofSession staged(problem, cfg);
+  const RunReport b_report = staged.prepare()
+                                 .transport(&adversary)
+                                 .decode()
+                                 .verify()
+                                 .recover()
+                                 .report();
+  ProofSession streaming(problem, cfg);
+  const RunReport a_report =
+      streaming.run_streaming(AdversarialStreamingChannel(adversary));
 
-  HgcdGuard guard(1);
-  auto codes = std::make_shared<CodeCache>();  // fresh codes under the
-                                               // forced crossover
-  ProofSession streaming(problem, cfg, nullptr, nullptr, codes);
-  RunReport a = streaming.run_streaming(LosslessStreamingChannel());
-  ProofSession barrier(problem, cfg, nullptr, nullptr, codes);
-  RunReport b = barrier.prepare()
-                    .transport()
-                    .decode()
-                    .verify()
-                    .recover()
-                    .report();
-
-  ASSERT_TRUE(a.success);
-  ASSERT_TRUE(b.success);
-  ASSERT_EQ(a.answers.size(), reference.answers.size());
-  for (std::size_t i = 0; i < a.answers.size(); ++i) {
-    EXPECT_EQ(a.answers[i], b.answers[i]);
-    EXPECT_EQ(a.answers[i], reference.answers[i]);
+  const std::size_t e = staged.plan().code_length;
+  const std::size_t d = problem.spec().degree_bound;
+  const std::size_t radius = (e - d - 1) / 2;
+  ASSERT_EQ(d, std::size_t{184});
+  ASSERT_GE(e - (e + d + 1) / 2, kHgcdCrossover);
+  std::size_t corrupted = 0;
+  for (std::size_t node : traitors) {
+    const auto [lo, hi] = node_chunk(node, e, cfg.num_nodes);
+    corrupted += hi - lo;
   }
-  for (std::size_t pi = 0; pi < a.per_prime.size(); ++pi) {
-    EXPECT_EQ(a.per_prime[pi].answer_residues,
-              b.per_prime[pi].answer_residues);
-    EXPECT_EQ(a.per_prime[pi].corrected_symbols,
-              b.per_prime[pi].corrected_symbols);
+  ASSERT_LE(corrupted, radius);
+
+  ASSERT_TRUE(a_report.success);
+  ASSERT_TRUE(b_report.success);
+  const std::vector<u64> expect = count_orthogonal_brute(a, b);
+  ASSERT_EQ(a_report.answers.size(), expect.size());
+  ASSERT_EQ(b_report.answers.size(), expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(a_report.answers[i].to_u64(), expect[i]) << "row " << i;
+    EXPECT_EQ(b_report.answers[i].to_u64(), expect[i]) << "row " << i;
+  }
+  EXPECT_EQ(a_report.implicated_nodes(), traitors);
+  EXPECT_EQ(b_report.implicated_nodes(), traitors);
+  ASSERT_EQ(a_report.per_prime.size(), b_report.per_prime.size());
+  for (std::size_t pi = 0; pi < a_report.per_prime.size(); ++pi) {
+    const PrimeRunReport& x = a_report.per_prime[pi];
+    const PrimeRunReport& y = b_report.per_prime[pi];
+    EXPECT_EQ(x.answer_residues, y.answer_residues);
+    EXPECT_EQ(x.corrected_symbols, y.corrected_symbols);
+    EXPECT_EQ(x.corrected_symbols.size(), corrupted);
+    EXPECT_EQ(x.decode_quotient_steps, y.decode_quotient_steps);
+    EXPECT_EQ(x.decode_hgcd_calls, y.decode_hgcd_calls);
+    EXPECT_GT(x.decode_hgcd_calls, 1u);
   }
 }
 

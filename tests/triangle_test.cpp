@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <random>
+#include <vector>
 
 #include "core/proof_session.hpp"
 #include "field/primes.hpp"
@@ -237,6 +239,56 @@ TEST(TriangleCamelot, ByzantineToleratedOnTriangles) {
       TriangleCountProblem::triangles_from_answer(report.answers[0]).to_u64(),
       expect);
   EXPECT_EQ(report.implicated_nodes(), (std::vector<std::size_t>{4}));
+}
+
+// Paper §1.3 step 2 at the radius boundary: 0..7 random traitors on
+// nodes 0..f-1 of K = 15 at redundancy 2. While the traitors' chunks
+// total at most the decoding radius the proof is corrected and the
+// traitors identified exactly; past it every prime fails decode or
+// verification, so the session reports failure and never a wrong
+// count. The boundary comes from the radius and the chunk sizes.
+TEST(TriangleCamelot, ByzantineSweepCorrectsWithinRadiusDetectsBeyond) {
+  const Graph g = gnm(16, 40, 9);
+  const u64 expect = count_triangles_brute(g);
+  TriangleCountProblem problem(g, strassen_decomposition());
+  ClusterConfig cfg;
+  cfg.num_nodes = 15;
+  cfg.redundancy = 2.0;
+  std::size_t corrected = 0, detected = 0;
+  for (std::size_t faults = 0; faults <= 7; ++faults) {
+    std::vector<std::size_t> corrupt(faults);
+    std::iota(corrupt.begin(), corrupt.end(), std::size_t{0});
+    ByzantineAdversary adversary(corrupt, ByzantineStrategy::kRandom,
+                                 faults * 31 + 7);
+    ProofSession session(problem, cfg);
+    const RunReport report = session.run(&adversary);
+    const std::size_t e = session.plan().code_length;
+    const std::size_t radius = (e - problem.spec().degree_bound - 1) / 2;
+    std::size_t symbols = 0;
+    for (std::size_t node : corrupt) {
+      const auto [lo, hi] = node_chunk(node, e, cfg.num_nodes);
+      symbols += hi - lo;
+    }
+    if (symbols <= radius) {
+      ++corrected;
+      ASSERT_TRUE(report.success) << faults << " traitors";
+      const BigInt& answer = report.answers[0];
+      const u64 got =
+          TriangleCountProblem::triangles_from_answer(answer).to_u64();
+      EXPECT_EQ(got, expect) << faults << " traitors";
+      EXPECT_EQ(report.implicated_nodes(), corrupt) << faults << " traitors";
+    } else {
+      ++detected;
+      EXPECT_FALSE(report.success) << faults << " traitors";
+      for (const PrimeRunReport& pr : report.per_prime) {
+        EXPECT_TRUE(pr.decode_status != DecodeStatus::kOk || !pr.verified)
+            << faults << " traitors";
+      }
+    }
+  }
+  // The sweep straddles the boundary.
+  EXPECT_GT(corrected, 1u);
+  EXPECT_GT(detected, 0u);
 }
 
 TEST(TriangleCamelot, RejectsEmptyGraph) {
