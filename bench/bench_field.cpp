@@ -18,8 +18,7 @@
 #include "field/field_cache.hpp"
 #include "field/field_ops.hpp"
 #include "field/montgomery.hpp"
-#include "field/montgomery_avx512.hpp"
-#include "field/montgomery_simd.hpp"
+#include "field/montgomery_lanes.hpp"
 #include "field/primes.hpp"
 #include "linalg/matmul.hpp"
 #include "poly/fast_div.hpp"

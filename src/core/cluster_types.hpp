@@ -35,7 +35,9 @@ struct ClusterConfig {
   // the request at runtime and steps down the ladder (AVX-512 -> AVX2
   // -> scalar Montgomery) when the CPU lacks the extension or
   // CAMELOT_FORCE_SCALAR / CAMELOT_FORCE_AVX2 is set, so the default
-  // is safe on every host (and bit-identical either way).
+  // is safe on every host (and bit-identical either way): below the
+  // lanes no ISA-flagged code runs, which the isa_confinement test
+  // checks on the built binaries.
   FieldBackend backend = FieldBackend::kMontgomeryAvx512;
   // Systematic-encode fast path: honest nodes run the problem's
   // evaluator only over the message prefix [0, d+1) of the codeword

@@ -792,11 +792,6 @@ RunReport ShardCoordinator::run(const ShardJob& job) {
   for (std::size_t pi = 0; pi < num_primes; ++pi) {
     assignment[live[pi % live.size()]].push_back(pi);
   }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (assignment[i].empty()) continue;
-    shards_[i].pending.assign(assignment[i].begin(), assignment[i].end());
-    send_frame(shards_[i], encode_submit(job, assignment[i]));
-  }
 
   std::size_t settled = 0;
   auto handle_report = [&](Shard& s, WireReader& r) {
@@ -855,6 +850,32 @@ RunReport ShardCoordinator::run(const ShardJob& job) {
     }
   };
 
+  // A shard that dies holding primes, found at EOF, at a bad frame or
+  // by a failed write (send_frame marks it dead and leaves the primes
+  // it was handed pending), has them re-dealt over the survivors. A
+  // re-deal's own write can fail too, so repeat until no dead shard
+  // holds any.
+  auto redeal_dead = [&] {
+    for (bool again = true; again;) {
+      again = false;
+      for (Shard& d : shards_) {
+        if (d.alive || d.pending.empty()) continue;
+        redistribute(d);
+        again = true;
+      }
+    }
+  };
+
+  // Pending lists are per job: a shard without primes this time starts
+  // empty too, so nothing left from an earlier job is ever re-dealt.
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i].pending.assign(assignment[i].begin(), assignment[i].end());
+    if (!assignment[i].empty()) {
+      send_frame(shards_[i], encode_submit(job, assignment[i]));
+    }
+  }
+  redeal_dead();
+
   while (settled < num_primes) {
     std::vector<pollfd> fds;
     std::vector<std::size_t> fd_shard;
@@ -911,7 +932,7 @@ RunReport ShardCoordinator::run(const ShardJob& job) {
       }
       if (fatal && s.alive) {
         mark_dead(s);
-        redistribute(s);
+        redeal_dead();
       }
     }
   }

@@ -1,13 +1,12 @@
 // One-stop lane dispatch for consumers of a resolved FieldBackend.
 //
 // Templated kernels (multipoint descent, Lagrange, Yates, Gao) pick
-// their arithmetic by instantiating against a field class; consumers
-// holding a FieldOps used to branch on a simd() bool between the
-// scalar and AVX2 classes. With three Montgomery lane sets that
-// two-way ternary no longer covers the space, so they store the
-// resolved FieldBackend and visit through with_lane_field: the
-// visitor is instantiated once per lane class and receives the
-// matching wrapper over the shared Montgomery context.
+// their arithmetic by instantiating against a field class. Consumers
+// holding a FieldOps store its resolved FieldBackend and visit
+// through with_lane_field: the visitor is instantiated once per
+// Montgomery field class (MontgomeryField and the two
+// MontgomeryLaneField widths) and receives the matching wrapper over
+// the shared Montgomery context.
 //
 // Only the *Montgomery-domain* lane sets are dispatched here.
 // kPrimeDivision carries a different value representation (canonical
@@ -19,8 +18,7 @@
 #include <utility>
 
 #include "field/field_ops.hpp"
-#include "field/montgomery_avx512.hpp"
-#include "field/montgomery_simd.hpp"
+#include "field/montgomery_lanes.hpp"
 
 namespace camelot {
 

@@ -10,8 +10,9 @@ namespace camelot {
 namespace {
 
 // Both checks are evaluated once. This translation unit is compiled
-// *without* -mavx2 (only field/montgomery_simd.cpp gets the flag), so
-// the detection code itself runs on any x86-64.
+// without ISA flags (only the lane units field/montgomery_avx2.cpp and
+// field/montgomery_avx512.cpp get them), so the detection code itself
+// runs on any x86-64.
 bool detect_avx2() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2");

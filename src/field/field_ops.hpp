@@ -30,7 +30,7 @@ enum class FieldBackend {
   // A/B measurement and as the reference in differential tests.
   kPrimeDivision,
   // Montgomery-domain pipeline with the hot batch kernels running on
-  // AVX2 4xu64 lanes (field/montgomery_simd.hpp). Values are the same
+  // AVX2 4xu64 lanes (field/montgomery_lanes.hpp). Values are the same
   // Montgomery-domain u64s as kMontgomery and every kernel computes
   // bit-identical results; only the instruction mix differs.
   // Requesting it constructs a handle that *resolves* at runtime:
@@ -40,7 +40,7 @@ enum class FieldBackend {
   // silently degrades to kMontgomery, so it is always safe to ask for.
   kMontgomeryAvx2,
   // The same pipeline on AVX-512 8xu64 lanes
-  // (field/montgomery_avx512.hpp). Resolution degrades a request to
+  // (field/montgomery_lanes.hpp). Resolution degrades a request to
   // kMontgomeryAvx2 when the CPU lacks AVX-512F/DQ or when
   // CAMELOT_FORCE_AVX2 is set (and onward as above), and straight to
   // kMontgomery for q >= 2^31 or q == 2.

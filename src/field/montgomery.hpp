@@ -100,12 +100,9 @@ class MontgomeryField {
     return a.q_ == b.q_;
   }
 
-  // ---- Raw REDC constants (consumed by the SIMD batch kernels) ----------
   // True for q == 2, where no Montgomery representation exists and the
-  // class runs in identity-domain mode (SIMD kernels fall back to the
-  // scalar methods).
+  // class runs in identity-domain mode (the lane fields refuse it).
   bool trivial() const noexcept { return trivial_; }
-  u64 neg_q_inv() const noexcept { return neg_q_inv_; }  // -q^{-1} mod 2^64
 
  private:
   // REDC: t * R^{-1} mod q for t < qR.
@@ -120,8 +117,15 @@ class MontgomeryField {
   }
 
   PrimeField base_;
+
+ protected:
+  // Read directly by the lane kernels (field/montgomery_lanes.hpp),
+  // whose ISA-flagged translation units call no inline member of this
+  // class.
   u64 q_;
   u64 neg_q_inv_;  // -q^{-1} mod 2^64
+
+ private:
   u64 r1_;         // R mod q
   u64 r2_;         // R^2 mod q
   bool trivial_;   // q == 2: Montgomery undefined, identity domain

@@ -17,17 +17,18 @@
 // the factor n, so a convolution runs DIF, DIF, pointwise product, DIT
 // and never permutes (poly/ntt.hpp states which API sees which order).
 //
-// The scalar passes here are the reference the lane backends
-// (field/montgomery_simd.cpp, field/montgomery_avx512.cpp) reproduce
-// word for word and fall back to; field arithmetic is exact and every
-// value stays canonical in [0, q), so every backend and both twiddle
-// flavours return the same words.
+// The scalar passes declared here (defined in field/ntt_passes.cpp,
+// out of line so the ISA-flagged lane translation units call them
+// rather than compile their own copies) are the reference the lane
+// kernels (field/montgomery_lanes_kernel.hpp) reproduce word for word
+// and fall back to below one vector; field arithmetic is exact and
+// every value stays canonical in [0, q), so every backend and both
+// twiddle flavours return the same words.
 #pragma once
 
 #include <cstddef>
 
 #include "field/montgomery.hpp"
-#include "field/shoup.hpp"
 
 namespace camelot {
 
@@ -42,68 +43,13 @@ struct NttTwiddles {
   const u64* qt = nullptr;
 };
 
-namespace ntt_passes_detail {
-
-// `mul(x, i)` is x times twiddle entry i. The field comes by value so
-// its constants stay in registers across the stores to `a`.
-template <class Mul>
-void dif(const MontgomeryField m, u64* a, std::size_t n, Mul mul) noexcept {
-  for (std::size_t h = n / 2; h >= 1; h /= 2) {
-    for (std::size_t i = 0; i < n; i += 2 * h) {
-      for (std::size_t j = 0; j < h; ++j) {
-        const u64 u = a[i + j];
-        const u64 v = a[i + j + h];
-        a[i + j] = m.add(u, v);
-        a[i + j + h] = mul(m.sub(u, v), h - 1 + j);
-      }
-    }
-  }
-}
-
-template <class Mul>
-void dit(const MontgomeryField m, u64* a, std::size_t n, Mul mul) noexcept {
-  for (std::size_t h = 1; h < n; h *= 2) {
-    for (std::size_t i = 0; i < n; i += 2 * h) {
-      for (std::size_t j = 0; j < h; ++j) {
-        const u64 u = a[i + j];
-        const u64 v = mul(a[i + j + h], h - 1 + j);
-        a[i + j] = m.add(u, v);
-        a[i + j + h] = m.sub(u, v);
-      }
-    }
-  }
-}
-
-// Runs `pass` with the twiddle product matching tw's flavour, chosen
-// once per pass rather than per butterfly.
-template <class Pass>
-void with_twiddle_mul(const MontgomeryField& m, NttTwiddles tw,
-                      Pass pass) noexcept {
-  if (tw.qt != nullptr) {
-    const u64 q = m.modulus();
-    pass([=](u64 x, std::size_t i) {
-      return shoup_mul(x, tw.op[i], tw.qt[i], q);
-    });
-  } else {
-    pass([=](u64 x, std::size_t i) { return m.mul(x, tw.op[i]); });
-  }
-}
-
-}  // namespace ntt_passes_detail
-
 // Forward pass over a[0..n), n a power of two: natural order in,
 // bit-reversed spectrum out.
-inline void ntt_dif_scalar(const MontgomeryField& m, u64* a, std::size_t n,
-                           NttTwiddles tw) noexcept {
-  ntt_passes_detail::with_twiddle_mul(
-      m, tw, [&](auto mul) { ntt_passes_detail::dif(m, a, n, mul); });
-}
+void ntt_dif_scalar(const MontgomeryField& m, u64* a, std::size_t n,
+                    NttTwiddles tw) noexcept;
 
 // Inverse-order pass: bit-reversed in, natural order out (no 1/n).
-inline void ntt_dit_scalar(const MontgomeryField& m, u64* a, std::size_t n,
-                           NttTwiddles tw) noexcept {
-  ntt_passes_detail::with_twiddle_mul(
-      m, tw, [&](auto mul) { ntt_passes_detail::dit(m, a, n, mul); });
-}
+void ntt_dit_scalar(const MontgomeryField& m, u64* a, std::size_t n,
+                    NttTwiddles tw) noexcept;
 
 }  // namespace camelot

@@ -35,7 +35,6 @@ std::uint32_t parse_trace_categories(const char* spec) noexcept {
       return std::strlen(name) == len && std::strncmp(p, name, len) == 0;
     };
     if (is("field")) mask |= kTraceField;
-    else if (is("poly")) mask |= kTracePoly;
     else if (is("rs")) mask |= kTraceRs;
     else if (is("stream")) mask |= kTraceStream;
     else if (is("sched")) mask |= kTraceSched;
@@ -57,7 +56,6 @@ namespace {
 const char* category_name(TraceCategory category) noexcept {
   switch (category) {
     case kTraceField: return "field";
-    case kTracePoly: return "poly";
     case kTraceRs: return "rs";
     case kTraceStream: return "stream";
     case kTraceSched: return "sched";

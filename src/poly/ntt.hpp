@@ -5,10 +5,14 @@
 // multiplication promised in paper §2.2 is available for encoding,
 // decoding and interpolation.
 //
-// The butterfly kernel runs entirely in the Montgomery domain. The
-// PrimeField overloads convert once at the boundary (two passes over
-// the data); the MontgomeryField overloads take and return domain
-// values directly so a longer pipeline pays no conversion at all.
+// The butterfly kernel runs entirely in the Montgomery domain. Every
+// entry point is one template over the field, instantiated in
+// poly/ntt.cpp for PrimeField, MontgomeryField and the two lane
+// fields (field/montgomery_lanes.hpp). With a PrimeField the values
+// are canonical representatives, converted once at the boundary (two
+// passes over the data); the Montgomery fields take and return domain
+// values directly, so a longer pipeline pays no conversion at all, and
+// the lane fields run the passes in their vector kernels.
 //
 // Order contract. Every transform is a forward DIF pass (natural
 // order in, bit-reversed spectrum out) or an inverse DIT pass
@@ -27,18 +31,13 @@
 
 #include "field/field.hpp"
 #include "field/montgomery.hpp"
-#include "field/montgomery_avx512.hpp"
-#include "field/montgomery_simd.hpp"
 
 namespace camelot {
 
 // True iff the field supports transforms long enough to multiply
 // polynomials with `result_size` output coefficients.
-bool ntt_supports_size(const PrimeField& f, std::size_t result_size);
-bool ntt_supports_size(const MontgomeryField& f, std::size_t result_size);
-bool ntt_supports_size(const MontgomeryAvx2Field& f, std::size_t result_size);
-bool ntt_supports_size(const MontgomeryAvx512Field& f,
-                       std::size_t result_size);
+template <class Field>
+bool ntt_supports_size(const Field& f, std::size_t result_size);
 
 // Precomputed twiddle tables for the butterfly kernel. An untabled
 // transform computes its stage twiddles on every call (one power chain
@@ -94,31 +93,16 @@ class NttTables {
   std::vector<u64> fwd_op_, fwd_qt_, inv_op_, inv_qt_;
 };
 
-// In-place radix-2 NTT of a power-of-two-sized vector of canonical
-// representatives. If inverse, applies the inverse transform
-// including the 1/n factor.
-void ntt_inplace(std::vector<u64>& a, bool inverse, const PrimeField& f);
-
-// Same transform on a vector that is already in the Montgomery
-// domain; the result stays in the Montgomery domain.
-void ntt_inplace(std::vector<u64>& a, bool inverse, const MontgomeryField& f);
-
-// Montgomery-domain transform using precomputed twiddles. Requires
-// tables.modulus() == f.modulus() and a.size() <= tables.capacity().
-void ntt_inplace(std::vector<u64>& a, bool inverse, const MontgomeryField& f,
+// In-place radix-2 NTT of a power-of-two-sized vector, natural order
+// on both sides, values in f's domain. If inverse, applies the inverse
+// transform including the 1/n factor. The tabled form takes its
+// twiddles from `tables`; it requires tables.modulus() == f.modulus()
+// and a.size() <= tables.capacity(), and returns the same words.
+template <class Field>
+void ntt_inplace(std::vector<u64>& a, bool inverse, const Field& f);
+template <class Field>
+void ntt_inplace(std::vector<u64>& a, bool inverse, const Field& f,
                  const NttTables& tables);
-
-// Lane-wide butterfly kernels (bit-identical to the scalar
-// MontgomeryField overloads; callers reach these through FieldOps
-// backend dispatch).
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx2Field& f);
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx2Field& f, const NttTables& tables);
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx512Field& f);
-void ntt_inplace(std::vector<u64>& a, bool inverse,
-                 const MontgomeryAvx512Field& f, const NttTables& tables);
 
 // Bit-reversed spectra, for callers that combine several products in
 // the spectrum (the half-GCD matrix products): ntt_forward_bitrev maps
@@ -128,7 +112,7 @@ void ntt_inplace(std::vector<u64>& a, bool inverse,
 // of one length n invert to the matching sums of products mod
 // x^n - 1. Values are in f's domain (canonical for PrimeField); with
 // `tables` set the pass runs through them under the same requirements
-// as the tabled ntt_inplace. Instantiated for the four field backends.
+// as the tabled ntt_inplace.
 template <class Field>
 void ntt_forward_bitrev(std::vector<u64>& a, const Field& f,
                         const NttTables* tables = nullptr);
@@ -137,29 +121,15 @@ void ntt_inverse_bitrev(std::vector<u64>& a, const Field& f,
                         const NttTables* tables = nullptr);
 
 // Cyclic-free convolution (polynomial product) of two coefficient
-// vectors. Returns a.size()+b.size()-1 coefficients. The PrimeField
-// overload takes and returns canonical representatives; the
-// MontgomeryField overload works domain-to-domain.
+// vectors, values in f's domain. Returns a.size()+b.size()-1
+// coefficients. The tabled form requires the result to fit:
+// a.size()+b.size()-1 <= tables.capacity().
+template <class Field>
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const PrimeField& f);
+                              const Field& f);
+template <class Field>
 std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryField& f);
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx2Field& f);
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx512Field& f);
-
-// Domain-to-domain convolution through the twiddle tables. The result
-// must fit: a.size()+b.size()-1 <= tables.capacity().
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryField& f,
-                              const NttTables& tables);
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx2Field& f,
-                              const NttTables& tables);
-std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
-                              const MontgomeryAvx512Field& f,
-                              const NttTables& tables);
+                              const Field& f, const NttTables& tables);
 
 // Cyclic convolution mod x^n - 1 for power-of-two n (the transposed
 // middle-product primitive): both operands are folded into n words
@@ -167,29 +137,13 @@ std::vector<u64> ntt_convolve(std::span<const u64> a, std::span<const u64> b,
 // transform pair, so a middle product pays transforms of the slice
 // size instead of the full product size. Requires n power of two and
 // within the field's two-adicity; operands may be longer than n.
+template <class Field>
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
-                                     const PrimeField& f);
+                                     const Field& f);
+template <class Field>
 std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
                                      std::span<const u64> b, std::size_t n,
-                                     const MontgomeryField& f);
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx2Field& f);
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx512Field& f);
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryField& f,
-                                     const NttTables& tables);
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx2Field& f,
-                                     const NttTables& tables);
-std::vector<u64> ntt_convolve_cyclic(std::span<const u64> a,
-                                     std::span<const u64> b, std::size_t n,
-                                     const MontgomeryAvx512Field& f,
-                                     const NttTables& tables);
+                                     const Field& f, const NttTables& tables);
 
 }  // namespace camelot

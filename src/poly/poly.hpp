@@ -7,10 +7,10 @@
 //
 // Every kernel is a template over the field backend so the same code
 // runs on canonical representatives (PrimeField), Montgomery-domain
-// values (MontgomeryField), or the AVX2 lane-wide Montgomery backend
-// (MontgomeryAvx2Field, whose FieldHasBatchKernels hook routes the
-// mul-heavy inner loops below through 4xu64 batch kernels with
-// bit-identical results). A Poly does not know which domain its
+// values (MontgomeryField), or the lane-wide Montgomery backends
+// (MontgomeryAvx2Field / MontgomeryAvx512Field, whose
+// FieldHasBatchKernels hook routes the mul-heavy inner loops below
+// through 4- or 8-lane batch kernels with bit-identical results). A Poly does not know which domain its
 // coefficients live in — the caller pairs coefficients with the
 // backend that produced them, exactly as it already pairs them with a
 // modulus. Explicit instantiations for all backends live in poly.cpp.
@@ -23,8 +23,7 @@
 
 #include "field/field.hpp"
 #include "field/montgomery.hpp"
-#include "field/montgomery_avx512.hpp"
-#include "field/montgomery_simd.hpp"
+#include "field/montgomery_lanes.hpp"
 #include "poly/ntt.hpp"
 
 namespace camelot {

@@ -6,14 +6,11 @@
 
 namespace camelot {
 
-namespace {
-
 template <class Field>
-std::vector<u64> yates_apply_impl(const Field& fref,
-                                  std::span<const u64> base,
-                                  std::size_t t_dim, std::size_t s_dim,
-                                  std::span<const u64> x, unsigned k,
-                                  std::size_t batch) {
+std::vector<u64> yates_apply(const Field& fref, std::span<const u64> base,
+                             std::size_t t_dim, std::size_t s_dim,
+                             std::span<const u64> x, unsigned k,
+                             std::size_t batch) {
   // By-value copy keeps the field constants in registers across the
   // dst[] stores (a reference could alias the written data).
   const Field f = fref;
@@ -61,35 +58,16 @@ std::vector<u64> yates_apply_impl(const Field& fref,
   return cur;
 }
 
-}  // namespace
+#define CAMELOT_YATES_INSTANTIATE(Field)                                 \
+  template std::vector<u64> yates_apply<Field>(                          \
+      const Field&, std::span<const u64>, std::size_t, std::size_t,      \
+      std::span<const u64>, unsigned, std::size_t);
 
-std::vector<u64> yates_apply(const PrimeField& f, std::span<const u64> base,
-                             std::size_t t_dim, std::size_t s_dim,
-                             std::span<const u64> x, unsigned k,
-                             std::size_t batch) {
-  return yates_apply_impl(f, base, t_dim, s_dim, x, k, batch);
-}
-
-std::vector<u64> yates_apply(const MontgomeryField& f,
-                             std::span<const u64> base, std::size_t t_dim,
-                             std::size_t s_dim, std::span<const u64> x,
-                             unsigned k, std::size_t batch) {
-  return yates_apply_impl(f, base, t_dim, s_dim, x, k, batch);
-}
-
-std::vector<u64> yates_apply(const MontgomeryAvx2Field& f,
-                             std::span<const u64> base, std::size_t t_dim,
-                             std::size_t s_dim, std::span<const u64> x,
-                             unsigned k, std::size_t batch) {
-  return yates_apply_impl(f, base, t_dim, s_dim, x, k, batch);
-}
-
-std::vector<u64> yates_apply(const MontgomeryAvx512Field& f,
-                             std::span<const u64> base, std::size_t t_dim,
-                             std::size_t s_dim, std::span<const u64> x,
-                             unsigned k, std::size_t batch) {
-  return yates_apply_impl(f, base, t_dim, s_dim, x, k, batch);
-}
+CAMELOT_YATES_INSTANTIATE(PrimeField)
+CAMELOT_YATES_INSTANTIATE(MontgomeryField)
+CAMELOT_YATES_INSTANTIATE(MontgomeryAvx2Field)
+CAMELOT_YATES_INSTANTIATE(MontgomeryAvx512Field)
+#undef CAMELOT_YATES_INSTANTIATE
 
 std::vector<u64> yates_apply_naive(const PrimeField& f,
                                    std::span<const u64> base,

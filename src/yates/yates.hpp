@@ -13,20 +13,18 @@
 #include <vector>
 
 #include "field/field.hpp"
-#include "field/montgomery.hpp"
-#include "field/montgomery_avx512.hpp"
-#include "field/montgomery_simd.hpp"
 
 namespace camelot {
 
 // y = (A^{(x)k}) x, where `base` is the t_dim x s_dim matrix A in
 // row-major order (field elements), and x has s_dim^k entries.
-// Returns t_dim^k entries. The MontgomeryField overload expects base
-// and x in the Montgomery domain and returns domain values (each
-// output entry is a sum of products with exactly one weight factor
-// per level, so the representation is preserved level by level).
-// The SIMD overloads run the suffix push loops on u64 lanes (4 for
-// AVX2, 8 for AVX-512) — the hot path of batched proof evaluation
+// Returns t_dim^k entries, in f's domain: canonical for PrimeField,
+// Montgomery-domain for the Montgomery fields (each output entry is a
+// sum of products with exactly one weight factor per level, so the
+// representation is preserved level by level). Instantiated in
+// yates/yates.cpp for PrimeField, MontgomeryField and the two lane
+// fields, whose batch kernels run the suffix push loops on u64 lanes
+// — the hot path of batched proof evaluation
 // (Evaluator::evaluate_points over count/ problems) — with
 // bit-identical output.
 //
@@ -35,22 +33,11 @@ namespace camelot {
 // result holds t_dim^k rows laid out the same way. Column c equals
 // the batch = 1 transform of column c; the column index is the
 // innermost digit, so each push runs over suffix * batch words.
-std::vector<u64> yates_apply(const PrimeField& f, std::span<const u64> base,
+template <class Field>
+std::vector<u64> yates_apply(const Field& f, std::span<const u64> base,
                              std::size_t t_dim, std::size_t s_dim,
                              std::span<const u64> x, unsigned k,
                              std::size_t batch = 1);
-std::vector<u64> yates_apply(const MontgomeryField& f,
-                             std::span<const u64> base, std::size_t t_dim,
-                             std::size_t s_dim, std::span<const u64> x,
-                             unsigned k, std::size_t batch = 1);
-std::vector<u64> yates_apply(const MontgomeryAvx2Field& f,
-                             std::span<const u64> base, std::size_t t_dim,
-                             std::size_t s_dim, std::span<const u64> x,
-                             unsigned k, std::size_t batch = 1);
-std::vector<u64> yates_apply(const MontgomeryAvx512Field& f,
-                             std::span<const u64> base, std::size_t t_dim,
-                             std::size_t s_dim, std::span<const u64> x,
-                             unsigned k, std::size_t batch = 1);
 
 // Reference implementation by the defining sum (3): O((st)^k k) — used
 // only for differential testing.

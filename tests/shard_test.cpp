@@ -3,7 +3,8 @@
 // ProofSession on the same job (lossless, lossy, and mixed
 // loss+corruption), shard-death retry, the fleet observability rollup
 // (merged scrape == element-wise sum of the per-process scrapes;
-// deterministic counts match the single-process run), the worker's
+// deterministic counts match the single-process run), a worker found
+// dead by the next job's submit write, the worker's
 // rejection of untrusted wire lengths and field values, and the
 // coordinator's treatment of a malformed worker frame or scrape as that
 // worker's death.
@@ -14,9 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -467,6 +471,85 @@ INSTANTIATE_TEST_SUITE_P(
         // Length header beyond the frame cap.
         std::string("\xff\xff\xff\xff", 4),
         report_with_bad_status()));
+
+// A worker stand-in: the first of a fleet's workers to take a mkdir
+// lock writes its pid to a file, then every worker execs the real
+// shardd under the same pid, so a test can kill that one between jobs.
+class PidRecordingWorker {
+ public:
+  PidRecordingWorker() {
+    std::string tmpl = ::testing::TempDir() + "camelot_pid_shard_XXXXXX";
+    if (::mkdtemp(tmpl.data()) == nullptr) return;
+    dir_ = tmpl;
+    const char* real = std::getenv("CAMELOT_SHARDD");
+    const std::string shardd = real && *real ? real : "./shardd";
+    std::ofstream(script())
+        << "#!/bin/sh\nif mkdir '" << dir_ << "/lock' 2>/dev/null; then\n"
+        << "  echo $$ > '" << pid_file() << "'\nfi\n"
+        << "exec '" << shardd << "' \"$@\"\n";
+    ::chmod(script().c_str(), 0755);
+  }
+  ~PidRecordingWorker() {
+    if (dir_.empty()) return;
+    ::unlink(script().c_str());
+    ::unlink(pid_file().c_str());
+    ::rmdir((dir_ + "/lock").c_str());
+    ::rmdir(dir_.c_str());
+  }
+  bool ok() const { return !dir_.empty(); }
+  std::string script() const { return dir_ + "/shardd.sh"; }
+  pid_t recorded_pid() const {
+    long pid = -1;
+    std::ifstream(pid_file()) >> pid;
+    return static_cast<pid_t>(pid);
+  }
+
+ private:
+  std::string pid_file() const { return dir_ + "/worker.pid"; }
+  std::string dir_;
+};
+
+TEST(ShardCoordinatorTest, WorkerDeadBetweenJobsRetriesAtDispatch) {
+  REQUIRE_SHARDD();
+  ShardJob job = base_job();
+  job.problem_spec = "triangle:16:40:9";
+  job.config.num_primes = 2;
+  const RunReport single = run_single_process(job);
+  ASSERT_TRUE(single.success);
+
+  const PidRecordingWorker worker;
+  ASSERT_TRUE(worker.ok());
+  ShardOptions options;
+  options.num_shards = 2;
+  options.shardd_path = worker.script();
+  ShardCoordinator fleet(options);
+  expect_reports_equal(fleet.run(job), single);
+
+  // One worker dies while the fleet is idle. Wait for its exit without
+  // reaping it (the coordinator is its parent and reaps it), so the
+  // next job's submit to it fails on the write instead of meeting EOF.
+  const pid_t pid = worker.recorded_pid();
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(::kill(pid, SIGKILL), 0);
+  siginfo_t info{};
+  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOWAIT),
+            0);
+  EXPECT_EQ(fleet.live_shards(), 2u);
+
+  // Its prime is re-dealt at once, not after the 30 s poll timeout.
+  const auto t0 = std::chrono::steady_clock::now();
+  const RunReport second = fleet.run(job);
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  expect_reports_equal(second, single);
+  EXPECT_LT(elapsed, 10.0);
+  EXPECT_EQ(fleet.live_shards(), 1u);
+  EXPECT_EQ(counter_value(fleet.metrics().snapshot(),
+                          "camelot_shard_deaths_total"),
+            1u);
+  EXPECT_GT(fleet.retried_primes(), 0u);
+}
 
 TEST(ShardCoordinatorTest, ReusableAcrossJobs) {
   REQUIRE_SHARDD();

@@ -1,21 +1,24 @@
-// Property tests for the AVX2 Montgomery backend: every lane-wide
-// kernel must agree bit-for-bit with the scalar Montgomery pipeline
-// on randomized inputs — including lengths that are not multiples of
-// the 4-lane width, so the scalar tails are exercised — across
-// several primes. When the process cannot run the AVX2 kernels (no
-// CPU support, or CAMELOT_FORCE_SCALAR is set), the differential
-// tests are vacuous and are skipped so the report stays honest; the
-// dispatch tests still run and pin down the fallback behavior.
+// Property tests for the lane Montgomery backends: every lane-wide
+// kernel of both widths must agree bit-for-bit with the scalar
+// Montgomery pipeline on randomized inputs — including lengths that
+// are not multiples of the lane width, so the one-lane tails are
+// exercised — across several primes. When the process cannot run a
+// width's kernels (no CPU support, or CAMELOT_FORCE_SCALAR /
+// CAMELOT_FORCE_AVX2 rules it out), its differential tests are
+// vacuous and are skipped with that reason so the report stays
+// honest; the dispatch tests still run and pin down the fallback
+// behavior.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "field/field_cache.hpp"
 #include "field/field_ops.hpp"
-#include "field/montgomery_avx512.hpp"
-#include "field/montgomery_simd.hpp"
+#include "field/montgomery_lanes.hpp"
 #include "field/primes.hpp"
 #include "poly/lagrange.hpp"
 #include "poly/multipoint.hpp"
@@ -28,14 +31,26 @@
 namespace camelot {
 namespace {
 
-// Lane primes (q < 2^31) of assorted sizes, all NTT-friendly enough
-// for the kernels each test uses. 3 and 5 stress the tiny-modulus
-// corners; the ~2^29 prime covers the top of the lane window, where
-// the REDC-32 intermediates come closest to 2^64.
-u64 top_lane_prime() { return find_ntt_prime(u64{1} << 29, 20); }
+// Lane primes (q < 2^31) of assorted sizes. 3 and 5 stress the
+// tiny-modulus corners; the ~2^29 prime has two-adicity 20 for long
+// transforms. The top of the lane window, where the REDC-32
+// intermediates come closest to 2^64, is covered by the prime every
+// benchmarked session plans (core/prime_plan.cpp takes the largest
+// NTT primes below 2^31) and by 2^31 - 1, the widest modulus the lane
+// constructors accept; its two-adicity is 1, so it runs the
+// elementwise kernels only.
+u64 two_adic_lane_prime() { return find_ntt_prime(u64{1} << 29, 20); }
+constexpr u64 kSessionPrime = 2147352577;  // 2^17 * 16383 + 1
+constexpr u64 kWidestLanePrime = (u64{1} << 31) - 1;
 
 std::vector<u64> test_primes() {
-  return {3, 5, 97, find_ntt_prime(1u << 12, 8), top_lane_prime()};
+  return {3,
+          5,
+          97,
+          find_ntt_prime(1u << 12, 8),
+          two_adic_lane_prime(),
+          kSessionPrime,
+          kWidestLanePrime};
 }
 
 std::vector<u64> random_domain_values(const MontgomeryField& m,
@@ -100,94 +115,132 @@ TEST(SimdDispatch, WidePrimeResolvesScalar) {
 }
 
 TEST(SimdDispatch, TrivialModulusAlwaysResolvesScalar) {
-  // q == 2 has no Montgomery representation; the SIMD kernels do not
-  // implement the identity-domain mode, so dispatch must refuse it.
+  // q == 2 has no Montgomery representation; the lane kernels do not
+  // implement the identity-domain mode, so dispatch must refuse it and
+  // the lane classes refuse to be built over it.
   const FieldOps ops(PrimeField(2), FieldBackend::kMontgomeryAvx2);
   EXPECT_EQ(ops.backend(), FieldBackend::kMontgomery);
   EXPECT_EQ(FieldOps(PrimeField(2), FieldBackend::kMontgomeryAvx512).backend(),
             FieldBackend::kMontgomery);
+  const MontgomeryField m{PrimeField(2)};
+  EXPECT_THROW(MontgomeryAvx2Field{m}, std::invalid_argument);
+  EXPECT_THROW(MontgomeryAvx512Field{m}, std::invalid_argument);
 }
 
-TEST(SimdBackend, ElementwiseKernelsMatchScalar) {
-  if (!simd_runtime_enabled()) GTEST_SKIP() << "AVX2 unavailable or forced off";
-  std::mt19937_64 rng(0xA2C2);
+// The differential tests every lane width runs, typed over the two
+// lane classes; a width this process cannot run skips with the reason.
+template <class Lane>
+class LaneKernels : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if constexpr (std::is_same_v<Lane, MontgomeryAvx512Field>) {
+      if (!cpu_supports_avx512()) {
+        GTEST_SKIP() << "host lacks AVX-512F/DQ: the 8-lane kernels cannot run";
+      }
+      if (!simd512_runtime_enabled()) {
+        GTEST_SKIP() << "8-lane kernels forced off (CAMELOT_FORCE_SCALAR or "
+                        "CAMELOT_FORCE_AVX2)";
+      }
+    } else {
+      if (!cpu_supports_avx2()) {
+        GTEST_SKIP() << "host lacks AVX2: the 4-lane kernels cannot run";
+      }
+      if (!simd_runtime_enabled()) {
+        GTEST_SKIP() << "4-lane kernels forced off (CAMELOT_FORCE_SCALAR)";
+      }
+    }
+  }
+};
+
+struct LaneName {
+  template <class Lane>
+  static std::string GetName(int) {
+    return std::is_same_v<Lane, MontgomeryAvx512Field> ? "Avx512" : "Avx2";
+  }
+};
+
+using LaneTypes = ::testing::Types<MontgomeryAvx2Field, MontgomeryAvx512Field>;
+TYPED_TEST_SUITE(LaneKernels, LaneTypes, LaneName);
+
+TYPED_TEST(LaneKernels, ElementwiseKernelsMatchScalar) {
+  std::mt19937_64 rng(0xA2C2 + TypeParam::kLanes);
   for (u64 q : test_primes()) {
     const MontgomeryField m{PrimeField(q)};
-    const MontgomeryAvx2Field fs(m);
-    // Lengths around the lane width exercise every tail shape.
-    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                          std::size_t{4}, std::size_t{5}, std::size_t{7},
-                          std::size_t{8}, std::size_t{13}, std::size_t{100},
-                          std::size_t{1001}}) {
+    const TypeParam fs(m);
+    // Lengths around both lane widths exercise every tail shape.
+    for (std::size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 100, 1001}) {
       const std::vector<u64> a = random_domain_values(m, n, rng);
       const std::vector<u64> b = random_domain_values(m, n, rng);
       const u64 s = m.to_mont(rng() % q);
+      const std::string where =
+          " q=" + std::to_string(q) + " n=" + std::to_string(n);
 
       std::vector<u64> got(n), want(n);
-      fs.mul_vec(a.data(), b.data(), got.data(), n);
       for (std::size_t i = 0; i < n; ++i) want[i] = m.mul(a[i], b[i]);
-      EXPECT_EQ(got, want) << "mul_vec q=" << q << " n=" << n;
+      fs.mul_vec(a.data(), b.data(), got.data(), n);
+      EXPECT_EQ(got, want) << "mul_vec" << where;
+      got = a;
+      fs.mul_vec(got.data(), b.data(), got.data(), n);
+      EXPECT_EQ(got, want) << "mul_vec in place" << where;
 
-      fs.scale_vec(a.data(), s, got.data(), n);
       for (std::size_t i = 0; i < n; ++i) want[i] = m.mul(a[i], s);
-      EXPECT_EQ(got, want) << "scale_vec q=" << q << " n=" << n;
+      fs.scale_vec(a.data(), s, got.data(), n);
+      EXPECT_EQ(got, want) << "scale_vec" << where;
+      got = a;
+      fs.scale_vec(got.data(), s, got.data(), n);
+      EXPECT_EQ(got, want) << "scale_vec in place" << where;
 
       got = a;
-      want = a;
       fs.addmul_inplace(got.data(), s, b.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        want[i] = m.add(want[i], m.mul(s, b[i]));
-      }
-      EXPECT_EQ(got, want) << "addmul q=" << q << " n=" << n;
+      for (std::size_t i = 0; i < n; ++i) want[i] = m.add(a[i], m.mul(s, b[i]));
+      EXPECT_EQ(got, want) << "addmul" << where;
 
       got = a;
-      want = a;
       fs.submul_inplace(got.data(), s, b.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        want[i] = m.sub(want[i], m.mul(s, b[i]));
-      }
-      EXPECT_EQ(got, want) << "submul q=" << q << " n=" << n;
+      for (std::size_t i = 0; i < n; ++i) want[i] = m.sub(a[i], m.mul(s, b[i]));
+      EXPECT_EQ(got, want) << "submul" << where;
 
       got = a;
-      want = a;
       fs.add_inplace(got.data(), b.data(), n);
-      for (std::size_t i = 0; i < n; ++i) want[i] = m.add(want[i], b[i]);
-      EXPECT_EQ(got, want) << "add_inplace q=" << q << " n=" << n;
+      for (std::size_t i = 0; i < n; ++i) want[i] = m.add(a[i], b[i]);
+      EXPECT_EQ(got, want) << "add_inplace" << where;
 
-      fs.sub_from_scalar(s, a.data(), got.data(), n);
       for (std::size_t i = 0; i < n; ++i) want[i] = m.sub(s, a[i]);
-      EXPECT_EQ(got, want) << "sub_from_scalar q=" << q << " n=" << n;
+      fs.sub_from_scalar(s, a.data(), got.data(), n);
+      EXPECT_EQ(got, want) << "sub_from_scalar" << where;
+      got = a;
+      fs.sub_from_scalar(s, got.data(), got.data(), n);
+      EXPECT_EQ(got, want) << "sub_from_scalar in place" << where;
 
       u64 acc = 0;
       for (std::size_t i = 0; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
-      EXPECT_EQ(fs.dot(a.data(), b.data(), n), acc)
-          << "dot q=" << q << " n=" << n;
+      EXPECT_EQ(fs.dot(a.data(), b.data(), n), acc) << "dot" << where;
     }
   }
 }
 
-TEST(SimdBackend, NttMatchesScalarTabledAndUntabled) {
-  if (!simd_runtime_enabled()) GTEST_SKIP() << "AVX2 unavailable or forced off";
-  std::mt19937_64 rng(0xB3D1);
-  for (u64 q : {find_ntt_prime(1u << 12, 14), top_lane_prime()}) {
+TYPED_TEST(LaneKernels, NttMatchesScalarTabledAndUntabled) {
+  std::mt19937_64 rng(0xB3D1 + TypeParam::kLanes);
+  for (u64 q :
+       {find_ntt_prime(1u << 12, 14), two_adic_lane_prime(), kSessionPrime}) {
     const MontgomeryField m{PrimeField(q)};
-    const MontgomeryAvx2Field fs(m);
+    const TypeParam fs(m);
     const NttTables tables(m, 1u << 12);
-    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                          std::size_t{8}, std::size_t{64}, std::size_t{4096}}) {
+    // Below, at and above one vector, up to a many-stage transform.
+    for (std::size_t n : {1, 2, 4, 8, 16, 64, 4096}) {
       for (bool inverse : {false, true}) {
         const std::vector<u64> base = random_domain_values(m, n, rng);
         std::vector<u64> scalar = base, simd = base;
         ntt_inplace(scalar, inverse, m);
         ntt_inplace(simd, inverse, fs);
-        EXPECT_EQ(simd, scalar) << "untabled q=" << q << " n=" << n
-                                << " inv=" << inverse;
+        EXPECT_EQ(simd, scalar)
+            << "untabled q=" << q << " n=" << n << " inv=" << inverse;
         scalar = base;
         simd = base;
         ntt_inplace(scalar, inverse, m, tables);
         ntt_inplace(simd, inverse, fs, tables);
-        EXPECT_EQ(simd, scalar) << "tabled q=" << q << " n=" << n
-                                << " inv=" << inverse;
+        EXPECT_EQ(simd, scalar)
+            << "tabled q=" << q << " n=" << n << " inv=" << inverse;
       }
     }
     // Convolutions of tail-heavy (non-power-of-two) lengths.
@@ -325,105 +378,6 @@ TEST(SimdBackend, YatesAndLagrangeMatchScalarBackend) {
       EXPECT_EQ(lv.basis_mont(x0), ls.basis_mont(x0)) << "count=" << count;
       EXPECT_EQ(lv.basis(x0), ls.basis(x0));
       EXPECT_EQ(lv.eval(values, x0), ls.eval(values, x0));
-    }
-  }
-}
-
-TEST(Avx512Backend, ElementwiseKernelsMatchScalar) {
-  if (!simd512_runtime_enabled()) {
-    GTEST_SKIP() << "AVX-512 unavailable or forced off";
-  }
-  std::mt19937_64 rng(0x512A);
-  for (u64 q : test_primes()) {
-    const MontgomeryField m{PrimeField(q)};
-    const MontgomeryAvx512Field fs(m);
-    // Lengths around the 8-lane width exercise every tail shape.
-    for (std::size_t n : {std::size_t{1}, std::size_t{5}, std::size_t{7},
-                          std::size_t{8}, std::size_t{9}, std::size_t{15},
-                          std::size_t{16}, std::size_t{100},
-                          std::size_t{1001}}) {
-      const std::vector<u64> a = random_domain_values(m, n, rng);
-      const std::vector<u64> b = random_domain_values(m, n, rng);
-      const u64 s = m.to_mont(rng() % q);
-
-      std::vector<u64> got(n), want(n);
-      fs.mul_vec(a.data(), b.data(), got.data(), n);
-      for (std::size_t i = 0; i < n; ++i) want[i] = m.mul(a[i], b[i]);
-      EXPECT_EQ(got, want) << "mul_vec q=" << q << " n=" << n;
-
-      fs.scale_vec(a.data(), s, got.data(), n);
-      for (std::size_t i = 0; i < n; ++i) want[i] = m.mul(a[i], s);
-      EXPECT_EQ(got, want) << "scale_vec q=" << q << " n=" << n;
-
-      got = a;
-      want = a;
-      fs.addmul_inplace(got.data(), s, b.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        want[i] = m.add(want[i], m.mul(s, b[i]));
-      }
-      EXPECT_EQ(got, want) << "addmul q=" << q << " n=" << n;
-
-      got = a;
-      want = a;
-      fs.submul_inplace(got.data(), s, b.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        want[i] = m.sub(want[i], m.mul(s, b[i]));
-      }
-      EXPECT_EQ(got, want) << "submul q=" << q << " n=" << n;
-
-      got = a;
-      want = a;
-      fs.add_inplace(got.data(), b.data(), n);
-      for (std::size_t i = 0; i < n; ++i) want[i] = m.add(want[i], b[i]);
-      EXPECT_EQ(got, want) << "add_inplace q=" << q << " n=" << n;
-
-      fs.sub_from_scalar(s, a.data(), got.data(), n);
-      for (std::size_t i = 0; i < n; ++i) want[i] = m.sub(s, a[i]);
-      EXPECT_EQ(got, want) << "sub_from_scalar q=" << q << " n=" << n;
-
-      u64 acc = 0;
-      for (std::size_t i = 0; i < n; ++i) acc = m.add(acc, m.mul(a[i], b[i]));
-      EXPECT_EQ(fs.dot(a.data(), b.data(), n), acc)
-          << "dot q=" << q << " n=" << n;
-    }
-  }
-}
-
-TEST(Avx512Backend, NttMatchesScalarTabledAndUntabled) {
-  if (!simd512_runtime_enabled()) {
-    GTEST_SKIP() << "AVX-512 unavailable or forced off";
-  }
-  std::mt19937_64 rng(0x512B);
-  for (u64 q : {find_ntt_prime(1u << 12, 14), top_lane_prime()}) {
-    const MontgomeryField m{PrimeField(q)};
-    const MontgomeryAvx512Field fs(m);
-    const NttTables tables(m, 1u << 12);
-    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{8},
-                          std::size_t{16}, std::size_t{64},
-                          std::size_t{4096}}) {
-      for (bool inverse : {false, true}) {
-        const std::vector<u64> base = random_domain_values(m, n, rng);
-        std::vector<u64> scalar = base, simd = base;
-        ntt_inplace(scalar, inverse, m);
-        ntt_inplace(simd, inverse, fs);
-        EXPECT_EQ(simd, scalar)
-            << "untabled q=" << q << " n=" << n << " inv=" << inverse;
-        scalar = base;
-        simd = base;
-        ntt_inplace(scalar, inverse, m, tables);
-        ntt_inplace(simd, inverse, fs, tables);
-        EXPECT_EQ(simd, scalar)
-            << "tabled q=" << q << " n=" << n << " inv=" << inverse;
-      }
-    }
-    for (auto [na, nb] : {std::pair<std::size_t, std::size_t>{1, 1},
-                          {5, 3},
-                          {513, 511},
-                          {1000, 37}}) {
-      const std::vector<u64> a = random_domain_values(m, na, rng);
-      const std::vector<u64> b = random_domain_values(m, nb, rng);
-      EXPECT_EQ(ntt_convolve(a, b, fs), ntt_convolve(a, b, m));
-      EXPECT_EQ(ntt_convolve(a, b, fs, tables), ntt_convolve(a, b, m, tables));
     }
   }
 }
