@@ -12,15 +12,22 @@
 // in blocks of B = kPointBlock points (count/form62_block.hpp), the
 // point index innermost so each lane call covers the whole block:
 //   1. the factorial trick for Lambda_r(x_b), r = 1..R, as one R x B
-//      block: prefix and suffix product chains along r, lanes across
-//      the B points, O(R) per point and no inversion;
+//      block: the prefix and suffix product chains along r advance
+//      together in one sweep from both ends, lanes across the B
+//      points and the running products in registers, O(R) per point
+//      and no inversion;
 //   2. Yates's algorithm on the Kronecker-structured coefficient
 //      tables (eq. (17)) with B columns, giving alpha_de(x_b),
 //      beta_ef(x_b), gamma_df(x_b) for all d,e,f as n x n x B blocks
-//      in O(R t) per point;
+//      in O(R t) per point; each level reads its input once and
+//      writes each output once, its +-1 weights as adds and
+//      subtracts, and the blocks stay in the transforms' interleaved
+//      row order;
 //   3. the circuit's eight N x N matrix products (15)-(16) on those
 //      blocks, in the Montgomery domain on the prime's lanes; each
 //      point's value is converted out once.
+// The basis block and the Yates levels live in buffers reused from
+// block to block.
 // eval(x0) is a one-point block. The input matrices are checked and
 // converted to the Montgomery domain once per evaluator.
 #pragma once

@@ -13,39 +13,29 @@ Form62Coefficients::Form62Coefficients(const TrilinearDecomposition& dec,
     : ops_(f),
       n0_(dec.n0),
       rank0_(dec.rank),
-      n_(ipow(dec.n0, t)),
       t_(t),
       lagrange_(1, static_cast<std::size_t>(ipow(dec.rank, t)), f) {
   const MontgomeryField& m = f.mont();
   alpha_table_ = m.to_mont_vec(dec.alpha_mod(f.prime()));
   beta_table_ = m.to_mont_vec(dec.beta_mod(f.prime()));
   gamma_table_ = m.to_mont_vec(dec.gamma_mod(f.prime()));
-  yates_row_.resize(n_ * n_);
-  for (u64 d = 0; d < n_; ++d) {
-    for (u64 e = 0; e < n_; ++e) {
-      yates_row_[d * n_ + e] = interleave_pair_index(d, e, n0_, t_);
-    }
-  }
 }
 
 void Form62Coefficients::interpolate(std::span<const u64> xs,
                                      Form62Blocks& out) const {
   const std::size_t width = xs.size();
   // Step 1: Lambda_r(x_b) for r = 1..R, R rows of `width` points.
-  const std::vector<u64> lambda = lagrange_.basis_mont_block(xs);
+  lagrange_.basis_mont_block(xs, out.lambda);
   out.width = width;
+  out.n0 = n0_;
+  out.t = t_;
   with_lane_field(ops_.backend(), ops_.mont(), [&](const auto& lf) {
     // Step 2: one Yates transform per table for the whole block (eq.
-    // (17)), read back from interleaved (d, e) order to row-major.
+    // (17)), left in its interleaved (d, e) row order.
     const auto transform = [&](const std::vector<u64>& table,
                                std::vector<u64>& dst) {
-      const std::vector<u64> y =
-          yates_apply(lf, table, n0_ * n0_, rank0_, lambda, t_, width);
-      dst.resize(n_ * n_ * width);
-      for (std::size_t p = 0; p < n_ * n_; ++p) {
-        std::copy_n(y.data() + yates_row_[p] * width, width,
-                    dst.data() + p * width);
-      }
+      yates_apply(lf, table, n0_ * n0_, rank0_, out.lambda, t_, width, dst,
+                  out.scratch);
     };
     transform(alpha_table_, out.alpha);
     transform(beta_table_, out.beta);
@@ -84,22 +74,33 @@ void Form62BlockCircuit::run(const F& f, const Form62Blocks& in, u64* out,
                              std::vector<u64>& scratch) const {
   const std::size_t n = n_, w = in.width, row = n * w, whole = n * row;
   const u64 unit = f.one();
-  scratch.resize(5 * whole + row);
+  scratch.resize(5 * whole + row + n);
   u64* v = scratch.data();  // the masked operand of the next product
   u64* t1 = v + whole;      // H, K, L in turn
   u64* at = t1 + whole;     // A^T
   u64* bt = at + whole;     // B^T
   u64* c = bt + whole;
   u64* tmp = c + whole;  // one row
+  // Entry (i, j) of an input block sits in row n0 * spread[i] +
+  // spread[j], spread[j] = interleave_pair_index(0, j): the base-n0
+  // digits of j read in base n0^2.
+  u64* spread = tmp + row;
+  for (std::size_t j = 0; j < n; ++j) {
+    spread[j] = interleave_pair_index(0, j, in.n0, in.t);
+  }
   const auto chi = [&](int s, int t) -> const std::vector<u64>& {
     return mats_[form62_pair_index(s, t)];
   };
-  // dst(i, j), or dst(j, i) when `transpose`, = mask_ij * src(i, j).
-  const auto masked = [&](const u64* src, const std::vector<u64>& mask,
-                          bool transpose, u64* dst) {
+  // dst(i, j), or dst(j, i) when `transpose`, = mask_ij * src(i, j);
+  // src is row-major, or a block in its interleaved order when
+  // `interleaved`.
+  const auto masked = [&](const u64* src, bool interleaved,
+                          const std::vector<u64>& mask, bool transpose,
+                          u64* dst) {
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        const u64* s = src + (i * n + j) * w;
+        const u64* s =
+            src + (interleaved ? in.n0 * spread[i] + spread[j] : i * n + j) * w;
         u64* d = dst + (transpose ? j * n + i : i * n + j) * w;
         const u64 weight = mask[i * n + j];
         if (weight == 0) {
@@ -130,24 +131,24 @@ void Form62BlockCircuit::run(const F& f, const Form62Blocks& in, u64* out,
     }
   };
   // H = chi15 (alpha o chi45)^T, then A^T = chi24 (chi14 o H)^T.
-  masked(in.alpha.data(), chi(4, 5), true, v);
+  masked(in.alpha.data(), true, chi(4, 5), true, v);
   product(chi(1, 5), v, t1);
-  masked(t1, chi(1, 4), true, v);
+  masked(t1, false, chi(1, 4), true, v);
   product(chi(2, 4), v, at);
   // K = chi26 (beta o chi56)^T, then B^T = chi35 (chi25 o K)^T.
-  masked(in.beta.data(), chi(5, 6), true, v);
+  masked(in.beta.data(), true, chi(5, 6), true, v);
   product(chi(2, 6), v, t1);
-  masked(t1, chi(2, 5), true, v);
+  masked(t1, false, chi(2, 5), true, v);
   product(chi(3, 5), v, bt);
   // L = chi34 (gamma o chi46), then C = chi16 (chi36 o L)^T.
-  masked(in.gamma.data(), chi(4, 6), false, v);
+  masked(in.gamma.data(), true, chi(4, 6), false, v);
   product(chi(3, 4), v, t1);
-  masked(t1, chi(3, 6), true, v);
+  masked(t1, false, chi(3, 6), true, v);
   product(chi(1, 6), v, c);
   // X = chi13 o C into v, Y = chi23 o B into t1 (row b of Y is
   // column b of B^T).
-  masked(c, chi(1, 3), false, v);
-  masked(bt, chi23_t_, true, t1);
+  masked(c, false, chi(1, 3), false, v);
+  masked(bt, false, chi23_t_, true, t1);
   // P = sum_ab chi12_ab A_ab Q_ab with Q_ab = sum_c X_ac Y_bc: one
   // row product, then a halving fold over c.
   std::fill(out, out + w, 0);

@@ -6,11 +6,14 @@
 // index innermost, so every lane call of the resolved backend covers
 // the whole block:
 //   * Form62Coefficients: the R x B Lagrange basis by the factorial
-//     trick (ConsecutiveLagrange::basis_mont_block), then the three
-//     Yates transforms of eq. (17) with a batch of B columns, giving
-//     the interpolated coefficient matrices alpha(x_b), beta(x_b),
-//     gamma(x_b) as n x n x B blocks;
-//   * Form62BlockCircuit: the circuit (15)-(16) on those blocks.
+//     trick (ConsecutiveLagrange::basis_mont_block, one sweep of both
+//     product chains), then the three Yates transforms of eq. (17)
+//     with a batch of B columns, each level reading its input once
+//     and writing its output once, giving the interpolated coefficient
+//     matrices alpha(x_b), beta(x_b), gamma(x_b) as n x n x B blocks
+//     in the transforms' interleaved row order;
+//   * Form62BlockCircuit: the circuit (15)-(16) on those blocks, whose
+//     first pass over each block reads it in that order.
 // Values stay in the Montgomery domain throughout; callers convert
 // each point's result out once. Field arithmetic is exact, so every
 // result equals the per-point reference form62_circuit_term.
@@ -26,11 +29,19 @@
 
 namespace camelot {
 
-// Three n x n matrices for `width` points, Montgomery domain: entry
-// (i, j) of point b sits at (i * n + j) * width + b.
+// Three n x n matrices (n = n0^t) for `width` points, Montgomery
+// domain, as the Yates transforms leave them: entry (i, j) of point b
+// sits at interleave_pair_index(i, j, n0, t) * width + b (the base-n0
+// digits of i and j paired up, linalg/tensor.hpp).
 struct Form62Blocks {
   std::size_t width = 0;
+  std::size_t n0 = 0;
+  unsigned t = 0;
   std::vector<u64> alpha, beta, gamma;
+  // Working storage of Form62Coefficients::interpolate (the basis
+  // block and the Yates levels), kept so that a caller reusing one
+  // Form62Blocks across blocks allocates it once.
+  std::vector<u64> lambda, scratch;
 };
 
 // Per-node precomputation for the t-fold Kronecker power of `dec`
@@ -47,12 +58,10 @@ class Form62Coefficients {
 
  private:
   FieldOps ops_;
-  std::size_t n0_, rank0_, n_;  // n = n0^t
+  std::size_t n0_, rank0_;
   unsigned t_;
   ConsecutiveLagrange lagrange_;
   std::vector<u64> alpha_table_, beta_table_, gamma_table_;
-  // Yates output row of entry (d, e): interleave_pair_index(d, e).
-  std::vector<u64> yates_row_;
 };
 
 // The circuit (15)-(16) for one Form62Input, over blocks of points:

@@ -45,11 +45,12 @@ class TriangleEvaluator : public Evaluator {
   std::vector<u64> evaluate_points(std::span<const u64> xs) override {
     std::vector<u64> out(xs.size());
     const std::size_t rows = ext_a_.part_size();
+    std::vector<u64> phi;
     for (std::size_t lo = 0; lo < xs.size(); lo += kPointBlock) {
       const std::span<const u64> block =
           xs.subspan(lo, std::min(kPointBlock, xs.size() - lo));
       const std::size_t w = block.size();
-      const std::vector<u64> phi = ext_a_.lagrange().basis_mont_block(block);
+      ext_a_.lagrange().basis_mont_block(block, phi);
       std::vector<u64> pa = ext_a_.evaluate_block_mont(phi, w);
       const std::vector<u64> pb = ext_b_.evaluate_block_mont(phi, w);
       const std::vector<u64> pc = ext_c_.evaluate_block_mont(phi, w);

@@ -124,9 +124,9 @@ class MontgomeryField {
   // class.
   u64 q_;
   u64 neg_q_inv_;  // -q^{-1} mod 2^64
+  u64 r1_;         // R mod q
 
  private:
-  u64 r1_;         // R mod q
   u64 r2_;         // R^2 mod q
   bool trivial_;   // q == 2: Montgomery undefined, identity domain
 };

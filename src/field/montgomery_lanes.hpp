@@ -40,6 +40,18 @@ concept FieldHasBatchKernels =
       f.add_inplace(r, a, n);
     };
 
+// One step of a Yates level program (MontgomeryLaneField::yates_level):
+// add, subtract or multiply-add input row `row` into the running sum,
+// or store the sum to output row `row` and clear it. A base row's
+// weights become one step each (+1 adds, -1 subtracts, any other
+// nonzero weight w multiplies), followed by its store.
+enum class YatesOp : u32 { kAdd, kSub, kMul, kStore };
+struct YatesStep {
+  YatesOp op;
+  u32 row;
+  u64 w;  // Montgomery-domain weight of a kMul step
+};
+
 // The instruction sets with a lane kernel, by width.
 struct Avx2Lanes {
   static constexpr std::size_t kLanes = 4;
@@ -83,6 +95,27 @@ class MontgomeryLaneField : public MontgomeryField {
                        std::size_t n) const noexcept;
   // sum_i a[i] * b[i]
   u64 dot(const u64* a, const u64* b, std::size_t n) const noexcept;
+  // The Lagrange basis of ConsecutiveLagrange::basis_mont_block:
+  // out[i * width + b] = inv_w[i] * prod_{j != i} (xs[b] - nodes[j])
+  // for i < count and b < width. Two product chains run in registers,
+  // the prefix one down from row 0 and the suffix one up from row
+  // count - 1, making each difference from the broadcast node as they
+  // go: the first to reach a row stores its product times inv_w[i],
+  // the second multiplies its own in. Every row is stored twice and
+  // read once, whatever the width.
+  void lagrange_block(const u64* nodes, const u64* inv_w, std::size_t count,
+                      const u64* xs, std::size_t width,
+                      u64* out) const noexcept;
+  // One level of Yates's algorithm: for each of `blocks` blocks of s
+  // input rows and t output rows, every n words long, runs `program`
+  // on every column of two vectors (then one, then one word), keeping
+  // each output row's sum in registers until its store: each input
+  // word is read from its stream once and each output word written
+  // once, with no zero fill and no read-modify-write. out must not
+  // overlap in.
+  void yates_level(const YatesStep* program, std::size_t steps,
+                   const u64* in, std::size_t s, u64* out, std::size_t t,
+                   std::size_t blocks, std::size_t n) const noexcept;
   // Whole radix-2 passes over a[0..n), n a power of two, with the
   // twiddles of field/ntt_passes.hpp in either flavour: ntt_dif is the
   // forward DIF pass (natural order in, bit-reversed spectrum out),

@@ -120,6 +120,98 @@ inline void for_lanes(u64 q, u64 ninv, std::size_t n, Body body) noexcept {
   for (; i < n; ++i) body(s, i);
 }
 
+// lagrange_block over G vectors of P: xs and out start at the group's
+// first column, and `stride` is the row length of out.
+template <std::size_t G, class P>
+void lagrange_cols(const u64* nodes, const u64* inv_w, std::size_t count,
+                   const u64* xs, u64* out, std::size_t stride, u64 one,
+                   const Ctx<P>& c) noexcept {
+  typename P::V x[G], pre[G], suf[G];
+  for (std::size_t g = 0; g < G; ++g) {
+    x[g] = P::load(xs + g * P::kLanes);
+    pre[g] = suf[g] = P::set1(one);
+  }
+  const auto at = [&](std::size_t row, std::size_t g) {
+    return out + row * stride + g * P::kLanes;
+  };
+  // chain *= x - node
+  const auto advance = [&](auto& chain, std::size_t g, u64 node) {
+    chain = mont_mul(chain, P::mod_sub(x[g], P::set1(node), c.q), c);
+  };
+  // First half: each chain meets its rows first. Row i = s has the
+  // prefix product prod_{j<i}, row k = count-1-s the suffix prod_{j>k}.
+  const std::size_t half = count / 2;
+  for (std::size_t s = 0; s < half; ++s) {
+    const std::size_t i = s, k = count - 1 - s;
+    for (std::size_t g = 0; g < G; ++g) {
+      P::store(at(i, g), mont_mul(pre[g], P::set1(inv_w[i]), c));
+      P::store(at(k, g), mont_mul(suf[g], P::set1(inv_w[k]), c));
+      advance(pre[g], g, nodes[i]);
+      advance(suf[g], g, nodes[k]);
+    }
+  }
+  // An odd count leaves the middle row, which both chains reach at once.
+  if (count % 2 == 1) {
+    for (std::size_t g = 0; g < G; ++g) {
+      const auto w = P::set1(inv_w[half]);
+      P::store(at(half, g), mont_mul(mont_mul(pre[g], suf[g], c), w, c));
+      advance(pre[g], g, nodes[half]);
+      advance(suf[g], g, nodes[half]);
+    }
+  }
+  // Second half: each chain finishes the rows the other one began.
+  for (std::size_t s = 0; s < half; ++s) {
+    const std::size_t i = count - half + s, k = half - 1 - s;
+    for (std::size_t g = 0; g < G; ++g) {
+      P::store(at(i, g), mont_mul(P::load(at(i, g)), pre[g], c));
+      P::store(at(k, g), mont_mul(P::load(at(k, g)), suf[g], c));
+      advance(pre[g], g, nodes[i]);
+      advance(suf[g], g, nodes[k]);
+    }
+  }
+}
+
+// yates_level's program over G vectors of P: src and dst start at the
+// group's first column of the block, and n is the row length.
+template <std::size_t G, class P>
+void yates_cols(const YatesStep* program, const YatesStep* end,
+                const u64* src, u64* dst, std::size_t n,
+                const Ctx<P>& c) noexcept {
+  typename P::V acc[G];
+  for (std::size_t g = 0; g < G; ++g) acc[g] = P::set1(0);
+  for (const YatesStep* st = program; st != end; ++st) {
+    const u64* in = src + st->row * n;
+    switch (st->op) {
+      case YatesOp::kAdd:
+        for (std::size_t g = 0; g < G; ++g) {
+          acc[g] = mod_add<P>(acc[g], P::load(in + g * P::kLanes), c.q);
+        }
+        break;
+      case YatesOp::kSub:
+        for (std::size_t g = 0; g < G; ++g) {
+          acc[g] = P::mod_sub(acc[g], P::load(in + g * P::kLanes), c.q);
+        }
+        break;
+      case YatesOp::kMul: {
+        const auto w = P::set1(st->w);
+        for (std::size_t g = 0; g < G; ++g) {
+          const auto p = mont_mul(P::load(in + g * P::kLanes), w, c);
+          acc[g] = mod_add<P>(acc[g], p, c.q);
+        }
+        break;
+      }
+      case YatesOp::kStore: {
+        u64* out = dst + st->row * n;
+        for (std::size_t g = 0; g < G; ++g) {
+          P::store(out + g * P::kLanes, acc[g]);
+          acc[g] = P::set1(0);
+        }
+        break;
+      }
+    }
+  }
+}
+
 // Whole passes for n >= kLanes: the stages with h >= kLanes walk
 // vector-wide blocks, and the short ones run fused in registers, one
 // load and one store per kLanes words.
@@ -270,6 +362,60 @@ u64 MontgomeryLaneField<Isa>::dot(const u64* a, const u64* b,
 }
 
 template <class Isa>
+void MontgomeryLaneField<Isa>::lagrange_block(const u64* nodes,
+                                              const u64* inv_w,
+                                              std::size_t count,
+                                              const u64* xs,
+                                              std::size_t width,
+                                              u64* out) const noexcept {
+  using namespace lanes;
+  using P = Prims<Isa>;
+  // Two vectors per sweep keep four independent product chains in
+  // flight, enough to hide the latency of one REDC chain.
+  constexpr std::size_t kGroup = 2 * P::kLanes;
+  const Ctx<P> c(q_, neg_q_inv_);
+  std::size_t b = 0;
+  for (; b + kGroup <= width; b += kGroup) {
+    lagrange_cols<2>(nodes, inv_w, count, xs + b, out + b, width, r1_, c);
+  }
+  for (; b + P::kLanes <= width; b += P::kLanes) {
+    lagrange_cols<1>(nodes, inv_w, count, xs + b, out + b, width, r1_, c);
+  }
+  const Ctx<Scalar> s(q_, neg_q_inv_);
+  for (; b < width; ++b) {
+    lagrange_cols<1>(nodes, inv_w, count, xs + b, out + b, width, r1_, s);
+  }
+}
+
+template <class Isa>
+void MontgomeryLaneField<Isa>::yates_level(const YatesStep* program,
+                                           std::size_t steps, const u64* in,
+                                           std::size_t s, u64* out,
+                                           std::size_t t, std::size_t blocks,
+                                           std::size_t n) const noexcept {
+  using namespace lanes;
+  using P = Prims<Isa>;
+  // Two vectors per step halve the program's dispatch and keep two
+  // independent sums per output row in flight.
+  constexpr std::size_t kGroup = 2 * P::kLanes;
+  const YatesStep* end = program + steps;
+  const Ctx<P> c(q_, neg_q_inv_);
+  const Ctx<Scalar> sc(q_, neg_q_inv_);
+  for (std::size_t p = 0; p < blocks; ++p) {
+    const u64* src = in + p * s * n;
+    u64* dst = out + p * t * n;
+    std::size_t i = 0;
+    for (; i + kGroup <= n; i += kGroup) {
+      yates_cols<2>(program, end, src + i, dst + i, n, c);
+    }
+    for (; i + P::kLanes <= n; i += P::kLanes) {
+      yates_cols<1>(program, end, src + i, dst + i, n, c);
+    }
+    for (; i < n; ++i) yates_cols<1>(program, end, src + i, dst + i, n, sc);
+  }
+}
+
+template <class Isa>
 void MontgomeryLaneField<Isa>::ntt_dif(u64* a, std::size_t n,
                                        NttTwiddles tw) const noexcept {
   if (n < kLanes) return ntt_dif_scalar(*this, a, n, tw);
@@ -303,6 +449,13 @@ void MontgomeryLaneField<Isa>::ntt_dit(u64* a, std::size_t n,
                                            std::size_t) const noexcept;      \
   template u64 Lane##Isa::dot(const u64*, const u64*, std::size_t)           \
       const noexcept;                                                        \
+  template void Lane##Isa::lagrange_block(const u64*, const u64*,           \
+                                          std::size_t, const u64*,           \
+                                          std::size_t, u64*) const noexcept; \
+  template void Lane##Isa::yates_level(const YatesStep*, std::size_t,       \
+                                       const u64*, std::size_t, u64*,        \
+                                       std::size_t, std::size_t,             \
+                                       std::size_t) const noexcept;          \
   template void Lane##Isa::ntt_dif(u64*, std::size_t, NttTwiddles)          \
       const noexcept;                                                        \
   template void Lane##Isa::ntt_dit(u64*, std::size_t, NttTwiddles)          \

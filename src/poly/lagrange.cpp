@@ -124,44 +124,45 @@ std::vector<u64> ConsecutiveLagrange::basis_mont(u64 x0) const {
 
 std::vector<u64> ConsecutiveLagrange::basis_mont_block(
     std::span<const u64> xs) const {
+  std::vector<u64> out;
+  basis_mont_block(xs, out);
+  return out;
+}
+
+void ConsecutiveLagrange::basis_mont_block(std::span<const u64> xs,
+                                           std::vector<u64>& out) const {
   const MontgomeryField m = m_;
   const std::size_t width = xs.size();
-  std::vector<u64> out(count_ * width);
-  if (width == 0) return out;
-  // diff row i = x_b - node_i = (-node_i) - (-x_b), so the lanes can
-  // take it as one scalar-minus-vector sweep.
-  std::vector<u64> neg_x(width), diff(width), prefix(width, m.one());
-  for (std::size_t b = 0; b < width; ++b) {
-    neg_x[b] = m.neg(m.from_u64(xs[b]));
-  }
+  out.resize(count_ * width);
+  std::vector<u64> x(width);
+  for (std::size_t b = 0; b < width; ++b) x[b] = m.from_u64(xs[b]);
   with_lane_field(backend_, m, [&](const auto& lf) {
     using F = std::decay_t<decltype(lf)>;
-    const auto diff_row = [&](std::size_t i) {
-      const u64 neg_node = m.neg(nodes_mont_[i]);
-      if constexpr (FieldHasBatchKernels<F>) {
-        lf.sub_from_scalar(neg_node, neg_x.data(), diff.data(), width);
-      } else {
+    if constexpr (FieldHasBatchKernels<F>) {
+      lf.lagrange_block(nodes_mont_.data(), inv_w_.data(), count_, x.data(),
+                        width, out.data());
+    } else {
+      // The reference loop, one chain after the other: the suffix chain
+      // stores prod_{j > i} (x_b - node_j) times inv_w_i into row i,
+      // then the prefix chain multiplies prod_{j < i} in.
+      std::vector<u64> chain(width, m.one());
+      for (std::size_t i = count_; i-- > 0;) {
+        u64* row = out.data() + i * width;
         for (std::size_t b = 0; b < width; ++b) {
-          diff[b] = m.sub(neg_node, neg_x[b]);
+          row[b] = m.mul(chain[b], inv_w_[i]);
+          chain[b] = m.mul(chain[b], m.sub(x[b], nodes_mont_[i]));
         }
       }
-    };
-    // Backward sweep: row i becomes prod_{j > i} diff_j.
-    u64* row = out.data() + (count_ - 1) * width;
-    std::fill(row, row + width, m.one());
-    for (std::size_t i = count_ - 1; i > 0; --i, row -= width) {
-      diff_row(i);
-      vec_mul(lf, row, diff.data(), row - width, width);
-    }
-    // Forward sweep: times prod_{j < i} diff_j and the inverse weight.
-    for (std::size_t i = 0; i < count_; ++i, row += width) {
-      vec_mul(lf, row, prefix.data(), row, width);
-      vec_scale(lf, row, inv_w_[i], row, width);
-      diff_row(i);
-      vec_mul(lf, prefix.data(), diff.data(), prefix.data(), width);
+      std::fill(chain.begin(), chain.end(), m.one());
+      for (std::size_t i = 0; i < count_; ++i) {
+        u64* row = out.data() + i * width;
+        for (std::size_t b = 0; b < width; ++b) {
+          row[b] = m.mul(row[b], chain[b]);
+          chain[b] = m.mul(chain[b], m.sub(x[b], nodes_mont_[i]));
+        }
+      }
     }
   });
-  return out;
 }
 
 std::vector<u64> ConsecutiveLagrange::basis(u64 x0) const {

@@ -13,8 +13,8 @@
 // the Montgomery domain) once; each subsequent basis query is then a
 // single O(R) prefix/suffix product sweep with *no* field inversion.
 // Batched proof evaluation (count/*) amortizes the precomputation
-// across a node's whole chunk of points, and basis_mont_block shares
-// each sweep across a block of points.
+// across a node's whole chunk of points, and basis_mont_block runs
+// both chains of a block of points in one register-resident sweep.
 #pragma once
 
 #include <span>
@@ -47,11 +47,19 @@ class ConsecutiveLagrange {
 
   // basis_mont for a block of points at once, point index innermost:
   // L_i(xs[b]) at i * xs.size() + b, the same words as basis_mont(xs[b]).
-  // The prefix/suffix product chains run along i with the resolved
-  // backend's lanes across the points: six lane calls of width B per
-  // node for a block of B points. Node hits need no special case:
-  // prod_{j != i}(node_i - node_j) * inv_w_i is 1.
+  // On a lane backend it is one sweep (MontgomeryLaneField::
+  // lagrange_block): the prefix and suffix product chains start from
+  // both ends of the nodes with the lanes across the points, their
+  // running products in registers; the chain that reaches a row first
+  // stores its product times the inverse weight, the second finishes
+  // it. Four multiplies per node and point, each row stored twice and
+  // read once. Node hits need no special case:
+  // prod_{j != i}(node_i - node_j) * inv_w_i is 1. The scalar backends
+  // run the same chains one after the other, rows outermost.
   std::vector<u64> basis_mont_block(std::span<const u64> xs) const;
+  // The same into `out`, resized to count() * xs.size(); a caller that
+  // keeps `out` across blocks reuses its storage.
+  void basis_mont_block(std::span<const u64> xs, std::vector<u64>& out) const;
 
   // Value at x0 of the unique degree-<count interpolant through
   // (start+i, values[i]), canonical in/out. O(count).

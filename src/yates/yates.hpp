@@ -23,10 +23,15 @@ namespace camelot {
 // sum of products with exactly one weight factor per level, so the
 // representation is preserved level by level). Instantiated in
 // yates/yates.cpp for PrimeField, MontgomeryField and the two lane
-// fields, whose batch kernels run the suffix push loops on u64 lanes
-// — the hot path of batched proof evaluation
-// (Evaluator::evaluate_points over count/ problems) — with
-// bit-identical output.
+// fields — the hot path of batched proof evaluation
+// (Evaluator::evaluate_points over count/ problems). On the lane
+// fields each level is one MontgomeryLaneField::yates_level call: the
+// table is classified once into a program of adds (+1), subtracts
+// (-1) and multiply-adds (other weights), and every output word is
+// written once from sums kept in registers. PrimeField and
+// MontgomeryField run the reference loop, a zero-filled output with
+// one row push per nonzero weight. The three Montgomery field classes
+// give the same words.
 //
 // `batch` transforms that many vectors at once: x holds s_dim^k rows
 // of `batch` columns (entry j of column c at j * batch + c) and the
@@ -38,6 +43,15 @@ std::vector<u64> yates_apply(const Field& f, std::span<const u64> base,
                              std::size_t t_dim, std::size_t s_dim,
                              std::span<const u64> x, unsigned k,
                              std::size_t batch = 1);
+
+// The same into `result`, with the levels before the last written to
+// `scratch`; both are resized as needed, so a caller that keeps them
+// across calls (a block evaluator) reuses their storage.
+template <class Field>
+void yates_apply(const Field& f, std::span<const u64> base,
+                 std::size_t t_dim, std::size_t s_dim, std::span<const u64> x,
+                 unsigned k, std::size_t batch, std::vector<u64>& result,
+                 std::vector<u64>& scratch);
 
 // Reference implementation by the defining sum (3): O((st)^k k) — used
 // only for differential testing.

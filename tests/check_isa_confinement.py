@@ -37,7 +37,7 @@ SKIP = 77
 ALLOWED = re.compile(
     r"camelot::MontgomeryLaneField<[^<>]*>::(mul_vec|scale_vec|"
     r"addmul_inplace|submul_inplace|add_inplace|sub_from_scalar|dot|"
-    r"ntt_dif|ntt_dit)\(|camelot::lanes::")
+    r"lagrange_block|yates_level|ntt_dif|ntt_dit)\(|camelot::lanes::")
 
 FUNC_RE = re.compile(r"^[0-9a-f]+ <(.+)>:$")
 INSN_RE = re.compile(r"^\s+[0-9a-f]+:\t(\S+)\s*(.*)$")

@@ -318,13 +318,20 @@ TEST(Lagrange, BlockBasisMatchesPerPointOnEveryBackend) {
          {FieldBackend::kMontgomery, FieldBackend::kPrimeDivision,
           FieldBackend::kMontgomeryAvx2, FieldBackend::kMontgomeryAvx512}) {
       const FieldOps ops(f, backend);
-      for (const std::size_t count : {1u, 6u, 49u}) {
+      // 343 and 2401 are the triangle and clique6 basis sizes; odd and
+      // even counts meet the two product chains in a middle row or
+      // between two.
+      for (const std::size_t count : {1u, 6u, 49u, 343u, 2401u}) {
         const u64 start = 5;
         const ConsecutiveLagrange lag(start, count, ops);
         // Node hits (first, middle, last), 0, q - 1 and random points.
         std::vector<u64> pool = {start, start + count / 2, start + count - 1,
                                  0, q - 1};
-        for (const std::size_t width : {1u, 3u, 8u, 16u, 17u}) {
+        // Kept across widths: the overload that fills a caller's
+        // buffer must give the same words when it reuses the storage.
+        std::vector<u64> reused;
+        for (const std::size_t width :
+             {1u, 3u, 8u, 15u, 16u, 17u, 31u, 33u}) {
           std::vector<u64> xs;
           for (std::size_t b = 0; b < width; ++b) {
             xs.push_back(b < pool.size() ? pool[(b + width) % pool.size()]
@@ -332,6 +339,8 @@ TEST(Lagrange, BlockBasisMatchesPerPointOnEveryBackend) {
           }
           const std::vector<u64> block = lag.basis_mont_block(xs);
           ASSERT_EQ(block.size(), count * width);
+          lag.basis_mont_block(xs, reused);
+          EXPECT_EQ(reused, block);
           for (std::size_t b = 0; b < width; ++b) {
             const std::vector<u64> want = lag.basis_mont(xs[b]);
             for (std::size_t i = 0; i < count; ++i) {

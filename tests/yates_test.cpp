@@ -10,6 +10,7 @@
 
 #include "field/backend_dispatch.hpp"
 #include "field/primes.hpp"
+#include "linalg/tensor.hpp"
 #include "poly/lagrange.hpp"
 
 namespace camelot {
@@ -129,6 +130,83 @@ TEST_P(YatesShapes, BatchedMatchesPerColumnAndNaive) {
   }
   EXPECT_THROW(yates_apply(f, base, t, s, random_vector(rows_in, f, rng), k, 2),
                std::invalid_argument);
+}
+
+// Trilinear tables are mostly 0 and +-1, which the lane kernels take
+// as adds and subtracts rather than multiplies. Tables drawn from
+// {0, 1, q-1, random}, and Strassen's own (4 x 7 as the clique
+// evaluator runs them, 7 x 4 transposed as the triangle evaluator
+// does), against the defining sum on every Montgomery backend, at
+// batch widths around the AVX2 and AVX-512 vector and pair lengths.
+TEST(Yates, SignedWeightsMatchNaiveOnEveryBackend) {
+  const PrimeField f(2147352577);
+  const u64 q = f.modulus();
+  std::mt19937_64 rng(36);
+  const auto signed_base = [&](std::size_t t, std::size_t s) {
+    std::vector<u64> b(t * s);
+    for (u64& x : b) {
+      const u64 pick = rng() % 4;
+      x = pick == 0 ? 0 : pick == 1 ? 1 : pick == 2 ? q - 1 : rng() % q;
+    }
+    return b;
+  };
+  const auto transposed = [](const std::vector<u64>& b, std::size_t t,
+                             std::size_t s) {
+    std::vector<u64> out(s * t);
+    for (std::size_t i = 0; i < t; ++i) {
+      for (std::size_t j = 0; j < s; ++j) out[j * t + i] = b[i * s + j];
+    }
+    return out;
+  };
+  struct Case {
+    std::vector<u64> base;
+    std::size_t t, s;
+    unsigned k;
+  };
+  std::vector<Case> cases = {{signed_base(4, 7), 4, 7, 3},
+                             {signed_base(7, 4), 7, 4, 3},
+                             {signed_base(3, 5), 3, 5, 2}};
+  const TrilinearDecomposition strassen = strassen_decomposition();
+  for (const std::vector<u64>& table :
+       {strassen.alpha_mod(f), strassen.beta_mod(f), strassen.gamma_mod(f)}) {
+    cases.push_back({table, 4, 7, 4});
+    cases.push_back({transposed(table, 4, 7), 7, 4, 3});
+  }
+  constexpr std::size_t kMaxBatch = 17;
+  for (const Case& c : cases) {
+    const std::size_t rows_in = ipow(c.s, c.k), rows_out = ipow(c.t, c.k);
+    // kMaxBatch random columns and their defining sums; a batch of
+    // width w takes the first w.
+    std::vector<std::vector<u64>> xcols, ycols;
+    for (std::size_t col = 0; col < kMaxBatch; ++col) {
+      xcols.push_back(random_vector(rows_in, f, rng));
+      ycols.push_back(yates_apply_naive(f, c.base, c.t, c.s, xcols[col], c.k));
+    }
+    for (const std::size_t batch : {1u, 7u, 8u, 9u, 16u, 17u}) {
+      std::vector<u64> x(rows_in * batch), want(rows_out * batch);
+      for (std::size_t col = 0; col < batch; ++col) {
+        for (std::size_t j = 0; j < rows_in; ++j) {
+          x[j * batch + col] = xcols[col][j];
+        }
+        for (std::size_t i = 0; i < rows_out; ++i) {
+          want[i * batch + col] = ycols[col][i];
+        }
+      }
+      for (const FieldBackend backend :
+           {FieldBackend::kMontgomery, FieldBackend::kMontgomeryAvx2,
+            FieldBackend::kMontgomeryAvx512}) {
+        const FieldOps ops(f, backend);
+        const MontgomeryField& m = ops.mont();
+        with_lane_field(ops.backend(), m, [&](const auto& lf) {
+          const auto got = yates_apply(lf, m.to_mont_vec(c.base), c.t, c.s,
+                                       m.to_mont_vec(x), c.k, batch);
+          EXPECT_EQ(m.from_mont_vec(got), want)
+              << c.t << "x" << c.s << " k=" << c.k << " batch=" << batch
+              << " backend=" << static_cast<int>(ops.backend());
+        });
+      }
+    }
+  }
 }
 
 TEST(Yates, SubsetZetaTransform) {
