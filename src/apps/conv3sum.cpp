@@ -75,7 +75,10 @@ class Conv3SumEvaluator : public Evaluator {
  public:
   Conv3SumEvaluator(const FieldOps& f, const std::vector<u64>& values,
                     unsigned bits)
-      : Evaluator(f), values_(values), bits_(bits) {}
+      : Evaluator(f),
+        values_(values),
+        bits_(bits),
+        lagrange_(1, values.size(), f) {}
 
   // A_j(x) interpolates bit j of A over the nodes 1..n.
   std::vector<u64> bits_at(u64 x0) const {
@@ -88,8 +91,7 @@ class Conv3SumEvaluator : public Evaluator {
       for (unsigned j = 0; j < bits_; ++j) out[j] = (v >> j) & 1;
       return out;
     }
-    const std::vector<u64> basis =
-        lagrange_basis_consecutive(1, n, x0, field_);
+    const std::vector<u64> basis = lagrange_.basis(x0);
     std::vector<u64> out(bits_, 0);
     for (std::size_t i = 0; i < n; ++i) {
       if (basis[i] == 0) continue;
@@ -117,6 +119,7 @@ class Conv3SumEvaluator : public Evaluator {
  private:
   const std::vector<u64>& values_;
   unsigned bits_;
+  ConsecutiveLagrange lagrange_;  // nodes 1..n
 };
 
 }  // namespace

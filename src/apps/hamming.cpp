@@ -32,17 +32,19 @@ namespace {
 
 class HammingEvaluator : public Evaluator {
  public:
+  // Interpolation nodes are the consecutive integers (i+1)(t+1)+h for
+  // i = 0..n-1, h = 0..t, i.e. t+1 .. n(t+1)+t; their Lagrange cache
+  // is built once per evaluator, not once per point.
   HammingEvaluator(const FieldOps& f, const BoolMatrix& a,
                    const BoolMatrix& b)
-      : Evaluator(f), a_(a), b_(b) {}
+      : Evaluator(f),
+        a_(a),
+        b_(b),
+        lagrange_(a.cols + 1, a.rows * (a.cols + 1), f) {}
 
   u64 eval(u64 x0) override {
     const std::size_t n = a_.rows, t = a_.cols;
-    const std::size_t points = n * (t + 1);
-    // Interpolation nodes are the consecutive integers
-    // (i+1)(t+1)+h for i = 0..n-1, h = 0..t, i.e. t+1 .. n(t+1)+t.
-    const std::vector<u64> basis =
-        lagrange_basis_consecutive(t + 1, points, x0, field_);
+    const std::vector<u64> basis = lagrange_.basis(x0);
     // Row/column partial sums of the basis.
     std::vector<u64> row_sum(n, 0), col_sum(t + 1, 0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -83,6 +85,7 @@ class HammingEvaluator : public Evaluator {
  private:
   const BoolMatrix& a_;
   const BoolMatrix& b_;
+  ConsecutiveLagrange lagrange_;
 };
 
 }  // namespace

@@ -5,6 +5,17 @@
 // A_j interpolating column j of A over the points 1..n and
 // B(z) = sum_i prod_j (1 - b_ij z_j)  (eq. (39)); then P(i) = c_i.
 // Proof size O~(nt), per-node evaluation O~(nt).
+//
+// The evaluator walks its chunk in blocks of kPointBlock points, point
+// index innermost, in the Montgomery domain: each lane call covers the
+// whole block. Per point that is 4n multiplies for the Lagrange basis
+// (ConsecutiveLagrange::basis_mont_block), |A| adds for the z_j (one
+// per set bit of A, from lists built once per problem), t subtractions
+// for 1 - z_j, |B| - r multiplies for the products of the r nonempty
+// rows of B and r adds for their sum, where |A| and |B| count set bits.
+// No branch depends on a bit of A or B. On the 48 x 24, density 0.35
+// shape of the ov-service benchmark that is about 192 + 403 + 24 + 355
+// + 48 = 1022 lane operations per point, 547 of them multiplies.
 #pragma once
 
 #include "core/proof_problem.hpp"
@@ -37,8 +48,19 @@ class OrthogonalVectorsProblem : public CamelotProblem {
   std::size_t n() const noexcept { return a_.rows; }
   std::size_t t() const noexcept { return a_.cols; }
 
+  // The set bits the evaluator reads, listed once per problem: column j
+  // of A has its set rows at a_rows[a_col_start[j] .. a_col_start[j+1]),
+  // and the r-th nonempty row of B its set columns at
+  // b_cols[b_row_start[r] .. b_row_start[r+1]).
+  struct SetBits {
+    std::vector<u32> a_rows, b_cols;
+    std::vector<std::size_t> a_col_start, b_row_start;
+    u64 empty_b_rows = 0;
+  };
+
  private:
   BoolMatrix a_, b_;
+  SetBits bits_;
 };
 
 // Ground truth O(n^2 t).

@@ -62,10 +62,11 @@ class Evaluator {
 
   // Evaluates the proof polynomial at every point of xs — the whole
   // contiguous chunk a simulated node owns, issued as one call. The
-  // default simply loops the scalar method; problem implementations
-  // override it to amortize point-independent work (Lagrange factorial
-  // caches, Montgomery boundary conversions, shared basis vectors)
-  // across the batch.
+  // default simply loops the scalar method. The triangle, (6,2) and
+  // orthogonal-vectors evaluators override it to walk the chunk in
+  // kPointBlock blocks, point index innermost, in the Montgomery
+  // domain with one conversion out per chunk; their eval(x0) is a
+  // one-point block.
   virtual std::vector<u64> evaluate_points(std::span<const u64> xs) {
     std::vector<u64> out(xs.size());
     for (std::size_t i = 0; i < xs.size(); ++i) out[i] = eval(xs[i]);
@@ -82,9 +83,10 @@ class Evaluator {
 
 // Points per block for evaluators that walk their chunk a block at a
 // time with the point index innermost (count/form62_block.hpp, the
-// triangle evaluator), so each lane call covers the whole block. A
-// chunk's last block takes whatever is left, so a lone point costs one
-// point. Widths 8 to 64 measured the same on the triangle workload.
+// triangle and orthogonal-vectors evaluators), so each lane call covers
+// the whole block. A chunk's last block takes whatever is left, so a
+// lone point costs one point. Widths 8 to 64 measured the same on the
+// triangle workload.
 inline constexpr std::size_t kPointBlock = 16;
 
 // A problem expressible in the Camelot framework.

@@ -41,15 +41,18 @@ class HamiltonEvaluator : public Evaluator {
  public:
   HamiltonEvaluator(const FieldOps& f, const Graph& g, std::size_t h1,
                     std::size_t h2)
-      : Evaluator(f), g_(g), h1_(h1), h2_(h2) {}
+      : Evaluator(f),
+        g_(g),
+        h1_(h1),
+        h2_(h2),
+        lagrange_(0, std::size_t{1} << h1, f) {}
 
   u64 eval(u64 x0) override {
     const std::size_t n = g_.num_vertices();
     const std::size_t big_m = std::size_t{1} << h1_;
     // D_j(x0) for the first-half membership variables (vertices
     // 1..h1), interpolating bit j over the nodes 0..M-1.
-    const std::vector<u64> basis =
-        lagrange_basis_consecutive(0, big_m, x0, field_);
+    const std::vector<u64> basis = lagrange_.basis(x0);
     std::vector<u64> d(h1_, 0);
     for (std::size_t i = 0; i < big_m; ++i) {
       if (basis[i] == 0) continue;
@@ -110,6 +113,7 @@ class HamiltonEvaluator : public Evaluator {
 
   const Graph& g_;
   std::size_t h1_, h2_;
+  ConsecutiveLagrange lagrange_;  // nodes 0..M-1
 };
 
 }  // namespace

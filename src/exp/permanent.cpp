@@ -50,15 +50,14 @@ namespace {
 class PermanentEvaluator : public Evaluator {
  public:
   PermanentEvaluator(const FieldOps& f, const IntMatrix& m)
-      : Evaluator(f), m_(m) {}
+      : Evaluator(f), m_(m), lagrange_(0, std::size_t{1} << (m.n / 2), f) {}
 
   u64 eval(u64 x0) override {
     const std::size_t n = m_.n;
     const std::size_t h = n / 2;
     const std::size_t big_m = std::size_t{1} << h;
     // D_j(x0) over the nodes 0..M-1 (eq. (43)): D_j(i) = bit j of i.
-    const std::vector<u64> basis =
-        lagrange_basis_consecutive(0, big_m, x0, field_);
+    const std::vector<u64> basis = lagrange_.basis(x0);
     std::vector<u64> d(h, 0);
     for (std::size_t i = 0; i < big_m; ++i) {
       if (basis[i] == 0) continue;
@@ -112,6 +111,7 @@ class PermanentEvaluator : public Evaluator {
 
  private:
   const IntMatrix& m_;
+  ConsecutiveLagrange lagrange_;  // nodes 0..M-1
 };
 
 }  // namespace

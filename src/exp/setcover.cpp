@@ -42,12 +42,16 @@ class SetCoverEvaluator : public Evaluator {
  public:
   SetCoverEvaluator(const FieldOps& f, std::size_t n,
                     const std::vector<u64>& family, u64 t)
-      : Evaluator(f), n_(n), h_(n / 2), family_(family), t_(t) {}
+      : Evaluator(f),
+        n_(n),
+        h_(n / 2),
+        family_(family),
+        t_(t),
+        lagrange_(0, std::size_t{1} << h_, f) {}
 
   u64 eval(u64 x0) override {
     const std::size_t big_m = std::size_t{1} << h_;
-    const std::vector<u64> basis =
-        lagrange_basis_consecutive(0, big_m, x0, field_);
+    const std::vector<u64> basis = lagrange_.basis(x0);
     std::vector<u64> d(h_, 0);
     for (std::size_t i = 0; i < big_m; ++i) {
       if (basis[i] == 0) continue;
@@ -95,6 +99,7 @@ class SetCoverEvaluator : public Evaluator {
   std::size_t n_, h_;
   const std::vector<u64>& family_;
   u64 t_;
+  ConsecutiveLagrange lagrange_;  // nodes 0..M-1
 };
 
 }  // namespace

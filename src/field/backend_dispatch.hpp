@@ -65,6 +65,16 @@ void vec_addmul(const F& f, u64* r, u64 s, const u64* a, std::size_t n) {
   }
 }
 
+// r = s - a (r may alias a)
+template <class F>
+void vec_sub_from(const F& f, u64 s, const u64* a, u64* r, std::size_t n) {
+  if constexpr (FieldHasBatchKernels<F>) {
+    f.sub_from_scalar(s, a, r, n);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) r[i] = f.sub(s, a[i]);
+  }
+}
+
 // r = a o b (r may alias a)
 template <class F>
 void vec_mul(const F& f, const u64* a, const u64* b, u64* r, std::size_t n) {

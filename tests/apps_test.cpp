@@ -1,12 +1,15 @@
 // Tests for the polynomial-time Camelot designs (Theorems 11 and 12).
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "apps/conv3sum.hpp"
 #include "apps/csp2.hpp"
 #include "apps/hamming.hpp"
 #include "apps/ov.hpp"
 #include "core/proof_session.hpp"
 #include "field/primes.hpp"
+#include "poly/lagrange.hpp"
 
 namespace camelot {
 namespace {
@@ -60,6 +63,81 @@ TEST(Ov, ProofSizeIsNearLinear) {
   BoolMatrix b = BoolMatrix::random(64, 8, 0.3, 2);
   OrthogonalVectorsProblem problem(a, b);
   EXPECT_LE(problem.spec().degree_bound, 64u * 8u);
+}
+
+// The block evaluator against a canonical per-point reference: each
+// A_j(x0) by its own Lagrange interpolation of column j, then B(z)
+// summed row by row with no early exit. B has an all-zero row (its
+// product is 1) and an all-ones row; A has an all-zero column and an
+// all-ones row.
+TEST(Ov, BlockEvaluatorMatchesPerPointReferenceOnEveryBackend) {
+  const std::size_t n = 20, t = 7;
+  BoolMatrix a = BoolMatrix::random(n, t, 0.35, 71);
+  BoolMatrix b = BoolMatrix::random(n, t, 0.35, 72);
+  for (std::size_t j = 0; j < t; ++j) {
+    b.at(3, j) = 0;
+    b.at(7, j) = 1;
+    a.at(5, j) = 1;
+  }
+  for (std::size_t i = 0; i < n; ++i) a.at(i, 2) = 0;
+  const OrthogonalVectorsProblem problem(a, b);
+
+  for (u64 q : {next_prime(u64{1} << 20), next_prime(u64{1} << 31)}) {
+    const PrimeField f(q);
+    const auto reference = [&](u64 x0) {
+      std::vector<u64> z(t);
+      for (std::size_t j = 0; j < t; ++j) {
+        std::vector<u64> column(n);
+        for (std::size_t i = 0; i < n; ++i) column[i] = a.at(i, j);
+        z[j] = lagrange_eval_consecutive(1, column, x0, f);
+      }
+      u64 total = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        u64 prod = f.one();
+        for (std::size_t j = 0; j < t; ++j) {
+          if (b.at(i, j)) prod = f.mul(prod, f.sub(f.one(), z[j]));
+        }
+        total = f.add(total, prod);
+      }
+      return total;
+    };
+    // Every node, both ends of the field, then pseudo-random points.
+    std::vector<u64> pool = {0, q - 1};
+    for (u64 x = 1; x <= n; ++x) pool.push_back(x);
+    std::mt19937_64 rng(q);
+    while (pool.size() < 40) pool.push_back(rng() % q);
+    std::vector<u64> want(pool.size());
+    for (std::size_t i = 0; i < pool.size(); ++i) want[i] = reference(pool[i]);
+    // At the nodes the reference reads the answers c_i.
+    const std::vector<u64> counts = count_orthogonal_brute(a, b);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(want[2 + i], counts[i]);
+
+    for (FieldBackend backend :
+         {FieldBackend::kMontgomery, FieldBackend::kPrimeDivision,
+          FieldBackend::kMontgomeryAvx2, FieldBackend::kMontgomeryAvx512}) {
+      const auto ev = problem.make_evaluator(FieldOps(f, backend));
+      for (std::size_t len : {1, 15, 16, 17, 33}) {
+        for (std::size_t start = 0; start < pool.size(); start += len) {
+          std::vector<u64> chunk(len);
+          for (std::size_t i = 0; i < len; ++i) {
+            chunk[i] = pool[(start + i) % pool.size()];
+          }
+          const std::vector<u64> got = ev->evaluate_points(chunk);
+          ASSERT_EQ(got.size(), len);
+          for (std::size_t i = 0; i < len; ++i) {
+            EXPECT_EQ(got[i], want[(start + i) % pool.size()])
+                << "q=" << q << " backend=" << static_cast<int>(backend)
+                << " len=" << len << " x=" << chunk[i];
+          }
+        }
+      }
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        EXPECT_EQ(ev->eval(pool[i]), want[i])
+            << "q=" << q << " backend=" << static_cast<int>(backend)
+            << " x=" << pool[i];
+      }
+    }
+  }
 }
 
 TEST(Hamming, BruteRowSumsToN) {
